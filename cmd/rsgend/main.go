@@ -103,7 +103,7 @@ func run(args []string) int {
 		timeout     = fs.Duration("timeout", 30*time.Second, "per-request compute deadline")
 		maxInflight = fs.Int("max-inflight", 64, "handler concurrency limit")
 		maxBatch    = fs.Int("max-batch", 256, "member limit for one POST /v1/spec/batch request")
-		workers     = fs.Int("j", 0, "evaluation workers for batch members and alternative specs (0 = all cores); /healthz reports the effective count")
+		workers     = fs.Int("j", 0, "evaluation workers for batch members, alternative specs and moga generation scoring (0 = all cores); /healthz reports the effective count")
 		leaseTTL    = fs.Duration("lease-ttl", 5*time.Minute, "default host-lease lifetime for /v1/select")
 		stateDir    = fs.String("state-dir", "", "directory for durable broker state (WAL + snapshots); empty serves from memory only")
 		obsDir      = fs.String("obs-dir", "", "directory for the prediction-accuracy observation log (append-only JSONL, size-capped rotation); empty keeps observations in memory only")
@@ -183,10 +183,11 @@ func run(args []string) int {
 	}
 	// One moga.Config (and one Stats) is shared by the broker's selector and
 	// the service's /v1/advise handler, so backend=moga selections and
-	// advisories count into the same rsgend_moga_* families.
+	// advisories count into the same rsgend_moga_* families and score their
+	// generations across the same -j workers.
 	var mogaCfg *moga.Config
 	if *mogaOn {
-		mogaCfg = &moga.Config{Stats: &moga.Stats{}}
+		mogaCfg = &moga.Config{Stats: &moga.Stats{}, Workers: *workers}
 	}
 	brk, err := broker.New(broker.Config{
 		Generator: gen,

@@ -661,9 +661,9 @@ func (b *Broker) ladder(ctx context.Context, req Request) ([]*spec.Specification
 func (b *Broker) tryRung(ctx context.Context, inv *inventory, d *dag.DAG, rung int, sp *spec.Specification, sel Selector, ttl time.Duration, maxWait float64, stalled map[platform.HostID]bool) (*Outcome, []RungAttempt) {
 	var atts []RungAttempt
 	leaseMisses := 0
-	rank := 0
-	rungSel, walksFront := sel.(RungSelector)
+	walk := rungWalk{sel: sel}
 	for {
+		rank := walk.rank
 		att := RungAttempt{Rung: rung, ClockGHz: sp.MaxClockGHz, RCSize: sp.RCSize, Backend: sel.Name(), FrontRank: rank}
 		excluded := b.store.Leased(b.cfg.Now())
 		for h := range stalled {
@@ -671,13 +671,7 @@ func (b *Broker) tryRung(ctx context.Context, inv *inventory, d *dag.DAG, rung i
 		}
 		_, selSpan := obs.StartSpan(ctx, "select")
 		selSpan.SetDetail("rung=%d backend=%s rank=%d", rung, sel.Name(), rank)
-		var rc *platform.ResourceCollection
-		var err error
-		if walksFront {
-			rc, err = rungSel.SelectRung(ctx, d, sp, excluded, rank)
-		} else {
-			rc, err = sel.Select(sp, excluded)
-		}
+		rc, err := walk.pick(ctx, d, sp, excluded)
 		selSpan.EndErr(err)
 		if err != nil {
 			att.Stage, att.Err = StageSelect, err.Error()
@@ -696,6 +690,7 @@ func (b *Broker) tryRung(ctx context.Context, inv *inventory, d *dag.DAG, rung i
 			if leaseMisses >= b.cfg.LeaseAttempts {
 				return nil, atts
 			}
+			walk.reselect()
 			continue // a concurrent session won the race: re-select
 		}
 		bindCtx, bindSpan := obs.StartSpan(ctx, "bind")
@@ -712,11 +707,11 @@ func (b *Broker) tryRung(ctx context.Context, inv *inventory, d *dag.DAG, rung i
 				"rung", rung, "backend", sel.Name(), "stalled_hosts", grew, "error", err)
 			atts = append(atts, att)
 			if grew > 0 && ctx.Err() == nil {
+				walk.reselect()
 				continue // route the re-selection around the stalled clusters
 			}
-			if walksFront && ctx.Err() == nil {
-				rank++ // the probe learned nothing: walk the Pareto front
-				continue
+			if ctx.Err() == nil && walk.advance() {
+				continue // the probe learned nothing: walk the Pareto front
 			}
 			return nil, atts
 		}
@@ -819,9 +814,9 @@ func (b *Broker) Rebind(ctx context.Context, leaseID string, req Request, stalle
 func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, rung int, sp *spec.Specification, sel Selector, leaseID string, maxWait float64, stalled map[platform.HostID]bool) (*Outcome, []RungAttempt, error) {
 	var atts []RungAttempt
 	swapMisses := 0
-	rank := 0
-	rungSel, walksFront := sel.(RungSelector)
+	walk := rungWalk{sel: sel}
 	for {
+		rank := walk.rank
 		att := RungAttempt{Rung: rung, ClockGHz: sp.MaxClockGHz, RCSize: sp.RCSize, Backend: sel.Name(), FrontRank: rank}
 		now := b.cfg.Now()
 		own, held := b.store.Lookup(leaseID, now)
@@ -837,13 +832,7 @@ func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, 
 		}
 		_, selSpan := obs.StartSpan(ctx, "select")
 		selSpan.SetDetail("rung=%d backend=%s rank=%d rebind=%s", rung, sel.Name(), rank, leaseID)
-		var rc *platform.ResourceCollection
-		var err error
-		if walksFront {
-			rc, err = rungSel.SelectRung(ctx, d, sp, excluded, rank)
-		} else {
-			rc, err = sel.Select(sp, excluded)
-		}
+		rc, err := walk.pick(ctx, d, sp, excluded)
 		selSpan.EndErr(err)
 		if err != nil {
 			att.Stage, att.Err = StageSelect, err.Error()
@@ -863,11 +852,11 @@ func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, 
 				"lease_id", leaseID, "rung", rung, "backend", sel.Name(), "stalled_hosts", grew, "error", err)
 			atts = append(atts, att)
 			if grew > 0 && ctx.Err() == nil {
+				walk.reselect()
 				continue
 			}
-			if walksFront && ctx.Err() == nil {
-				rank++ // the probe learned nothing: walk the Pareto front
-				continue
+			if ctx.Err() == nil && walk.advance() {
+				continue // the probe learned nothing: walk the Pareto front
 			}
 			return nil, atts, nil
 		}
@@ -886,6 +875,7 @@ func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, 
 			if swapMisses >= b.cfg.LeaseAttempts {
 				return nil, atts, nil
 			}
+			walk.reselect()
 			continue // a concurrent session grabbed a candidate host: re-select
 		}
 		// The swap retired the old lease: close its segment in the flight
@@ -981,21 +971,21 @@ func leaseMeta(inv *inventory, d *dag.DAG, sp *spec.Specification, rc *platform.
 	return m
 }
 
-// predictTurnAround schedules the DAG on the bound collection with the
-// spec's heuristic — the same estimate the moga evaluator uses — giving the
-// promised makespan (seconds) the flight recorder later scores against the
-// observed one. 0 when the heuristic is unknown or the subset is
-// unschedulable: the lease is then recorded but never scored.
+// predictTurnAround is sched.TurnAround — the function the moga objective
+// scores with — for the DAG on the bound collection under the spec's
+// heuristic: the promised turn-around (seconds) the flight recorder later
+// scores against the observed one. 0 when the heuristic is unknown or the
+// subset is unschedulable: the lease is then recorded but never scored.
 func predictTurnAround(d *dag.DAG, heuristic string, p *platform.Platform, rc *platform.ResourceCollection) float64 {
 	h, err := sched.ByName(heuristic)
 	if err != nil {
 		return 0
 	}
-	s, err := h.Schedule(d, platform.SubsetRC(p, rc.Hosts))
+	t, err := sched.TurnAround(h, d, platform.SubsetRC(p, rc.Hosts), 1)
 	if err != nil {
 		return 0
 	}
-	return s.TurnAround(1)
+	return t
 }
 
 func countClusters(rc *platform.ResourceCollection) int {

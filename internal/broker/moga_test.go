@@ -3,7 +3,6 @@ package broker
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -117,15 +116,12 @@ type fakeFrontSelector struct {
 
 func (s *fakeFrontSelector) Name() string { return "fake" }
 
-func (s *fakeFrontSelector) Select(sp *spec.Specification, excluded map[platform.HostID]bool) (*platform.ResourceCollection, error) {
-	return s.SelectRung(context.Background(), nil, sp, excluded, 0)
+func (s *fakeFrontSelector) Select(*spec.Specification, map[platform.HostID]bool) (*platform.ResourceCollection, error) {
+	return s.front[0], nil
 }
 
-func (s *fakeFrontSelector) SelectRung(_ context.Context, _ *dag.DAG, _ *spec.Specification, _ map[platform.HostID]bool, rank int) (*platform.ResourceCollection, error) {
-	if rank >= len(s.front) {
-		return nil, fmt.Errorf("fake: front exhausted (%d solutions, rank %d)", len(s.front), rank)
-	}
-	return s.front[rank], nil
+func (s *fakeFrontSelector) SelectFront(context.Context, *dag.DAG, *spec.Specification, map[platform.HostID]bool) ([]*platform.ResourceCollection, error) {
+	return s.front, nil
 }
 
 func clusterRC(p *platform.Platform, cluster, n int) *platform.ResourceCollection {
@@ -200,5 +196,114 @@ func TestFrontWalkExhaustion(t *testing.T) {
 	last := unsat.Trace[len(unsat.Trace)-1]
 	if last.Stage != StageSelect || last.FrontRank != 2 {
 		t.Errorf("final attempt = %+v, want select failure at rank 2 (exhausted)", last)
+	}
+}
+
+// maskBlindMoga is the real moga selector searching as if nothing were
+// excluded, which lets a test hold the front still while binds fail: the
+// state a live broker is in when a bind refusal teaches the probe nothing.
+type maskBlindMoga struct{ *mogaSelector }
+
+func (s maskBlindMoga) Name() string { return "blind" }
+
+func (s maskBlindMoga) SelectFront(ctx context.Context, d *dag.DAG, sp *spec.Specification, _ map[platform.HostID]bool) ([]*platform.ResourceCollection, error) {
+	return s.mogaSelector.SelectFront(ctx, d, sp, nil)
+}
+
+// A walk three or more ranks down the moga front is one search, not one per
+// rank: the later ranks are indices into the front rank 0 came from, and each
+// is the collection an independent search puts at that rank.
+func TestFrontWalkSearchesOnce(t *testing.T) {
+	stats := &moga.Stats{}
+	b, p, grid := newTestBroker(t, func(c *Config) {
+		c.Moga = &moga.Config{PopSize: 16, Generations: 6, Seed: 11, Stats: stats}
+	})
+	real := b.inv.selectors["moga"].(*mogaSelector)
+	b.inv.selectors["blind"] = maskBlindMoga{real}
+	req := Request{Dag: testDAG(t), Backends: []string{"blind"}}
+	ladder, err := b.ladder(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := moga.Search(context.Background(), moga.Problem{Platform: p, Spec: ladder[0], Dag: req.Dag}, real.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The walk's target is the first rank from 3 on that avoids some
+	// cluster of every earlier rank. Those clusters are stalled, and
+	// reported as already known stalled, so the earlier ranks' binds fail
+	// and teach the probe nothing while the target's succeeds.
+	clusters := func(rank int) map[int]bool {
+		out := map[int]bool{}
+		for _, id := range res.Front[rank].Hosts {
+			out[p.Hosts[id].Cluster] = true
+		}
+		return out
+	}
+	target, stall := 0, map[int]bool{}
+search:
+	for target = 3; target < len(res.Front); target++ {
+		keep := clusters(target)
+		clear(stall)
+		for r := 0; r < target; r++ {
+			avoided := false
+			for c := range clusters(r) {
+				if !keep[c] {
+					stall[c], avoided = true, true
+				}
+			}
+			if !avoided {
+				continue search
+			}
+		}
+		break
+	}
+	if target == len(res.Front) {
+		t.Fatalf("no rank of this %d-solution front can be walked to: the instance no longer forces a walk", len(res.Front))
+	}
+	known := map[platform.HostID]bool{}
+	for c := range stall {
+		grid.SetManager(bind.Manager{Cluster: c, Discipline: bind.Reservation, NextSlot: 1e12})
+		for i := 0; i < p.Clusters[c].NumHosts; i++ {
+			known[p.Clusters[c].FirstHost+platform.HostID(i)] = true
+		}
+	}
+	b.SetExclusionProvider(func() map[platform.HostID]bool { return known })
+
+	before := stats.Searches()
+	out, err := b.Select(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if got := stats.Searches() - before; got != 1 {
+		t.Errorf("walk to rank %d ran %d searches, want 1", target, got)
+	}
+	if len(out.Trace) != target+1 {
+		t.Fatalf("trace = %+v, want one attempt per rank 0..%d", out.Trace, target)
+	}
+	for r, att := range out.Trace {
+		wantStage := StageBind
+		if r == target {
+			wantStage = StageBound
+		}
+		if att.FrontRank != r || att.Stage != wantStage {
+			t.Errorf("attempt %d = rank %d stage %s, want rank %d stage %s", r, att.FrontRank, att.Stage, r, wantStage)
+		}
+	}
+	for i, h := range out.RC.Hosts {
+		if h.ID != res.Front[target].Hosts[i] {
+			t.Fatalf("bound hosts %v, want rank %d of an independent search %v", out.RC.Hosts, target, res.Front[target].Hosts)
+		}
+	}
+	front, err := real.SelectFront(context.Background(), req.Dag, ladder[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, rc := range front {
+		for i, h := range rc.Hosts {
+			if h.ID != res.Front[r].Hosts[i] {
+				t.Fatalf("SelectFront rank %d = %v, search rank %d = %v", r, rc.Hosts, r, res.Front[r].Hosts)
+			}
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package moga
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -11,73 +13,90 @@ type rankInfo struct {
 	crowding float64
 }
 
-// rankAndCrowd runs NSGA-II's fast non-dominated sort followed by per-front
-// crowding-distance assignment.
-func rankAndCrowd(pop []indiv) []rankInfo {
+// ranker runs NSGA-II's fast non-dominated sort followed by per-front
+// crowding-distance assignment, keeping its working storage between calls
+// (the engine ranks twice per generation).
+type ranker struct {
+	out []rankInfo
+	// dom[i*n : i*n+domLen[i]] lists the members i dominates, in the order
+	// the pairwise pass meets them; domCount[i] counts members dominating i.
+	dom       []int32
+	domLen    []int32
+	domCount  []int32
+	cur, next []int32
+	byAxis    []int32
+}
+
+// rank returns every member's rank and crowding distance. The slice is the
+// ranker's own and is overwritten by the next call.
+func (r *ranker) rank(pop []indiv) []rankInfo {
 	n := len(pop)
-	out := make([]rankInfo, n)
-	if n == 0 {
-		return out
+	r.out = slices.Grow(r.out[:0], n)[:n]
+	r.dom = slices.Grow(r.dom[:0], n*n)[:n*n]
+	r.domLen = slices.Grow(r.domLen[:0], n)[:n]
+	r.domCount = slices.Grow(r.domCount[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		r.out[i] = rankInfo{}
+		r.domLen[i] = 0
+		r.domCount[i] = 0
 	}
-	dominated := make([][]int, n) // dominated[i]: members i dominates
-	domCount := make([]int, n)    // members dominating i
-	var current []int
+	dominates := func(i, j int) {
+		r.dom[i*n+int(r.domLen[i])] = int32(j)
+		r.domLen[i]++
+		r.domCount[j]++
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			switch {
 			case pop[i].obj.Dominates(pop[j].obj):
-				dominated[i] = append(dominated[i], j)
-				domCount[j]++
+				dominates(i, j)
 			case pop[j].obj.Dominates(pop[i].obj):
-				dominated[j] = append(dominated[j], i)
-				domCount[i]++
+				dominates(j, i)
 			}
 		}
 	}
+	current, next := r.cur[:0], r.next[:0]
 	for i := 0; i < n; i++ {
-		if domCount[i] == 0 {
-			out[i].rank = 0
-			current = append(current, i)
+		if r.domCount[i] == 0 {
+			current = append(current, int32(i))
 		}
 	}
 	for rank := 0; len(current) > 0; rank++ {
-		var next []int
+		next = next[:0]
 		for _, i := range current {
-			for _, j := range dominated[i] {
-				domCount[j]--
-				if domCount[j] == 0 {
-					out[j].rank = rank + 1
+			for _, j := range r.dom[int(i)*n : int(i)*n+int(r.domLen[i])] {
+				r.domCount[j]--
+				if r.domCount[j] == 0 {
+					r.out[j].rank = rank + 1
 					next = append(next, j)
 				}
 			}
 		}
-		crowd(pop, current, out)
-		current = next
+		r.crowd(pop, current)
+		current, next = next, current
 	}
-	return out
+	r.cur, r.next = current, next
+	return r.out
 }
 
 // crowd assigns crowding distances within one front (indices into pop).
-func crowd(pop []indiv, front []int, out []rankInfo) {
+func (r *ranker) crowd(pop []indiv, front []int32) {
 	m := len(front)
-	if m == 0 {
-		return
-	}
+	out := r.out
 	if m <= 2 {
 		for _, i := range front {
 			out[i].crowding = math.Inf(1)
 		}
 		return
 	}
-	idx := make([]int, m)
 	for axis := 0; axis < 4; axis++ {
-		copy(idx, front)
-		sort.Slice(idx, func(x, y int) bool {
-			ax, ay := pop[idx[x]].obj.vector()[axis], pop[idx[y]].obj.vector()[axis]
-			if ax != ay {
-				return ax < ay
+		idx := append(r.byAxis[:0], front...)
+		r.byAxis = idx
+		slices.SortFunc(idx, func(x, y int32) int {
+			if c := cmp.Compare(pop[x].obj.vector()[axis], pop[y].obj.vector()[axis]); c != 0 {
+				return c
 			}
-			return pop[idx[x]].key < pop[idx[y]].key
+			return cmp.Compare(pop[x].key, pop[y].key)
 		})
 		lo := pop[idx[0]].obj.vector()[axis]
 		hi := pop[idx[m-1]].obj.vector()[axis]

@@ -14,15 +14,26 @@
 // order leaks into results. Budgets are hard: at most Config.Generations
 // generations and Config.MaxEvaluations unique objective evaluations, with
 // context cancellation checked every generation.
+//
+// Each generation runs breed → score → select. Breeding is sequential on the
+// one stream and never reads a child's objectives: duplicates, memo hits and
+// the evaluation budget are all resolved by genome key. Scoring — a pure
+// function of the genome — then runs over the generation's new genomes
+// across Config.Workers goroutines, and selection sees the same scores in
+// the same order a serial loop would. The Result is therefore identical for
+// every worker count; Workers = 1 is the same code on one goroutine.
 package moga
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 
 	"rsgen/internal/dag"
+	"rsgen/internal/eval"
 	"rsgen/internal/platform"
 	"rsgen/internal/sched"
 	"rsgen/internal/spec"
@@ -50,6 +61,10 @@ type Config struct {
 	MaxEvaluations int
 	// Seed drives the deterministic search stream; 0 means 1.
 	Seed uint64
+	// Workers bounds the goroutines that score a generation's new genomes;
+	// 0 means GOMAXPROCS. It decides only when a genome is scored, never
+	// what the search returns.
+	Workers int
 	// Stats, when non-nil, accumulates counters across searches (exposed
 	// as rsgend_moga_* metrics by the service).
 	Stats *Stats
@@ -67,6 +82,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -167,24 +185,65 @@ func Search(ctx context.Context, pr Problem, cfg Config) (*Result, error) {
 }
 
 // indiv is one population member: a sorted genome of indices into the
-// eligible-host slice plus its cached objectives.
+// eligible-host slice, its key, and its objectives once scored. slot is its
+// index in engine.known.
 type indiv struct {
 	genome []int32
 	key    string
 	obj    Objectives
+	slot   int32
 }
 
+// engine is one search: the problem, the stream, the memo of every genome
+// bred so far, and all the scratch breeding, scoring and ranking need, so a
+// search allocates per distinct genome and per generation, not per operation.
 type engine struct {
 	cfg  Config
 	p    *platform.Platform
 	d    *dag.DAG
 	h    sched.Heuristic
-	elig []platform.Host // eligible hosts, ascending ID
-	k    int             // solution size
+	elig []platform.HostID // eligible hosts, ascending ID
+	k    int               // solution size
 	rng  *xrand.RNG
 
-	evals int
-	cache map[string]Objectives
+	// usd and watts are HostHourlyUSD and HostWatts per eligible host.
+	usd, watts []float64
+
+	// known holds every distinct genome bred so far and memo its slot by
+	// key. A genome is charged to evals the moment it enters known, while
+	// breeding; its objectives are filled in afterwards by score. inGen
+	// stamps the slots that are members of the generation being bred.
+	known    []indiv
+	memo     map[string]int32
+	evals    int
+	unscored []int32
+	inGen    []uint32
+	gen      uint32
+
+	// scorers holds one scratch set per scoring goroutine.
+	scorers chan *scorer
+
+	// Breeding scratch: a stamped set over eligible indices, the child
+	// being bred, the parents' symmetric difference, sample draws, the key
+	// bytes, and the slab distinct genomes are copied into.
+	mark        []uint32
+	markStamp   uint32
+	child, diff []int32
+	draw        []int
+	keyBuf      []byte
+	slab        []int32
+
+	rk    ranker
+	order []int32 // survivors' sort permutation
+	spare []indiv // the population buffer not in use this generation
+}
+
+// scorer is what one goroutine needs to score genomes: a k-host collection
+// it re-points at each genome and a stamped set over platform clusters.
+type scorer struct {
+	rc        *platform.ResourceCollection
+	inCluster []uint32
+	stamp     uint32
 }
 
 func newEngine(pr Problem, cfg Config) (*engine, error) {
@@ -192,85 +251,142 @@ func newEngine(pr Problem, cfg Config) (*engine, error) {
 	if sp == nil {
 		return nil, errors.New("moga: nil specification")
 	}
-	var elig []platform.Host
-	for _, h := range pr.Platform.Hosts {
+	p := pr.Platform
+	elig := make([]platform.HostID, 0, len(p.Hosts))
+	for _, h := range p.Hosts {
 		if pr.Excluded[h.ID] {
 			continue
 		}
 		if sp.MinMemoryMB > 0 && h.MemoryMB < sp.MinMemoryMB {
 			continue
 		}
-		elig = append(elig, h)
+		elig = append(elig, h.ID)
 	}
-	if len(elig) == 0 {
+	n := len(elig)
+	if n == 0 {
 		return nil, ErrNoEligibleHosts
 	}
 	k := sp.RCSize
 	if k < 1 {
 		k = 1
 	}
-	if k > len(elig) {
-		k = len(elig)
+	if k > n {
+		k = n
 	}
 	h, err := sched.ByName(sp.Heuristic)
 	if err != nil {
 		h, _ = sched.ByName("MCP")
 	}
-	return &engine{
+	e := &engine{
 		cfg:   cfg,
-		p:     pr.Platform,
+		p:     p,
 		d:     pr.Dag,
 		h:     h,
 		elig:  elig,
 		k:     k,
 		rng:   xrand.NewFrom(cfg.Seed, 0x6d6f6761), // "moga"
-		cache: map[string]Objectives{},
-	}, nil
-}
-
-func genomeKey(g []int32) string {
-	b := make([]byte, 4*len(g))
-	for i, v := range g {
-		b[4*i] = byte(v)
-		b[4*i+1] = byte(v >> 8)
-		b[4*i+2] = byte(v >> 16)
-		b[4*i+3] = byte(v >> 24)
+		usd:   make([]float64, n),
+		watts: make([]float64, n),
+		memo:  map[string]int32{},
+		mark:  make([]uint32, n),
+		child: make([]int32, k),
 	}
-	return string(b)
-}
-
-func sortGenome(g []int32) {
-	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-}
-
-// evaluate scores a sorted genome, memoizing per key so duplicate genomes do
-// not burn evaluation budget.
-func (e *engine) evaluate(g []int32) Objectives {
-	key := genomeKey(g)
-	if obj, ok := e.cache[key]; ok {
-		return obj
+	for i, id := range elig {
+		e.usd[i] = p.HostHourlyUSD(id)
+		e.watts[i] = p.HostWatts(id)
 	}
-	hosts := make([]platform.Host, e.k)
-	clusters := map[int]bool{}
+	workers := min(cfg.Workers, cfg.PopSize)
+	e.scorers = make(chan *scorer, workers)
+	for i := 0; i < workers; i++ {
+		e.scorers <- &scorer{
+			rc:        platform.SubsetRC(p, make([]platform.Host, k)),
+			inCluster: make([]uint32, len(p.Clusters)),
+		}
+	}
+	return e, nil
+}
+
+func appendKey(b []byte, g []int32) []byte {
+	for _, v := range g {
+		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	return b
+}
+
+// admit sorts and keys a freshly bred genome (g is scratch) and appends it
+// to dst unless the generation being bred already holds it. A genome never
+// bred before is copied into known, charged to the evaluation budget and
+// queued for scoring; one bred in an earlier generation comes back with the
+// objectives it was given then.
+func (e *engine) admit(dst []indiv, g []int32) []indiv {
+	slices.Sort(g)
+	e.keyBuf = appendKey(e.keyBuf[:0], g)
+	slot, bred := e.memo[string(e.keyBuf)]
+	switch {
+	case !bred:
+		if len(e.slab) < len(g) {
+			e.slab = make([]int32, 64*len(g))
+		}
+		genome := e.slab[:len(g):len(g)]
+		e.slab = e.slab[len(g):]
+		copy(genome, g)
+		slot = int32(len(e.known))
+		key := string(e.keyBuf)
+		e.known = append(e.known, indiv{genome: genome, key: key, slot: slot})
+		e.inGen = append(e.inGen, 0)
+		e.memo[key] = slot
+		e.unscored = append(e.unscored, slot)
+		e.evals++
+	case e.inGen[slot] == e.gen:
+		return dst
+	}
+	e.inGen[slot] = e.gen
+	return append(dst, e.known[slot])
+}
+
+// scoreBred scores every genome bred since the last call across the scoring
+// goroutines, then hands the members of bred their objectives.
+func (e *engine) scoreBred(bred []indiv) {
+	q := e.unscored
+	eval.Fan(len(q), cap(e.scorers), func(i int) {
+		sc := <-e.scorers
+		iv := &e.known[q[i]]
+		iv.obj = e.score(sc, iv.genome)
+		e.scorers <- sc
+	})
+	e.unscored = q[:0]
+	for i := range bred {
+		bred[i].obj = e.known[bred[i].slot].obj
+	}
+}
+
+// score computes one sorted genome's objectives. It reads only immutable
+// engine state and writes only sc, so distinct scorers may run concurrently.
+func (e *engine) score(sc *scorer, g []int32) Objectives {
+	sc.stamp++
+	hosts := sc.rc.Hosts
+	clusters := 0
 	sumSpeedup := 0.0
 	power := 0.0
 	for i, idx := range g {
-		h := e.elig[idx]
+		h := e.p.Hosts[e.elig[idx]]
 		hosts[i] = h
-		clusters[h.Cluster] = true
+		if sc.inCluster[h.Cluster] != sc.stamp {
+			sc.inCluster[h.Cluster] = sc.stamp
+			clusters++
+		}
 		sumSpeedup += h.Speedup()
-		power += e.p.HostWatts(h.ID)
+		power += e.watts[idx]
 	}
 	var turn, holdHours float64
 	if e.d != nil {
-		s, err := e.h.Schedule(e.d, platform.SubsetRC(e.p, hosts))
+		t, err := sched.TurnAround(e.h, e.d, sc.rc, 1)
 		if err != nil {
 			// Unschedulable subsets (cannot happen for k ≥ 1, but stay
 			// total): worst on every axis so they are dominated away.
-			turn = inf
-		} else {
-			turn = s.TurnAround(1)
+			t = inf
 		}
+		turn = t
 		holdHours = turn / 3600
 	} else {
 		// Perfectly-parallel proxy: k units of reference work spread over
@@ -279,23 +395,35 @@ func (e *engine) evaluate(g []int32) Objectives {
 		holdHours = 1
 	}
 	cost := 0.0
-	for _, h := range hosts {
-		cost += e.p.HostHourlyUSD(h.ID) * holdHours
+	for _, idx := range g {
+		cost += e.usd[idx] * holdHours
 	}
-	obj := Objectives{
+	return Objectives{
 		TurnAroundSeconds: turn,
 		CostUSD:           cost,
 		PowerWatts:        power,
-		Fragmentation:     float64(len(clusters)),
+		Fragmentation:     float64(clusters),
 	}
-	e.cache[key] = obj
-	e.evals++
-	return obj
 }
 
-func (e *engine) makeIndiv(g []int32) indiv {
-	sortGenome(g)
-	return indiv{genome: g, key: genomeKey(g), obj: e.evaluate(g)}
+// bestK writes into e.child the k eligible indices that come first under
+// less, which must be a strict total order (every seeding rule ends on the
+// host ID): the same k a full sort would put first, found in one pass.
+func (e *engine) bestK(less func(a, b int32) bool) []int32 {
+	top := e.child[:0]
+	for i := int32(0); int(i) < len(e.elig); i++ {
+		j := len(top)
+		if j < e.k {
+			top = append(top, i)
+		} else if j--; !less(i, top[j]) {
+			continue
+		}
+		for ; j > 0 && less(i, top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
+	}
+	return top
 }
 
 // initialPopulation seeds the four single-objective corners (fastest,
@@ -303,88 +431,74 @@ func (e *engine) makeIndiv(g []int32) indiv {
 // present from generation zero, then fills with uniform random subsets.
 func (e *engine) initialPopulation() []indiv {
 	n := len(e.elig)
-	order := func(less func(a, b platform.Host) bool) []int32 {
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		sort.SliceStable(idx, func(i, j int) bool {
-			return less(e.elig[idx[i]], e.elig[idx[j]])
-		})
-		return idx[:e.k:e.k]
+	hosts := e.p.Hosts
+	clusterSize := make([]int32, len(e.p.Clusters))
+	for _, id := range e.elig {
+		clusterSize[hosts[id].Cluster]++
 	}
-	clusterSize := map[int]int{}
-	for _, h := range e.elig {
-		clusterSize[h.Cluster]++
+	byID := func(a, b int32) bool { return e.elig[a] < e.elig[b] }
+	seeds := [...]func(a, b int32) bool{
+		func(a, b int32) bool { // fastest
+			if ca, cb := hosts[e.elig[a]].ClockGHz, hosts[e.elig[b]].ClockGHz; ca != cb {
+				return ca > cb
+			}
+			return byID(a, b)
+		},
+		func(a, b int32) bool { // cheapest
+			if e.usd[a] != e.usd[b] {
+				return e.usd[a] < e.usd[b]
+			}
+			return byID(a, b)
+		},
+		func(a, b int32) bool { // lowest power
+			if e.watts[a] != e.watts[b] {
+				return e.watts[a] < e.watts[b]
+			}
+			return byID(a, b)
+		},
+		func(a, b int32) bool { // most packed: big clusters first
+			ca, cb := hosts[e.elig[a]].Cluster, hosts[e.elig[b]].Cluster
+			if clusterSize[ca] != clusterSize[cb] {
+				return clusterSize[ca] > clusterSize[cb]
+			}
+			if ca != cb {
+				return ca < cb
+			}
+			return byID(a, b)
+		},
 	}
-	seeds := [][]int32{
-		order(func(a, b platform.Host) bool { // fastest
-			if a.ClockGHz != b.ClockGHz {
-				return a.ClockGHz > b.ClockGHz
-			}
-			return a.ID < b.ID
-		}),
-		order(func(a, b platform.Host) bool { // cheapest
-			pa, pb := e.p.HostHourlyUSD(a.ID), e.p.HostHourlyUSD(b.ID)
-			if pa != pb {
-				return pa < pb
-			}
-			return a.ID < b.ID
-		}),
-		order(func(a, b platform.Host) bool { // lowest power
-			wa, wb := e.p.HostWatts(a.ID), e.p.HostWatts(b.ID)
-			if wa != wb {
-				return wa < wb
-			}
-			return a.ID < b.ID
-		}),
-		order(func(a, b platform.Host) bool { // most packed: big clusters first
-			sa, sb := clusterSize[a.Cluster], clusterSize[b.Cluster]
-			if sa != sb {
-				return sa > sb
-			}
-			if a.Cluster != b.Cluster {
-				return a.Cluster < b.Cluster
-			}
-			return a.ID < b.ID
-		}),
-	}
-	var pop []indiv
-	seen := map[string]bool{}
-	add := func(g []int32) {
-		iv := e.makeIndiv(g)
-		if !seen[iv.key] {
-			seen[iv.key] = true
-			pop = append(pop, iv)
-		}
-	}
-	for _, s := range seeds {
-		add(append([]int32(nil), s...))
+	e.gen++
+	pop := make([]indiv, 0, 2*e.cfg.PopSize+len(seeds))
+	e.spare = make([]indiv, 0, cap(pop))
+	for _, less := range seeds {
+		pop = e.admit(pop, e.bestK(less))
 	}
 	// Random fill; cap the attempts so tiny search spaces (n choose k small)
 	// terminate with a short population instead of spinning.
 	for tries := 0; len(pop) < e.cfg.PopSize && tries < 4*e.cfg.PopSize; tries++ {
-		sample := e.rng.Sample(n, e.k)
-		g := make([]int32, e.k)
-		for i, v := range sample {
+		e.draw = e.rng.AppendSample(e.draw[:0], n, e.k)
+		g := e.child[:e.k]
+		for i, v := range e.draw {
 			g[i] = int32(v)
 		}
-		add(g)
+		pop = e.admit(pop, g)
 	}
+	e.scoreBred(pop)
 	return pop
 }
 
 // step runs one NSGA-II generation: binary-tournament parents, subset
-// crossover, point mutation, then elitist survivor selection over the merged
-// parent+offspring pool.
+// crossover and point mutation breed the offspring; the new genomes among
+// them are scored together; then elitist survivor selection runs over the
+// merged parent+offspring pool.
 func (e *engine) step(pop []indiv) []indiv {
-	ranked := rankAndCrowd(pop)
-	offspring := make([]indiv, 0, e.cfg.PopSize)
-	seen := map[string]bool{}
+	ranked := e.rk.rank(pop)
+	e.gen++
 	for _, iv := range pop {
-		seen[iv.key] = true
+		e.inGen[iv.slot] = e.gen
 	}
-	for tries := 0; len(offspring) < e.cfg.PopSize && tries < 4*e.cfg.PopSize; tries++ {
+	pool := pop
+	for tries := 0; len(pool)-len(pop) < e.cfg.PopSize && tries < 4*e.cfg.PopSize; tries++ {
 		if e.evals >= e.cfg.MaxEvaluations {
 			break
 		}
@@ -392,14 +506,10 @@ func (e *engine) step(pop []indiv) []indiv {
 		b := e.tournament(pop, ranked)
 		child := e.crossover(pop[a].genome, pop[b].genome)
 		e.mutate(child)
-		iv := e.makeIndiv(child)
-		if seen[iv.key] {
-			continue
-		}
-		seen[iv.key] = true
-		offspring = append(offspring, iv)
+		pool = e.admit(pool, child)
 	}
-	return e.survivors(append(pop, offspring...))
+	e.scoreBred(pool[len(pop):])
+	return e.survivors(pool)
 }
 
 // tournament returns the index of the better of two uniformly drawn members
@@ -425,32 +535,35 @@ func (e *engine) tournament(pop []indiv, ranked []rankInfo) int {
 }
 
 // crossover unions both parents and keeps the shared genes, filling the rest
-// with a uniform sample of the symmetric difference.
+// with a uniform sample of the symmetric difference. The child lives in
+// e.child until the next crossover.
 func (e *engine) crossover(a, b []int32) []int32 {
-	inA := map[int32]bool{}
+	e.markStamp++
+	inA := e.markStamp
 	for _, v := range a {
-		inA[v] = true
+		e.mark[v] = inA
 	}
-	child := make([]int32, 0, e.k)
-	var diff []int32
+	child := e.child[:0]
+	diff := e.diff[:0]
 	for _, v := range b {
-		if inA[v] {
+		if e.mark[v] == inA {
 			child = append(child, v) // shared
-			delete(inA, v)
+			e.mark[v] = 0
 		} else {
 			diff = append(diff, v) // only in b
 		}
 	}
 	for _, v := range a {
-		if inA[v] {
+		if e.mark[v] == inA {
 			diff = append(diff, v) // only in a
 		}
 	}
-	sortGenome(diff)
-	need := e.k - len(child)
-	for _, i := range e.rng.Sample(len(diff), need) {
+	slices.Sort(diff)
+	e.draw = e.rng.AppendSample(e.draw[:0], len(diff), e.k-len(child))
+	for _, i := range e.draw {
 		child = append(child, diff[i])
 	}
+	e.diff = diff
 	return child
 }
 
@@ -460,14 +573,14 @@ func (e *engine) mutate(g []int32) {
 	if n <= e.k || e.rng.Float64() >= 0.35 {
 		return
 	}
-	members := map[int32]bool{}
+	e.markStamp++
 	for _, v := range g {
-		members[v] = true
+		e.mark[v] = e.markStamp
 	}
 	pos := e.rng.Intn(len(g))
 	for tries := 0; tries < 8; tries++ {
 		cand := int32(e.rng.Intn(n))
-		if !members[cand] {
+		if e.mark[cand] != e.markStamp {
 			g[pos] = cand
 			return
 		}
@@ -475,51 +588,46 @@ func (e *engine) mutate(g []int32) {
 }
 
 // survivors keeps the best PopSize members by (rank, crowding) with full
-// deterministic tie-breaking.
+// deterministic tie-breaking. The result reuses the population buffer the
+// pool is not in.
 func (e *engine) survivors(pool []indiv) []indiv {
-	ranked := rankAndCrowd(pool)
-	idx := make([]int, len(pool))
-	for i := range idx {
-		idx[i] = i
+	ranked := e.rk.rank(pool)
+	order := e.order[:0]
+	for i := range pool {
+		order = append(order, int32(i))
 	}
-	sort.Slice(idx, func(x, y int) bool {
-		a, b := idx[x], idx[y]
-		if ranked[a].rank != ranked[b].rank {
-			return ranked[a].rank < ranked[b].rank
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(ranked[a].rank, ranked[b].rank); c != 0 {
+			return c
 		}
-		if ranked[a].crowding != ranked[b].crowding {
-			return ranked[a].crowding > ranked[b].crowding
+		if c := cmp.Compare(ranked[b].crowding, ranked[a].crowding); c != 0 {
+			return c
 		}
-		return pool[a].key < pool[b].key
+		return cmp.Compare(pool[a].key, pool[b].key)
 	})
-	n := e.cfg.PopSize
-	if n > len(idx) {
-		n = len(idx)
+	e.order = order
+	out := e.spare[:0]
+	for _, i := range order[:min(e.cfg.PopSize, len(order))] {
+		out = append(out, pool[i])
 	}
-	out := make([]indiv, n)
-	for i := 0; i < n; i++ {
-		out[i] = pool[idx[i]]
-	}
+	e.spare = pool[:0]
 	return out
 }
 
 // front extracts the rank-0 members of the final population as a knee-ranked
 // Solution slice.
 func (e *engine) front(pop []indiv) []Solution {
-	ranked := rankAndCrowd(pop)
-	var first []indiv
+	ranked := e.rk.rank(pop)
+	var sols []Solution
 	for i, iv := range pop {
-		if ranked[i].rank == 0 {
-			first = append(first, iv)
+		if ranked[i].rank != 0 {
+			continue
 		}
-	}
-	sols := make([]Solution, len(first))
-	for i, iv := range first {
 		hosts := make([]platform.HostID, len(iv.genome))
 		for j, idx := range iv.genome {
-			hosts[j] = e.elig[idx].ID
+			hosts[j] = e.elig[idx]
 		}
-		sols[i] = Solution{Hosts: hosts, Obj: iv.obj}
+		sols = append(sols, Solution{Hosts: hosts, Obj: iv.obj})
 	}
 	kneeRank(sols)
 	return sols

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"rsgen/internal/dag"
@@ -221,7 +222,7 @@ func TestNonDominatedSort(t *testing.T) {
 		mk(3, 3, 3, 3),   // dominated by [0],[1],[2] → rank 3
 	}
 	want := []int{0, 2, 1, 0, 3}
-	ranked := rankAndCrowd(pop)
+	ranked := new(ranker).rank(pop)
 	for i, w := range want {
 		if ranked[i].rank != w {
 			t.Errorf("member %d rank = %d, want %d", i, ranked[i].rank, w)
@@ -232,5 +233,68 @@ func TestNonDominatedSort(t *testing.T) {
 	}
 	if pop[0].obj.Dominates(pop[0].obj) {
 		t.Error("a vector must not dominate itself")
+	}
+}
+
+// The worker count decides only when a genome is scored: Workers 1 and 8
+// must return the same Result, field for field, at the default budget, at a
+// budget that binds mid-generation, and on a space so small (n choose k <
+// PopSize) that breeding mostly rediscovers genomes it already holds.
+func TestSearchIndependentOfWorkers(t *testing.T) {
+	pr := testProblem(t)
+	tiny := pr
+	tiny.Platform = platform.MustGenerate(platform.GenSpec{Clusters: 2, Year: 2005, MeanClusterSize: 3}, xrand.New(5))
+	tiny.Spec = &spec.Specification{Heuristic: "MCP", RCSize: 2}
+	if n := tiny.Platform.NumHosts(); n*(n-1)/2 >= DefaultPopSize {
+		t.Fatalf("tiny platform has %d hosts: %d pairs is not below PopSize", n, n*(n-1)/2)
+	}
+	for _, c := range []struct {
+		name string
+		pr   Problem
+		cfg  Config
+	}{
+		{"default budget", pr, Config{}},
+		{"binding budget", pr, Config{MaxEvaluations: 100}},
+		{"tiny space", tiny, Config{}},
+	} {
+		serial, wide := c.cfg, c.cfg
+		serial.Workers, wide.Workers = 1, 8
+		a := mustSearch(t, c.pr, serial)
+		b := mustSearch(t, c.pr, wide)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Workers=1 and Workers=8 diverged:\n%+v\nvs\n%+v", c.name, a, b)
+		}
+		if c.cfg.MaxEvaluations > 0 && a.Evaluations != c.cfg.MaxEvaluations {
+			t.Errorf("%s: spent %d evaluations, want the budget of %d to bind", c.name, a.Evaluations, c.cfg.MaxEvaluations)
+		}
+	}
+}
+
+// Concurrent searches share one *Platform whose widest-path rows are computed
+// on first use: on a platform nothing has touched yet, under -race, this is
+// the regression test for the unsynchronised row cache (and for scoring a
+// generation on several goroutines).
+func TestConcurrentSearchesOnFreshPlatform(t *testing.T) {
+	pr := testProblem(t)
+	pr.Platform = platform.MustGenerate(platform.GenSpec{Clusters: 200, Year: 2007}, xrand.New(11))
+	cfg := Config{PopSize: 16, Generations: 2, Workers: 2}
+	results := make([]*Result, 4)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Search(context.Background(), pr, cfg)
+		}(i)
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatalf("search %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Errorf("search %d diverged from search 0 on the shared platform", i)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package platform
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // HostID identifies a host within one Platform; IDs are dense 0..n-1.
@@ -70,14 +71,22 @@ type Cluster struct {
 
 // Platform is a synthetic LSDE: hosts grouped into clusters plus a wide-area
 // topology connecting the clusters.
+//
+// Concurrency: once built (generated or decoded) a Platform is read-only
+// apart from its bandwidth cache, and one *Platform is shared by every
+// request the service handles. Every method is safe for concurrent use; the
+// exported fields must not be modified after the first call. A Platform
+// must not be copied by value once in use (it carries atomics).
 type Platform struct {
 	Hosts    []Host
 	Clusters []Cluster
 	Topo     *Topology
 
-	// interBW caches widest-path bandwidth between cluster pairs,
-	// computed lazily per source cluster.
-	interBW [][]float64
+	// interBW caches widest-path bandwidth between cluster pairs, one
+	// row per source cluster, computed on first use. Both levels are
+	// published with atomic pointers, so a hit is two loads and no lock;
+	// racing misses compute identical rows and either may win.
+	interBW atomic.Pointer[[]atomic.Pointer[[]float64]]
 }
 
 // NumHosts returns the total host count.
@@ -132,21 +141,33 @@ func (p *Platform) Bandwidth(a, b HostID) float64 {
 	return p.interClusterBandwidth(ca, cb)
 }
 
-// interClusterBandwidth returns (computing and caching on first use) the
-// bottleneck bandwidth between two clusters.
+// interClusterBandwidth returns the bottleneck bandwidth between two
+// clusters.
 func (p *Platform) interClusterBandwidth(ca, cb int) float64 {
-	if p.interBW == nil {
-		p.interBW = make([][]float64, len(p.Clusters))
+	return p.interClusterRow(ca)[cb]
+}
+
+// interClusterRow returns (computing and caching on first use) the
+// bottleneck bandwidth from cluster ca to every cluster. The row is shared
+// and read-only.
+func (p *Platform) interClusterRow(ca int) []float64 {
+	rows := p.interBW.Load()
+	if rows == nil {
+		fresh := make([]atomic.Pointer[[]float64], len(p.Clusters))
+		p.interBW.CompareAndSwap(nil, &fresh) // losing the race is fine: use the winner's
+		rows = p.interBW.Load()
 	}
-	if p.interBW[ca] == nil {
-		row := p.Topo.WidestPaths(ca)
+	row := (*rows)[ca].Load()
+	if row == nil {
+		r := p.Topo.WidestPaths(ca)
 		// Bottleneck through both uplinks.
-		for j := range row {
-			row[j] = min3(row[j], p.Clusters[ca].UplinkMbps, p.Clusters[j].UplinkMbps)
+		for j := range r {
+			r[j] = min3(r[j], p.Clusters[ca].UplinkMbps, p.Clusters[j].UplinkMbps)
 		}
-		p.interBW[ca] = row
+		row = &r
+		(*rows)[ca].Store(row)
 	}
-	return p.interBW[ca][cb]
+	return *row
 }
 
 func min3(a, b, c float64) float64 {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rsgen/internal/xrand"
@@ -131,12 +132,14 @@ func UniverseRC(p *Platform) *ResourceCollection {
 }
 
 // SubsetRC builds an RC from a subset of platform hosts, preserving the
-// platform's network model between them ("explicit selection").
+// platform's network model between them ("explicit selection"). The
+// collection owns a copy of hosts and its network reads host identities from
+// that same copy, so an owner may overwrite rc.Hosts[i] in place to re-point
+// the collection at another subset of equal size (the moga engine scores
+// every genome through one RC per worker this way).
 func SubsetRC(p *Platform, hosts []Host) *ResourceCollection {
-	return &ResourceCollection{
-		Hosts: append([]Host(nil), hosts...),
-		Net:   platformNet{p: p, hosts: hosts},
-	}
+	own := append([]Host(nil), hosts...)
+	return &ResourceCollection{Hosts: own, Net: platformNet{p: p, hosts: own}}
 }
 
 // platformNet adapts Platform bandwidths to RC-relative host indices.
@@ -179,6 +182,48 @@ func (n platformNet) ClusterTransferTime(edgeCost float64, ca, cb int) float64 {
 		bw = n.p.interClusterBandwidth(ca, cb)
 	}
 	return edgeCost * ReferenceBandwidthMbps / bw
+}
+
+// PairBandwidthNetwork is implemented by networks that can tabulate the
+// bandwidth between every pair of RC hosts, so a scheduler that evaluates
+// every (parent host, candidate host) pair reads a table instead of calling
+// TransferTime through the interface each time.
+type PairBandwidthNetwork interface {
+	Network
+	// PairBandwidths fills bw, row-major with len(bw) = m·m for an m-host
+	// RC, such that for every edgeCost ≠ 0
+	//
+	//	TransferTime(edgeCost, a, b) == edgeCost * ReferenceBandwidthMbps / bw[a*m+b]
+	//
+	// bit for bit. A pair whose transfers are free (both indices name the
+	// same host) holds +Inf, which a reader must take to mean a transfer
+	// time of exactly 0 rather than divide by.
+	PairBandwidths(bw []float64)
+}
+
+// PairBandwidths implements PairBandwidthNetwork with Platform.Bandwidth's
+// three cases, the widest-path row fetched once per source host.
+func (n platformNet) PairBandwidths(bw []float64) {
+	p := n.p
+	m := len(n.hosts)
+	for a, ha := range n.hosts {
+		row := bw[a*m : (a+1)*m]
+		ca := p.Hosts[ha.ID].Cluster
+		var inter []float64
+		for b, hb := range n.hosts {
+			switch cb := p.Hosts[hb.ID].Cluster; {
+			case ha.ID == hb.ID:
+				row[b] = math.Inf(1)
+			case ca == cb:
+				row[b] = p.Clusters[ca].IntraMbps
+			default:
+				if inter == nil {
+					inter = p.interClusterRow(ca)
+				}
+				row[b] = inter[cb]
+			}
+		}
+	}
 }
 
 // TopHostsRC returns the k-fastest-hosts naive abstraction of §IV.2.4.1 as

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sync"
 
 	"rsgen/internal/xrand"
 )
@@ -20,7 +21,10 @@ type Topology struct {
 	N     int
 	Links []Link
 
-	adj [][]linkTo
+	// adj is the adjacency form of Links, built once on first use (a
+	// decoded topology arrives without it) and read-only afterwards.
+	adjOnce sync.Once
+	adj     [][]linkTo
 }
 
 type linkTo struct {
@@ -86,7 +90,7 @@ func GenerateTopology(spec TopoSpec, rng *xrand.RNG) (*Topology, error) {
 		t.addBackbone(rng)
 	}
 	t.ensureConnected(rng)
-	t.buildAdj()
+	t.adjOnce.Do(t.buildAdj)
 	return t, nil
 }
 
@@ -250,9 +254,7 @@ func (t *Topology) buildAdj() {
 // reported as the largest link class so intra-node transfers never
 // bottleneck below a real link.
 func (t *Topology) WidestPaths(src int) []float64 {
-	if t.adj == nil {
-		t.buildAdj()
-	}
+	t.adjOnce.Do(t.buildAdj)
 	width := make([]float64, t.N)
 	width[src] = LinkClassesMbps[len(LinkClassesMbps)-1]
 	pq := &widthHeap{{node: src, width: width[src]}}

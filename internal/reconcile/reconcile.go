@@ -439,6 +439,9 @@ func (r *Reconciler) lookupLocked(id string) *session {
 // eviction once MaxRetired terminal sessions accumulate.
 func (r *Reconciler) endLocked(s *session, st Status) {
 	s.status = st
+	// A terminal session is never rebound again, and the request is the
+	// bulk of it: without this the MaxRetired history pins that many DAGs.
+	s.req = broker.Request{}
 	r.met.ended.With(string(st)).Inc()
 	r.retired = append(r.retired, s.origin)
 	for len(r.retired) > r.cfg.MaxRetired {

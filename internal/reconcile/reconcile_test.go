@@ -3,6 +3,7 @@ package reconcile_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -325,5 +326,42 @@ func TestChurnIsDeterministicAndValid(t *testing.T) {
 		if types[want] == 0 {
 			t.Errorf("200 draws produced no %s events (mix %v)", want, types)
 		}
+	}
+}
+
+// A retired session stays queryable (up to MaxRetired of them do) but must
+// not keep its request alive: the DAG is the bulk of a session, and a
+// terminal session is never rebound. The finalizer fires only once nothing
+// reaches the DAG any more.
+func TestRetiredSessionDropsItsRequest(t *testing.T) {
+	b, r, _ := newFixture(t, nil, nil)
+	collected := make(chan struct{})
+	origin := func() string {
+		req := ladderReq(t)
+		runtime.SetFinalizer(req.Dag, func(*dag.DAG) { close(collected) })
+		out, err := b.Select(context.Background(), req)
+		if err != nil {
+			t.Fatalf("Select: %v", err)
+		}
+		r.Track(out, req)
+		if rr := r.Release(out.Lease.ID); !rr.Released {
+			t.Fatalf("release result %+v", rr)
+		}
+		return out.Lease.ID
+	}()
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("the released session's DAG is still reachable")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	// Queried last, so the reconciler is live for the whole wait above.
+	if sess, ok := r.Status(origin); !ok || sess.Status != reconcile.StatusReleased {
+		t.Fatalf("retired session = %+v, %v; want it queryable as released", sess, ok)
 	}
 }

@@ -33,10 +33,11 @@ func (Random) Name() string { return "Random" }
 
 // Schedule implements Heuristic.
 func (r Random) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(r, d, rc)
+}
+
+func (r Random) run(s *state) {
+	d, rc := s.d, s.rc
 	s.ops += float64(d.Size() + d.NumEdges())
 	rng := xrand.NewFrom(r.Seed, 0x52414E44)
 	m := len(rc.Hosts)
@@ -50,7 +51,6 @@ func (r Random) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule
 		s.ops++ // one draw per task
 		return h, start
 	})
-	return s.finish(), nil
 }
 
 // RoundRobin assigns ready tasks (arrival order) to hosts cyclically,
@@ -62,10 +62,11 @@ func (RoundRobin) Name() string { return "RoundRobin" }
 
 // Schedule implements Heuristic.
 func (RoundRobin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(RoundRobin{}, d, rc)
+}
+
+func (RoundRobin) run(s *state) {
+	d, rc := s.d, s.rc
 	s.ops += float64(d.Size() + d.NumEdges())
 	m := len(rc.Hosts)
 	next := 0
@@ -80,7 +81,6 @@ func (RoundRobin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedu
 		s.ops++
 		return h, start
 	})
-	return s.finish(), nil
 }
 
 // MinMin is the classic batch heuristic (Maheswaran et al.): repeatedly,
@@ -94,10 +94,11 @@ func (MinMin) Name() string { return "MinMin" }
 
 // Schedule implements Heuristic.
 func (MinMin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(MinMin{}, d, rc)
+}
+
+func (MinMin) run(s *state) {
+	d, rc := s.d, s.rc
 	s.ops += float64(d.Size() + d.NumEdges())
 	n := d.Size()
 	m := len(rc.Hosts)
@@ -121,9 +122,9 @@ func (MinMin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, 
 				rf[v] = f
 			}
 			cost := d.Task(v).Cost
-			for h := 0; h < m; h++ {
+			for h, r := range f.atAll() {
 				st := s.free[h]
-				if r := f.at(h); r > st {
+				if r > st {
 					st = r
 				}
 				fin := st + execTime(cost, s.rc.Hosts[h])
@@ -145,5 +146,4 @@ func (MinMin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, 
 			}
 		}
 	}
-	return s.finish(), nil
 }

@@ -50,10 +50,11 @@ func (mc MCP) prefixLen() int {
 
 // Schedule implements Heuristic.
 func (mc MCP) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(mc, d, rc)
+}
+
+func (mc MCP) run(s *state) {
+	d := s.d
 	n := d.Size()
 	alap := d.ALAPs()
 	// Graph-metric cost: b-levels + ALAP are O(n + e).
@@ -131,7 +132,6 @@ func (mc MCP) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, 
 	// is topological for positive task costs, so this visits tasks in the
 	// exact MCP order while remaining robust to zero-cost corner cases.
 	s.runOrdered(less, s.minFinishHost)
-	return s.finish(), nil
 }
 
 // Greedy is the simple heuristic of Fig. IV-3: as soon as a task's
@@ -145,13 +145,13 @@ func (Greedy) Name() string { return "Greedy" }
 
 // Schedule implements Heuristic.
 func (Greedy) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(Greedy{}, d, rc)
+}
+
+func (Greedy) run(s *state) {
+	d := s.d
 	s.ops += float64(d.Size() + d.NumEdges()) // ready-list bookkeeping
 	s.runArrival(s.minStartHost)
-	return s.finish(), nil
 }
 
 // FCFS is the cheapest heuristic (Fig. V-15): ready tasks in first-come
@@ -164,10 +164,11 @@ func (FCFS) Name() string { return "FCFS" }
 
 // Schedule implements Heuristic.
 func (FCFS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(FCFS{}, d, rc)
+}
+
+func (FCFS) run(s *state) {
+	d, rc := s.d, s.rc
 	s.ops += float64(d.Size() + d.NumEdges())
 	m := len(rc.Hosts)
 	h := &hostHeap{}
@@ -187,7 +188,6 @@ func (FCFS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, er
 		s.ops += logM
 		return slot.host, start
 	})
-	return s.finish(), nil
 }
 
 // FCA — Fastest Clock Available (Fig. V-14) — is the cheap but clock-aware
@@ -204,10 +204,11 @@ func (FCA) Name() string { return "FCA" }
 
 // Schedule implements Heuristic.
 func (FCA) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(FCA{}, d, rc)
+}
+
+func (FCA) run(s *state) {
+	d, rc := s.d, s.rc
 	bl := d.BLevels()
 	s.ops += float64(d.Size()+d.NumEdges()) + float64(d.Size())*math.Log2(float64(d.Size())+1)
 	m := len(rc.Hosts)
@@ -245,7 +246,6 @@ func (FCA) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, err
 			return h, start
 		},
 	)
-	return s.finish(), nil
 }
 
 // DLS is Dynamic Level Scheduling (Sih & Lee; Fig. V-13): at each step,
@@ -273,10 +273,11 @@ type dlsCand struct {
 
 // Schedule implements Heuristic.
 func (DLS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
+	return schedule(DLS{}, d, rc)
+}
+
+func (DLS) run(s *state) {
+	d, rc := s.d, s.rc
 	sl := d.BLevels()
 	s.ops += float64(d.Size() + d.NumEdges())
 
@@ -304,9 +305,9 @@ func (DLS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, err
 				f := &rfs[v]
 				w := d.Task(v).Cost
 				cd, ch, cst := math.Inf(-1), -1, 0.0
-				for h := 0; h < m; h++ {
+				for h, r := range f.atAll() {
 					st := s.free[h]
-					if r := f.at(h); r > st {
+					if r > st {
 						st = r
 					}
 					delta := w - execTime(w, hosts[h])
@@ -344,7 +345,6 @@ func (DLS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, err
 		}
 	}
 	s.ready = ready[:0]
-	return s.finish(), nil
 }
 
 // hostSlot / hostHeap implement the earliest-free-host queue for FCFS as a

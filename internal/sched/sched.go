@@ -101,6 +101,45 @@ type Heuristic interface {
 	Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error)
 }
 
+// runner is the body of a heuristic in this package: it places every task of
+// a prepared state. Schedule and TurnAround differ only in what they read
+// out of the state afterwards.
+type runner interface {
+	run(s *state)
+}
+
+func schedule(r runner, d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
+	s, err := newState(d, rc)
+	if err != nil {
+		return nil, err
+	}
+	r.run(s)
+	return s.finish(), nil
+}
+
+// TurnAround returns exactly h.Schedule(d, rc).TurnAround(scr) — the
+// §III.2.3 objective — without materializing the Schedule: for this
+// package's heuristics the call allocates nothing in steady state. It is the
+// one turn-around predictor of the serving path: the moga objective and the
+// broker's bind-time promise both call it, so the accuracy series scores the
+// estimate selection optimized.
+func TurnAround(h Heuristic, d *dag.DAG, rc *platform.ResourceCollection, scr float64) (float64, error) {
+	r, ok := h.(runner)
+	if !ok {
+		s, err := h.Schedule(d, rc)
+		if err != nil {
+			return 0, err
+		}
+		return s.TurnAround(scr), nil
+	}
+	s, err := newState(d, rc)
+	if err != nil {
+		return 0, err
+	}
+	r.run(s)
+	return s.turnAround(scr), nil
+}
+
 // ByName returns the heuristic with the given (case-sensitive) name.
 func ByName(name string) (Heuristic, error) {
 	switch name {
@@ -138,13 +177,14 @@ func execTime(cost float64, h platform.Host) float64 {
 // state is the shared bookkeeping for all list-scheduling heuristics. States
 // are pooled: everything except the returned Host/Start/Finish slices is
 // scratch reused across Schedule calls, so the steady-state inner loop
-// allocates nothing.
+// allocates nothing. TurnAround does not hand those three slices out, so
+// they stay with the state and the whole call allocates nothing.
 type state struct {
 	d     *dag.DAG
 	rc    *platform.ResourceCollection
 	free  []float64 // per-host earliest idle time (pooled)
-	host  []int     // per-task host (-1 while unscheduled; escapes into Schedule)
-	start []float64
+	host  []int     // per-task host (-1 while unscheduled); finish gives
+	start []float64 // these three to the Schedule, turnAround keeps them
 	fin   []float64
 	ops   float64
 
@@ -162,6 +202,18 @@ type state struct {
 	grpCl    []int32 // per group (grpIdx order): platform cluster
 	rdBuf    []float64
 	grpIdx   hostIndex
+
+	// Small-RC dense path (rc.Net is a platform.PairBandwidthNetwork and
+	// the RC is below indexMinHosts, where the heuristics scan every
+	// host per task): the m×m pair bandwidths are tabulated once per call
+	// so the scan's per-(parent, host) transfer time is one table read
+	// instead of an interface call chain (see atAll). pairState follows
+	// grpState: 0 = not attempted this call, 1 = pairBW is filled,
+	// 2 = unusable.
+	pnet      platform.PairBandwidthNetwork
+	pairState int8
+	pairBW    []float64 // row-major m×m (pooled)
+	hostRd    []float64 // atAll's result (pooled)
 
 	// Shared per-host scratch for the uniform-network fast path: the
 	// per-host max parent finish of the task currently being evaluated,
@@ -227,10 +279,12 @@ func newState(d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
 	s.d = d
 	s.rc = rc
 	s.ops = 0
-	// Host/Start/Finish escape into the returned Schedule: fresh per call.
-	s.host = make([]int, n)
-	s.start = make([]float64, n)
-	s.fin = make([]float64, n)
+	// finish hands Host/Start/Finish to the returned Schedule and leaves
+	// nil here (fresh slices next call); turnAround leaves them in place.
+	// start and fin are written by place before any read.
+	s.host = growInt(s.host, n)
+	s.start = growF64(s.start, n)
+	s.fin = growF64(s.fin, n)
 	for i := range s.host {
 		s.host[i] = -1
 	}
@@ -242,13 +296,16 @@ func newState(d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
 	s.classIdx.built = false
 	s.grpIdx.built = false
 	s.grpState = 0
+	s.pairState = 0
 	s.uniform = false
 	s.cnet = nil
+	s.pnet = nil
 	if un, ok := rc.Net.(platform.UniformNetwork); ok {
 		s.uniform = true
 		s.uniformFactor = platform.ReferenceBandwidthMbps / un.Mbps
-	} else if cn, ok := rc.Net.(platform.ClusterNetwork); ok {
-		s.cnet = cn
+	} else {
+		s.cnet, _ = rc.Net.(platform.ClusterNetwork)
+		s.pnet, _ = rc.Net.(platform.PairBandwidthNetwork)
 	}
 	if s.uniform || s.cnet != nil {
 		s.scratchFin = growF64(s.scratchFin, m)
@@ -331,28 +388,55 @@ func (s *state) groupReadyTimes(v dag.TaskID) []float64 {
 // finish assembles the Schedule from the state and returns the state to the
 // pool. The state must not be used afterwards.
 func (s *state) finish() *Schedule {
+	sch := &Schedule{
+		Host:     s.host,
+		Start:    s.start,
+		Finish:   s.fin,
+		Makespan: s.makespan(),
+		Ops:      s.ops,
+	}
+	s.host = nil
+	s.start = nil
+	s.fin = nil
+	s.release()
+	return sch
+}
+
+// turnAround is finish for callers that want only the scalar: the same
+// Makespan and Ops a Schedule would carry, with the per-task slices kept as
+// scratch for the next call.
+func (s *state) turnAround(scr float64) float64 {
+	t := SchedulingTime(s.ops, scr) + s.makespan()
+	s.release()
+	return t
+}
+
+func (s *state) makespan() float64 {
 	mk := 0.0
 	for _, f := range s.fin {
 		if f > mk {
 			mk = f
 		}
 	}
-	sch := &Schedule{
-		Host:     s.host,
-		Start:    s.start,
-		Finish:   s.fin,
-		Makespan: mk,
-		Ops:      s.ops,
-	}
+	return mk
+}
+
+// release drops the state's references to the caller's inputs and returns
+// it to the pool.
+func (s *state) release() {
 	s.d = nil
 	s.rc = nil
 	s.cnet = nil
-	s.host = nil
-	s.start = nil
-	s.fin = nil
+	s.pnet = nil
 	s.heap.less = nil
 	statePool.Put(s)
-	return sch
+}
+
+func growInt(b []int, n int) []int {
+	if cap(b) < n {
+		return make([]int, n)
+	}
+	return b[:n]
 }
 
 func growF64(b []float64, n int) []float64 {
@@ -567,6 +651,73 @@ func (r *readyFn) at(h int) float64 {
 	return ready
 }
 
+// atAll returns at(h) for every host h, valid until the next atAll call on
+// the same state: what the heuristics' linear scans — the paths that
+// evaluate every host for every task — read instead of calling at per host.
+// On a small RC whose network can tabulate pair bandwidths the values come
+// from the dense table, one parent (one contiguous table row) at a time.
+// Each term is Platform.TransferTime's own expression with the bandwidth
+// read from the table, and a maximum does not depend on the order its terms
+// are visited in, so every value is bit-identical to at(h).
+func (r *readyFn) atAll() []float64 {
+	s := r.s
+	m := len(s.rc.Hosts)
+	s.hostRd = growF64(s.hostRd, m)
+	rd := s.hostRd
+	if !s.pairTable() {
+		for h := range rd {
+			rd[h] = r.at(h)
+		}
+		return rd
+	}
+	for h := range rd {
+		rd[h] = 0
+	}
+	host := s.host
+	fin := s.fin
+	for _, p := range s.d.Pred(r.v) {
+		f := fin[p.Task]
+		if p.Cost == 0 {
+			for h := range rd {
+				if f > rd[h] {
+					rd[h] = f
+				}
+			}
+			continue
+		}
+		c := p.Cost * platform.ReferenceBandwidthMbps
+		ph := host[p.Task]
+		for h, b := range s.pairBW[ph*m : (ph+1)*m] {
+			t := f
+			if !math.IsInf(b, 1) { // +Inf marks a free pair
+				t += c / b
+			}
+			if t > rd[h] {
+				rd[h] = t
+			}
+		}
+	}
+	return rd
+}
+
+// pairTable reports whether this call schedules from the dense
+// pair-bandwidth table, filling it on first use. The table has m² entries
+// and a scan reads one per (edge, host), so it is filled only when the DAG
+// has at least m edges: never more writes than the reads they replace.
+func (s *state) pairTable() bool {
+	if s.pairState == 0 {
+		m := len(s.rc.Hosts)
+		if s.pnet == nil || m >= indexMinHosts || s.d.NumEdges() < m {
+			s.pairState = 2
+		} else {
+			s.pairBW = growF64(s.pairBW, m*m)
+			s.pnet.PairBandwidths(s.pairBW)
+			s.pairState = 1
+		}
+	}
+	return s.pairState == 1
+}
+
 // place commits task v to host h with the given start time, keeping any
 // built host index in sync with the new free time.
 func (s *state) place(v dag.TaskID, h int, start float64) {
@@ -734,9 +885,9 @@ func (s *state) minFinishHost(v dag.TaskID) (int, float64) {
 		hosts := s.rc.Hosts
 		bestFin := math.Inf(1)
 		bestH, bestStart = 0, math.Inf(1)
-		for h := range hosts {
+		for h, r := range ready.atAll() {
 			st := s.free[h]
-			if r := ready.at(h); r > st {
+			if r > st {
 				st = r
 			}
 			fin := st + execTime(cost, hosts[h])
@@ -986,9 +1137,9 @@ func (s *state) minStartHost(v dag.TaskID) (int, float64) {
 		bestH, bestStart = s.minStartGrouped(&ready, v)
 	} else {
 		bestH, bestStart = 0, math.Inf(1)
-		for h := range s.rc.Hosts {
+		for h, r := range ready.atAll() {
 			st := s.free[h]
-			if r := ready.at(h); r > st {
+			if r > st {
 				st = r
 			}
 			if st < bestStart {

@@ -125,34 +125,56 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // Sample returns k distinct indices drawn uniformly from [0, n) in random
 // order. It panics if k > n or k < 0.
 func (r *RNG) Sample(n, k int) []int {
+	return r.AppendSample(nil, n, k)
+}
+
+// AppendSample appends to dst exactly the values Sample(n, k) would return,
+// consuming the stream identically, so a caller sampling in a loop can reuse
+// one buffer and allocate nothing (capacity beyond the k results is used as
+// scratch).
+func (r *RNG) AppendSample(dst []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("xrand: Sample called with k out of range")
 	}
 	if k == 0 {
-		return nil
+		return dst
 	}
-	// For small k relative to n, use rejection from a set; otherwise do a
+	base := len(dst)
+	// For small k relative to n, use rejection of repeats; otherwise do a
 	// partial Fisher–Yates over the full index range.
 	if k*4 < n {
-		seen := make(map[int]struct{}, k)
-		out := make([]int, 0, k)
-		for len(out) < k {
-			v := r.Intn(n)
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
-			out = append(out, v)
+		// Repeats are found by scanning the draws so far while that is
+		// cheaper than a set.
+		var seen map[int]struct{}
+		if k > 64 {
+			seen = make(map[int]struct{}, k)
 		}
-		return out
+	draw:
+		for len(dst) < base+k {
+			v := r.Intn(n)
+			if seen != nil {
+				if _, dup := seen[v]; dup {
+					continue
+				}
+				seen[v] = struct{}{}
+			} else {
+				for _, u := range dst[base:] {
+					if u == v {
+						continue draw
+					}
+				}
+			}
+			dst = append(dst, v)
+		}
+		return dst
 	}
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+	for i := 0; i < n; i++ {
+		dst = append(dst, i)
 	}
+	p := dst[base:]
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p[:k]
+	return dst[:base+k]
 }

@@ -164,3 +164,62 @@ func TestSamplePanics(t *testing.T) {
 	}()
 	New(1).Sample(3, 5)
 }
+
+// referenceSample is Sample as it was before AppendSample existed (a set for
+// the rejection path, a fresh permutation for Fisher–Yates). Every seeded
+// artefact in the repository was generated from this stream.
+func referenceSample(r *RNG, n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	if k*4 < n {
+		seen := make(map[int]struct{}, k)
+		out := make([]int, 0, k)
+		for len(out) < k {
+			v := r.Intn(n)
+			if _, dup := seen[v]; dup {
+				continue
+			}
+			seen[v] = struct{}{}
+			out = append(out, v)
+		}
+		return out
+	}
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p[:k]
+}
+
+// AppendSample must draw the reference values and leave the stream where the
+// reference leaves it, on both paths, either side of the scan/set switch,
+// with and without a prefix and spare capacity in dst.
+func TestAppendSampleMatchesReference(t *testing.T) {
+	buf := make([]int, 0, 4096)
+	for _, c := range []struct{ n, k int }{
+		{10, 0}, {10, 3}, {10, 10}, {44, 12}, {7000, 5}, {7000, 22}, {7000, 64}, {7000, 65}, {7000, 300}, {300, 100},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			ref, got := New(seed), New(seed)
+			want := referenceSample(ref, c.n, c.k)
+			buf = append(buf[:0], -1, -2)
+			buf = got.AppendSample(buf, c.n, c.k)
+			if len(buf) != 2+c.k || buf[0] != -1 || buf[1] != -2 {
+				t.Fatalf("n=%d k=%d: prefix or length disturbed: %v", c.n, c.k, buf)
+			}
+			for i, v := range want {
+				if buf[2+i] != v {
+					t.Fatalf("n=%d k=%d seed=%d: draw %d = %d, reference %d", c.n, c.k, seed, i, buf[2+i], v)
+				}
+			}
+			if ref.Uint64() != got.Uint64() {
+				t.Fatalf("n=%d k=%d seed=%d: stream position differs after sampling", c.n, c.k, seed)
+			}
+		}
+	}
+}
