@@ -43,14 +43,19 @@ loadgen-bench:
 
 # Short fuzzing pass over every parser the rsgend service exposes to
 # untrusted input. `go test -fuzz` accepts one target per invocation,
-# hence the per-package lines.
+# hence the per-package lines. The DAG decoder's target is differential
+# (hand-written scanner vs the encoding/json oracle) and seeded with a 100 KB
+# document; the short minimize budget keeps the engine from spending the
+# whole pass shrinking mutations of it.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/vgdl
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run xxx -fuzz 'FuzzParseExpr$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/sword
+	$(GO) test -run xxx -fuzz 'FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/dag
 	$(GO) test -run xxx -fuzz 'FuzzSelectRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzAdviseRequest$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run xxx -fuzz 'FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/broker/durable
 
 # End-to-end service smoke: train a smoke-scale artifact, serve it on an

@@ -83,13 +83,20 @@ type DAG struct {
 
 // New builds a DAG from tasks and edges, validating shape: task IDs must be
 // dense 0..n-1 in order, edge endpoints in range, no self-loops, no duplicate
-// edges, and the graph must be acyclic.
+// edges, and the graph must be acyclic. The slices are copied.
 func New(tasks []Task, edges []Edge) (*DAG, error) {
+	return build(append([]Task(nil), tasks...), append([]Edge(nil), edges...))
+}
+
+// build is New for slices the caller hands over: the decoder's and
+// Normalize's, which nothing else references.
+func build(tasks []Task, edges []Edge) (*DAG, error) {
 	n := len(tasks)
 	if n == 0 {
 		return nil, errors.New("dag: empty task set")
 	}
-	for i, t := range tasks {
+	for i := range tasks {
+		t := &tasks[i]
 		if int(t.ID) != i {
 			return nil, fmt.Errorf("dag: task at index %d has ID %d (IDs must be dense and ordered)", i, t.ID)
 		}
@@ -97,33 +104,70 @@ func New(tasks []Task, edges []Edge) (*DAG, error) {
 			return nil, fmt.Errorf("dag: task %d has invalid cost %v", i, t.Cost)
 		}
 	}
-	d := &DAG{
-		tasks: append([]Task(nil), tasks...),
-		edges: append([]Edge(nil), edges...),
+	for i := range edges {
+		e := &edges[i]
+		var err error
+		switch {
+		case e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n:
+			err = fmt.Errorf("dag: edge %d→%d out of range", e.From, e.To)
+		case e.From == e.To:
+			err = fmt.Errorf("dag: self-loop on task %d", e.From)
+		case e.Cost < 0 || math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0):
+			err = fmt.Errorf("dag: edge %d→%d has invalid cost %v", e.From, e.To, e.Cost)
+		default:
+			continue
+		}
+		// Edges are judged in input order, repeats included, so a repeat
+		// among the edges before this one is the error to report.
+		if dup := firstDuplicateEdge(edges[:i]); dup != nil {
+			return nil, dup
+		}
+		return nil, err
 	}
-	type key struct{ a, b TaskID }
-	seen := make(map[key]struct{}, len(edges))
-	for _, e := range edges {
-		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return nil, fmt.Errorf("dag: edge %d→%d out of range", e.From, e.To)
-		}
-		if e.From == e.To {
-			return nil, fmt.Errorf("dag: self-loop on task %d", e.From)
-		}
-		if e.Cost < 0 || math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0) {
-			return nil, fmt.Errorf("dag: edge %d→%d has invalid cost %v", e.From, e.To, e.Cost)
-		}
-		k := key{e.From, e.To}
-		if _, dup := seen[k]; dup {
-			return nil, fmt.Errorf("dag: duplicate edge %d→%d", e.From, e.To)
-		}
-		seen[k] = struct{}{}
+	if len(edges) == 0 {
+		edges = nil // as New's copy of an empty slice always was; it shows in MarshalJSON
 	}
+	d := &DAG{tasks: tasks, edges: edges}
 	d.buildCSR()
+	if d.hasDuplicateEdge() {
+		return nil, firstDuplicateEdge(edges)
+	}
 	if err := d.computeLevels(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// hasDuplicateEdge reports whether two edges share both endpoints, by
+// stamping each successor row's targets with the row's number: a target
+// already carrying the stamp has been seen in this row.
+func (d *DAG) hasDuplicateEdge() bool {
+	stamp := make([]int32, len(d.tasks))
+	for v := range d.tasks {
+		for _, a := range d.Succ(TaskID(v)) {
+			if stamp[a.Task] == int32(v)+1 {
+				return true
+			}
+			stamp[a.Task] = int32(v) + 1
+		}
+	}
+	return false
+}
+
+// firstDuplicateEdge names the first edge, in input order, that repeats an
+// earlier one. It runs only to word an error, so it can afford the map the
+// stamping pass avoids.
+func firstDuplicateEdge(edges []Edge) error {
+	type key struct{ a, b TaskID }
+	seen := make(map[key]struct{}, len(edges))
+	for _, e := range edges {
+		k := key{e.From, e.To}
+		if _, dup := seen[k]; dup {
+			return fmt.Errorf("dag: duplicate edge %d→%d", e.From, e.To)
+		}
+		seen[k] = struct{}{}
+	}
+	return nil
 }
 
 // buildCSR assembles the flat adjacency arrays. A counting pass sizes each

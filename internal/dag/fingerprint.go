@@ -10,11 +10,18 @@ const (
 
 func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
 
+// fnvUint64 folds v in byte by byte, low byte first. Written out rather
+// than looped: it is the inner step of both the fingerprint and the
+// canonical-order refinement, and the compiler does not unroll it.
 func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
+	h = fnvByte(h, byte(v))
+	h = fnvByte(h, byte(v>>8))
+	h = fnvByte(h, byte(v>>16))
+	h = fnvByte(h, byte(v>>24))
+	h = fnvByte(h, byte(v>>32))
+	h = fnvByte(h, byte(v>>40))
+	h = fnvByte(h, byte(v>>48))
+	return fnvByte(h, byte(v>>56))
 }
 
 func fnvString(h uint64, s string) uint64 {

@@ -7,7 +7,7 @@ import (
 	"io"
 )
 
-// fileFormat is the JSON wire form of a DAG.
+// fileFormat is the JSON wire form of a DAG, as written; wire.go reads it.
 type fileFormat struct {
 	Tasks []Task `json:"tasks"`
 	Edges []Edge `json:"edges"`
@@ -16,16 +16,6 @@ type fileFormat struct {
 // MarshalJSON encodes the DAG as {"tasks": [...], "edges": [...]}.
 func (d *DAG) MarshalJSON() ([]byte, error) {
 	return json.Marshal(fileFormat{Tasks: d.tasks, Edges: d.edges})
-}
-
-// Decode reads a JSON-encoded DAG from r and validates it.
-func Decode(r io.Reader) (*DAG, error) {
-	var f fileFormat
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("dag: decode: %w", err)
-	}
-	return New(f.Tasks, f.Edges)
 }
 
 // Encode writes the DAG to w as JSON.

@@ -1,8 +1,9 @@
 package dag
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Normalize returns the canonical form of the DAG: task names are stripped,
@@ -28,26 +29,36 @@ func (d *DAG) Normalize() *DAG {
 		n := len(d.tasks)
 		order := d.canonicalOrder()
 		perm := make([]TaskID, n) // old ID → new ID
+		tasks := make([]Task, n)
+		// next[v] is the free slot of new task v's run of edges; runs are
+		// laid out in new-From order, sized by out-degree.
+		next := make([]int32, n)
+		var m int32
 		for newID, oldID := range order {
 			perm[oldID] = TaskID(newID)
-		}
-		tasks := make([]Task, n)
-		for newID, oldID := range order {
 			tasks[newID] = Task{ID: TaskID(newID), Cost: d.tasks[oldID].Cost}
+			next[newID] = m
+			m += int32(d.NumSucc(oldID))
 		}
+		// Walking targets in new-To order and dropping each incoming edge
+		// into its source's run leaves every run ordered by To: the edges
+		// come out sorted by (From, To) with no comparison made. Endpoint
+		// pairs are unique, so that order is the only one.
 		edges := make([]Edge, len(d.edges))
-		for i, e := range d.edges {
-			edges[i] = Edge{From: perm[e.From], To: perm[e.To], Cost: e.Cost}
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].From != edges[j].From {
-				return edges[i].From < edges[j].From
+		for newTo, oldTo := range order {
+			for _, a := range d.Pred(oldTo) {
+				from := perm[a.Task]
+				edges[next[from]] = Edge{From: from, To: TaskID(newTo), Cost: a.Cost}
+				next[from]++
 			}
-			return edges[i].To < edges[j].To
-		})
+		}
 		// A relabeling of a valid DAG is a valid DAG: IDs stay dense, no
 		// edge changes endpoints' identity, acyclicity is preserved.
-		d.normCache = MustNew(tasks, edges)
+		nd, err := build(tasks, edges)
+		if err != nil {
+			panic(err)
+		}
+		d.normCache = nd
 	})
 	return d.normCache
 }
@@ -78,12 +89,11 @@ func (d *DAG) canonicalOrder() []TaskID {
 		x = fnvUint64(x, uint64(d.NumSucc(TaskID(v))))
 		h[v] = x
 	}
+	sorted := make([]uint64, n)
 	distinct := func(hs []uint64) int {
-		seen := make(map[uint64]struct{}, len(hs))
-		for _, x := range hs {
-			seen[x] = struct{}{}
-		}
-		return len(seen)
+		copy(sorted, hs)
+		slices.Sort(sorted)
+		return len(slices.Compact(sorted))
 	}
 	prev := distinct(h)
 	// Each round propagates shape information one hop in both directions;
@@ -121,12 +131,14 @@ func (d *DAG) canonicalOrder() []TaskID {
 	for v := range order {
 		order[v] = TaskID(v)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if d.level[a] != d.level[b] {
-			return d.level[a] < d.level[b]
+	slices.SortFunc(order, func(a, b TaskID) int {
+		if c := cmp.Compare(d.level[a], d.level[b]); c != 0 {
+			return c
 		}
-		return h[a] < h[b]
+		if c := cmp.Compare(h[a], h[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b) // input order
 	})
 	return order
 }

@@ -9,26 +9,21 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
-	"rsgen/internal/dag"
 	"rsgen/internal/moga"
 	"rsgen/internal/obs"
 	"rsgen/internal/spec"
 )
 
-// AdviseRequest is the POST /v1/advise body: a /v1/spec request plus search
-// knobs and the leased-host toggle.
+// AdviseRequest is the POST /v1/advise body: a /v1/spec request — "dag"
+// member included, read in place by decodeRequest — plus search knobs and the
+// leased-host toggle.
 type AdviseRequest struct {
-	// Dag is the workflow in the daggen JSON form.
-	Dag json.RawMessage `json:"dag"`
 	// Options tune the base specification exactly as in /v1/spec.
 	Options SpecOptions `json:"options"`
 	// Search overrides the server's default search budget.
@@ -70,31 +65,17 @@ type AdviseResponse struct {
 	Front []moga.Solution `json:"front"`
 }
 
-// decodeAdviseRequest parses a /v1/advise body: the envelope, the embedded
-// DAG, then the search-budget bounds. It is a pure []byte → value function so
-// the fuzz target can drive it without an HTTP server.
-func decodeAdviseRequest(data []byte) (*AdviseRequest, *dag.DAG, error) {
-	var req AdviseRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, nil, fmt.Errorf("malformed request JSON: %w", err)
-	}
-	if len(req.Dag) == 0 {
-		return nil, nil, errors.New("request has no dag")
-	}
-	d, err := dag.Decode(bytes.NewReader(req.Dag))
-	if err != nil {
-		return nil, nil, fmt.Errorf("invalid dag: %w", err)
-	}
-	sr := req.Search
+// validate holds a client's search budget inside the hard ceilings.
+func (sr AdviseSearchOptions) validate() error {
 	switch {
 	case sr.Population < 0 || sr.Population > maxAdvisePopulation:
-		return nil, nil, fmt.Errorf("search.population %d outside [0, %d]", sr.Population, maxAdvisePopulation)
+		return fmt.Errorf("search.population %d outside [0, %d]", sr.Population, maxAdvisePopulation)
 	case sr.Generations < 0 || sr.Generations > maxAdviseGenerations:
-		return nil, nil, fmt.Errorf("search.generations %d outside [0, %d]", sr.Generations, maxAdviseGenerations)
+		return fmt.Errorf("search.generations %d outside [0, %d]", sr.Generations, maxAdviseGenerations)
 	case sr.MaxEvaluations < 0 || sr.MaxEvaluations > maxAdviseEvaluations:
-		return nil, nil, fmt.Errorf("search.max_evaluations %d outside [0, %d]", sr.MaxEvaluations, maxAdviseEvaluations)
+		return fmt.Errorf("search.max_evaluations %d outside [0, %d]", sr.MaxEvaluations, maxAdviseEvaluations)
 	}
-	return &req, d, nil
+	return nil
 }
 
 // handleAdvise is POST /v1/advise: read-only — no lease is taken, no state
@@ -109,19 +90,13 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
+	_, decSpan := obs.StartSpan(r.Context(), "decode")
+	var req AdviseRequest
+	d, ok := s.readRequest(w, r, decSpan, &req)
+	if !ok {
 		return
 	}
-	_, decSpan := obs.StartSpan(r.Context(), "decode")
-	req, d, err := decodeAdviseRequest(body)
-	if err != nil {
+	if err := req.Search.validate(); err != nil {
 		decSpan.EndErr(err)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

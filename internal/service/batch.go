@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/http"
 
 	"rsgen/internal/dag"
@@ -26,11 +27,51 @@ type BatchRequest struct {
 	Options *SpecOptions `json:"options,omitempty"`
 }
 
-// BatchMember is one DAG plus (optionally) its own option overrides.
+// BatchMember is one DAG — its "dag" member, which decodeBatch locates in the
+// body rather than copying through this struct — plus (optionally) its own
+// option overrides.
 type BatchMember struct {
-	Dag json.RawMessage `json:"dag"`
 	// Options replaces (not merges with) the batch default when set.
 	Options *SpecOptions `json:"options,omitempty"`
+}
+
+// memberDag is what the envelope walk found of one batch member's DAG.
+type memberDag struct {
+	// raw is the member's "dag" value, a view into the request body whose
+	// syntax has been checked; nil when the member has none.
+	raw []byte
+	// repeated marks a member that gives "dag" more than once.
+	repeated bool
+}
+
+// decodeBatch reads a /v1/spec/batch body: the typed request and, member by
+// member, where each DAG lies in body. No DAG is decoded here — the handler
+// groups byte-identical members on the raw values first and decodes one per
+// group. It is a pure []byte → value function for the fuzz target.
+func decodeBatch(body []byte) (*BatchRequest, []memberDag, error) {
+	var req BatchRequest
+	var dags []memberDag
+	err := decodeEnvelope(body, &req, "requests", func(i int, sc *dag.Scanner) error {
+		for len(dags) <= i {
+			dags = append(dags, memberDag{})
+		}
+		sc.Peek() // past the whitespace before the value
+		start := sc.Offset()
+		if err := sc.Skip(); err != nil {
+			return err
+		}
+		dags[i].repeated = dags[i].raw != nil
+		dags[i].raw = body[start:sc.Offset()]
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Members after the last one that carries a dag.
+	for len(dags) < len(req.Requests) {
+		dags = append(dags, memberDag{})
+	}
+	return &req, dags, nil
 }
 
 // BatchSnapshot records what every member of the batch was evaluated
@@ -94,17 +135,19 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
 	_, decSpan := obs.StartSpan(r.Context(), "decode")
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := s.readBody(w, r, s.cfg.MaxBatchBytes)
+	if body == nil {
+		decSpan.EndErr(errUnreadableBody)
+		return
+	}
+	// The members' raw DAGs are views into the body: it goes back to the pool
+	// only once the last leader has been decoded.
+	defer s.releaseBody(body)
+	req, dags, err := decodeBatch(body.Bytes())
+	if err != nil {
 		decSpan.EndErr(err)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed request JSON: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -121,50 +164,75 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	// Decode and validate every member before any evaluation starts, so
 	// malformed members surface as per-member 400s regardless of worker
 	// scheduling order. Byte-identical members (same raw dag bytes, same
-	// effective options) are grouped before the dag is even decoded: one
-	// leader per group decodes and resolves, and its followers copy the
+	// effective options) are grouped before the dag is even decoded — on a
+	// hash of the options key and the raw bytes, confirmed by comparing both:
+	// one leader per group decodes and resolves, and its followers copy the
 	// leader's result afterwards. Decoding dominates the per-member cost of
 	// a cache-friendly batch, so duplicate-heavy workloads skip it entirely.
+	// (Two different members colliding on the 64-bit hash would merely go
+	// unmerged: the second stays its own, unregistered leader.)
 	type member struct {
 		d    *dag.DAG
 		opts SpecOptions
+		okey string // optsKey(opts), rendered once per distinct option block
 	}
 	results := make([]BatchResult, len(req.Requests))
 	members := make([]member, len(req.Requests))
 	todo := make([]int, 0, len(req.Requests))
-	groups := make(map[string]int, len(req.Requests))
+	groups := make(map[uint64]int, len(req.Requests))
 	followers := make(map[int][]int)
+	var shared member // the batch-level option block, or the zero one
+	if req.Options != nil {
+		shared.opts = *req.Options
+	}
+	shared.okey = optsKey(shared.opts)
+	sharedErr := s.validateOptions(shared.opts)
+	seed := maphash.MakeSeed()
 	for i, m := range req.Requests {
 		results[i].Index = i
-		if len(m.Dag) == 0 {
+		fail := func(format string, args ...any) {
 			results[i].Status = http.StatusBadRequest
-			results[i].Error = "member has no dag"
+			results[i].Error = fmt.Sprintf(format, args...)
+		}
+		raw := dags[i].raw
+		if raw == nil {
+			fail("member has no dag")
 			continue
 		}
-		opts := SpecOptions{}
+		if dags[i].repeated {
+			fail(`malformed request JSON: duplicate member "dag"`)
+			continue
+		}
+		mem, optsErr := shared, sharedErr
 		if m.Options != nil {
-			opts = *m.Options
-		} else if req.Options != nil {
-			opts = *req.Options
+			mem.opts = *m.Options
+			mem.okey, optsErr = optsKey(mem.opts), s.validateOptions(mem.opts)
 		}
-		if err := s.validateOptions(opts); err != nil {
-			results[i].Status = http.StatusBadRequest
-			results[i].Error = fmt.Sprintf("invalid options: %v", err)
+		if optsErr != nil {
+			fail("invalid options: %v", optsErr)
 			continue
 		}
-		rawKey := optsKey(opts) + "\x00" + string(m.Dag)
-		if leader, ok := groups[rawKey]; ok {
+		members[i] = mem
+		var h maphash.Hash
+		h.SetSeed(seed)
+		h.WriteString(mem.okey)
+		h.WriteByte(0)
+		h.Write(raw)
+		sum := h.Sum64()
+		leader, grouped := groups[sum]
+		if grouped && members[leader].okey == mem.okey && bytes.Equal(dags[leader].raw, raw) {
 			followers[leader] = append(followers[leader], i)
 			continue
 		}
-		groups[rawKey] = i
-		d, err := dag.Decode(bytes.NewReader(m.Dag))
+		if !grouped {
+			groups[sum] = i
+		}
+		d, err := dag.DecodeBytes(raw)
 		if err != nil {
-			results[i].Status = http.StatusBadRequest
-			results[i].Error = fmt.Sprintf("invalid dag: %v", err)
+			fail("invalid dag: %v", err)
 			continue
 		}
-		members[i] = member{d: d, opts: opts}
+		members[i].d = d
 		todo = append(todo, i)
 	}
 	decSpan.SetDetail("members=%d valid=%d groups=%d", len(req.Requests), len(todo), len(groups))
@@ -188,7 +256,7 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	_, runSpan := obs.StartSpan(r.Context(), "members")
 	eval.Fan(len(todo), s.effectiveWorkers(), func(k int) {
 		i := todo[k]
-		body, source, err := s.resolveSpec(mctx, members[i].d, members[i].opts)
+		out, source, err := s.resolveSpec(mctx, members[i].d, members[i].opts, members[i].okey)
 		if err != nil {
 			status := specErrStatus(err)
 			if errors.Is(err, errAbandoned) {
@@ -202,7 +270,7 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 		results[i].Source = source
 		// The single-request body is compact JSON plus a trailing newline;
 		// strip the newline so the member embeds as a clean JSON value.
-		results[i].Spec = json.RawMessage(bytes.TrimSuffix(body, []byte("\n")))
+		results[i].Spec = json.RawMessage(bytes.TrimSuffix(out, []byte("\n")))
 	})
 	runSpan.SetDetail("members=%d", len(todo))
 	runSpan.End()

@@ -11,30 +11,26 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"time"
 
 	"rsgen/internal/bind"
 	"rsgen/internal/broker"
-	"rsgen/internal/dag"
 	"rsgen/internal/obs"
 	"rsgen/internal/platform"
 	"rsgen/internal/spec"
 	"rsgen/internal/xrand"
 )
 
-// SelectRequest is the POST /v1/select body: a /v1/spec request plus the
-// closed-loop knobs (backends, lease TTL, bind-wait bound).
+// SelectRequest is the POST /v1/select body: a /v1/spec request — "dag"
+// member included, read in place by decodeRequest — plus the closed-loop
+// knobs (backends, lease TTL, bind-wait bound).
 type SelectRequest struct {
-	// Dag is the workflow in the daggen JSON form.
-	Dag json.RawMessage `json:"dag"`
 	// Options tune the base specification; alternative_clocks extends the
 	// fallback ladder exactly as in /v1/spec.
 	Options SpecOptions `json:"options"`
@@ -68,24 +64,6 @@ type SelectResponse struct {
 	Trace                      []broker.RungAttempt `json:"trace"`
 }
 
-// decodeSelectRequest parses a /v1/select body: the envelope, then the
-// embedded DAG. It is a pure []byte → value function so the fuzz target can
-// drive it without an HTTP server.
-func decodeSelectRequest(data []byte) (*SelectRequest, *dag.DAG, error) {
-	var req SelectRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, nil, fmt.Errorf("malformed request JSON: %w", err)
-	}
-	if len(req.Dag) == 0 {
-		return nil, nil, errors.New("request has no dag")
-	}
-	d, err := dag.Decode(bytes.NewReader(req.Dag))
-	if err != nil {
-		return nil, nil, fmt.Errorf("invalid dag: %w", err)
-	}
-	return &req, d, nil
-}
-
 // handleSelect is POST /v1/select: the full generate→select→lease→bind
 // lifecycle. Unlike /v1/spec it is never cached or deduplicated — every call
 // mutates the lease table.
@@ -99,21 +77,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
-		return
-	}
 	_, decSpan := obs.StartSpan(r.Context(), "decode")
-	req, d, err := decodeSelectRequest(body)
-	if err != nil {
-		decSpan.EndErr(err)
-		writeError(w, http.StatusBadRequest, "%v", err)
+	var req SelectRequest
+	d, ok := s.readRequest(w, r, decSpan, &req)
+	if !ok {
 		return
 	}
 	if err := s.validateOptions(req.Options); err != nil {

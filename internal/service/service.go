@@ -31,8 +31,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -329,11 +330,11 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// SpecRequest is the POST /v1/spec body.
+// SpecRequest is the POST /v1/spec body less its "dag" member — the workflow
+// in the daggen JSON form,
+// {"tasks":[{"id":0,"cost":10},…],"edges":[{"from":0,"to":1,"cost":5},…]} —
+// which decodeRequest reads in place rather than through this struct.
 type SpecRequest struct {
-	// Dag is the workflow in the daggen JSON form:
-	// {"tasks":[{"id":0,"cost":10},…],"edges":[{"from":0,"to":1,"cost":5},…]}
-	Dag json.RawMessage `json:"dag"`
 	// Options tune the generation; all fields optional.
 	Options SpecOptions `json:"options"`
 }
@@ -414,28 +415,10 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	_, decSpan := obs.StartSpan(r.Context(), "decode")
 	var req SpecRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		decSpan.EndErr(err)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "malformed request JSON: %v", err)
-		return
-	}
-	if len(req.Dag) == 0 {
-		decSpan.EndErr(errors.New("request has no dag"))
-		writeError(w, http.StatusBadRequest, "request has no dag")
-		return
-	}
-	d, err := dag.Decode(bytes.NewReader(req.Dag))
-	if err != nil {
-		decSpan.EndErr(err)
-		writeError(w, http.StatusBadRequest, "invalid dag: %v", err)
+	d, ok := s.readRequest(w, r, decSpan, &req)
+	if !ok {
 		return
 	}
 	if err := s.validateOptions(req.Options); err != nil {
@@ -446,7 +429,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	decSpan.SetDetail("tasks=%d", len(d.Tasks()))
 	decSpan.End()
 
-	body, source, err := s.resolveSpec(r.Context(), d, req.Options)
+	out, source, err := s.resolveSpec(r.Context(), d, req.Options, optsKey(req.Options))
 	if err != nil {
 		if errors.Is(err, errAbandoned) {
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -457,7 +440,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", xCacheValue(source))
-	_, _ = w.Write(body)
+	_, _ = w.Write(out)
 }
 
 // How a request's bytes were produced, for headers and batch accounting.
@@ -509,7 +492,7 @@ func coalescible(o SpecOptions) bool { return len(o.AlternativeClocks) == 0 }
 // shapeKey keys the canonical form; the prefix keeps the shape keyspace
 // disjoint from byte-exact keys (a normal form is itself a valid DAG whose
 // exact key must stay distinct).
-func shapeKey(nd *dag.DAG, o SpecOptions) string { return "shape|" + cacheKey(nd, o) }
+func shapeKey(nd *dag.DAG, okey string) string { return "shape|" + cacheKey(nd, okey) }
 
 // resolveSpec turns one validated (DAG, options) pair into response bytes,
 // through — in order — the byte-exact cache, the shape cache, and the
@@ -520,9 +503,10 @@ func shapeKey(nd *dag.DAG, o SpecOptions) string { return "shape|" + cacheKey(nd
 //
 // It is the shared engine of POST /v1/spec and every /v1/spec/batch member;
 // rctx carries the caller's trace and cancellation, while leader computation
-// runs under the server's BaseCtx+Timeout as before.
-func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions) (body []byte, source string, err error) {
-	exact := cacheKey(d, o)
+// runs under the server's BaseCtx+Timeout as before. okey is optsKey(o),
+// rendered once per request (or batch member) by the caller.
+func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions, okey string) (body []byte, source string, err error) {
+	exact := cacheKey(d, okey)
 	_, cacheSpan := obs.StartSpan(rctx, "cache")
 	if body, ok := s.cache.Get(exact); ok {
 		cacheSpan.SetDetail("hit=true")
@@ -535,7 +519,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions) (b
 	key, nd := exact, d
 	if coalescible(o) {
 		nd = d.Normalize()
-		key = shapeKey(nd, o)
+		key = shapeKey(nd, okey)
 		if body, ok := s.cache.Get(key); ok {
 			cacheSpan.SetDetail("hit=false shape=true")
 			cacheSpan.End()
@@ -647,9 +631,11 @@ func (s *Server) validateOptions(o SpecOptions) error {
 
 // cacheKey identifies a request by the DAG fingerprint plus every option
 // that affects the generated bytes — the internal/eval key discipline
-// applied one layer up.
-func cacheKey(d *dag.DAG, o SpecOptions) string {
-	return fmt.Sprintf("%016x|", d.Fingerprint()) + optsKey(o)
+// applied one layer up: "%016x|" of the fingerprint, then the options key.
+func cacheKey(d *dag.DAG, okey string) string {
+	var fp [8]byte
+	binary.BigEndian.PutUint64(fp[:], d.Fingerprint())
+	return hex.EncodeToString(fp[:]) + "|" + okey
 }
 
 // optsKey is the option block's contribution to every cache and coalescing
