@@ -1,89 +1,18 @@
 package rsgen_test
 
-// Benchmarks regenerating every table and figure of the dissertation's
-// evaluation chapters (quick scale; pass -full via cmd/experiments for the
-// paper-scale grids), plus micro-benchmarks of the core machinery.
+// Micro-benchmarks of the core machinery. The dissertation's tables and
+// figures are regenerated (and timed per experiment) by cmd/experiments, and
+// TestEveryExperimentRuns runs every id; the serving benchmark is
+// `go run ./bench`.
 //
 //	go test -bench=. -benchmem
 
 import (
-	"io"
 	"testing"
 
 	"rsgen"
-	"rsgen/internal/expt"
 	"rsgen/internal/sched"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := expt.Run(id, expt.Config{Seed: 1}, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Chapter IV — the role of explicit resource selection.
-
-func BenchmarkExperiment_TabIV2(b *testing.B)  { benchExperiment(b, "tab-iv-2") }
-func BenchmarkExperiment_FigIV5(b *testing.B)  { benchExperiment(b, "fig-iv-5") }
-func BenchmarkExperiment_FigIV6(b *testing.B)  { benchExperiment(b, "fig-iv-6") }
-func BenchmarkExperiment_FigIV7(b *testing.B)  { benchExperiment(b, "fig-iv-7") }
-func BenchmarkExperiment_FigIV8(b *testing.B)  { benchExperiment(b, "fig-iv-8") }
-func BenchmarkExperiment_FigIV9(b *testing.B)  { benchExperiment(b, "fig-iv-9") }
-func BenchmarkExperiment_FigIV10(b *testing.B) { benchExperiment(b, "fig-iv-10") }
-func BenchmarkExperiment_FigIV11(b *testing.B) { benchExperiment(b, "fig-iv-11") }
-func BenchmarkExperiment_FigIV12(b *testing.B) { benchExperiment(b, "fig-iv-12") }
-func BenchmarkExperiment_FigIV13(b *testing.B) { benchExperiment(b, "fig-iv-13") }
-func BenchmarkExperiment_FigIV14(b *testing.B) { benchExperiment(b, "fig-iv-14") }
-
-// Chapter V — the resource-collection size model.
-
-func BenchmarkExperiment_FigV2(b *testing.B)  { benchExperiment(b, "fig-v-2") }
-func BenchmarkExperiment_FigV3(b *testing.B)  { benchExperiment(b, "fig-v-3") }
-func BenchmarkExperiment_TabV2(b *testing.B)  { benchExperiment(b, "tab-v-2") }
-func BenchmarkExperiment_FigV4(b *testing.B)  { benchExperiment(b, "fig-v-4") }
-func BenchmarkExperiment_FigV5(b *testing.B)  { benchExperiment(b, "fig-v-5") }
-func BenchmarkExperiment_FigV6(b *testing.B)  { benchExperiment(b, "fig-v-6") }
-func BenchmarkExperiment_TabV5(b *testing.B)  { benchExperiment(b, "tab-v-5") }
-func BenchmarkExperiment_TabV6(b *testing.B)  { benchExperiment(b, "tab-v-6") }
-func BenchmarkExperiment_FigV7(b *testing.B)  { benchExperiment(b, "fig-v-7") }
-func BenchmarkExperiment_TabV7(b *testing.B)  { benchExperiment(b, "tab-v-7") }
-func BenchmarkExperiment_TabV9(b *testing.B)  { benchExperiment(b, "tab-v-9") }
-func BenchmarkExperiment_FigV8(b *testing.B)  { benchExperiment(b, "fig-v-8") }
-func BenchmarkExperiment_FigV9(b *testing.B)  { benchExperiment(b, "fig-v-9") }
-func BenchmarkExperiment_FigV10(b *testing.B) { benchExperiment(b, "fig-v-10") }
-func BenchmarkExperiment_FigV11(b *testing.B) { benchExperiment(b, "fig-v-11") }
-func BenchmarkExperiment_FigV16(b *testing.B) { benchExperiment(b, "fig-v-16") }
-func BenchmarkExperiment_FigV17(b *testing.B) { benchExperiment(b, "fig-v-17") }
-func BenchmarkExperiment_FigV18(b *testing.B) { benchExperiment(b, "fig-v-18") }
-func BenchmarkExperiment_FigV19(b *testing.B) { benchExperiment(b, "fig-v-19") }
-func BenchmarkExperiment_FigV20(b *testing.B) { benchExperiment(b, "fig-v-20") }
-func BenchmarkExperiment_FigV21(b *testing.B) { benchExperiment(b, "fig-v-21") }
-func BenchmarkExperiment_FigV22(b *testing.B) { benchExperiment(b, "fig-v-22") }
-func BenchmarkExperiment_FigV23(b *testing.B) { benchExperiment(b, "fig-v-23") }
-func BenchmarkExperiment_FigV24(b *testing.B) { benchExperiment(b, "fig-v-24") }
-
-// Chapter VI — the heuristic prediction model.
-
-func BenchmarkExperiment_TabVI2(b *testing.B) { benchExperiment(b, "tab-vi-2") }
-func BenchmarkExperiment_TabVI3(b *testing.B) { benchExperiment(b, "tab-vi-3") }
-func BenchmarkExperiment_FigVI1(b *testing.B) { benchExperiment(b, "fig-vi-1") }
-func BenchmarkExperiment_FigVI2(b *testing.B) { benchExperiment(b, "fig-vi-2") }
-func BenchmarkExperiment_FigVI4(b *testing.B) { benchExperiment(b, "fig-vi-4") }
-func BenchmarkExperiment_FigVI5(b *testing.B) { benchExperiment(b, "fig-vi-5") }
-
-// Chapter VII — the specification generator.
-
-func BenchmarkExperiment_FigVII3(b *testing.B) { benchExperiment(b, "fig-vii-3") }
-func BenchmarkExperiment_FigVII4(b *testing.B) { benchExperiment(b, "fig-vii-4") }
-func BenchmarkExperiment_FigVII5(b *testing.B) { benchExperiment(b, "fig-vii-5") }
-func BenchmarkExperiment_FigVII6(b *testing.B) { benchExperiment(b, "fig-vii-6") }
-func BenchmarkExperiment_FigVII7(b *testing.B) { benchExperiment(b, "fig-vii-7") }
-func BenchmarkExperiment_TabVII1(b *testing.B) { benchExperiment(b, "tab-vii-1") }
-
-// Micro-benchmarks of the core machinery.
 
 func benchDAG(b *testing.B, size int) *rsgen.DAG {
 	b.Helper()
@@ -267,8 +196,3 @@ func BenchmarkAblationSweepGrid1_20(b *testing.B) { benchGridFactor(b, 1.20) }
 func BenchmarkBaselineMinMin64(b *testing.B)     { benchSchedule(b, "MinMin", 64) }
 func BenchmarkBaselineRoundRobin64(b *testing.B) { benchSchedule(b, "RoundRobin", 64) }
 func BenchmarkBaselineRandom64(b *testing.B)     { benchSchedule(b, "Random", 64) }
-
-// Extension studies (motivated by the dissertation's text; see EXPERIMENTS.md).
-
-func BenchmarkExperiment_ExtBaselines(b *testing.B)   { benchExperiment(b, "ext-baselines") }
-func BenchmarkExperiment_ExtSpaceShared(b *testing.B) { benchExperiment(b, "ext-spaceshared") }

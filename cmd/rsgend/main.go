@@ -117,15 +117,10 @@ func run(args []string) int {
 		slowReq     = fs.Duration("slow-request", time.Second, "log a warning with the span breakdown for requests at least this slow (0 disables)")
 		traceSize   = fs.Int("trace-entries", 256, "finished request traces held for /debug/traces")
 		mogaOn      = fs.Bool("moga", true, "register the multi-objective (NSGA-II) selection backend and mount POST /v1/advise")
+		cacheSize   = fs.Int("spec-cache-size", 1024, "response cache entries (LRU over rendered bodies)")
 	)
-	var cacheSize int
-	fs.IntVar(&cacheSize, "spec-cache-size", 1024, "response cache entries (LRU over rendered bodies)")
-	fs.IntVar(&cacheSize, "cache", 1024, "deprecated alias for -spec-cache-size")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	for _, warn := range deprecationWarnings(fs) {
-		fmt.Fprintln(os.Stderr, "rsgend: warning:", warn)
 	}
 	if *modelsPath == "" {
 		fmt.Fprintln(os.Stderr, "rsgend: -models <file> is required (train it with -train)")
@@ -240,7 +235,7 @@ func run(args []string) int {
 		Timeout:         *timeout,
 		MaxInflight:     *maxInflight,
 		MaxBatchMembers: *maxBatch,
-		CacheEntries:    cacheSize,
+		CacheEntries:    *cacheSize,
 		Workers:         *workers,
 		BaseCtx:         baseCtx,
 		Broker:          brk,
@@ -332,20 +327,6 @@ func run(args []string) int {
 		}
 		return 0
 	}
-}
-
-// deprecationWarnings reports startup warnings for deprecated flag spellings
-// that were actually set on the command line. Visit (not Lookup) is the
-// discipline here: -cache and -spec-cache-size share one variable, so only
-// the set of explicitly-passed flags distinguishes them.
-func deprecationWarnings(fs *flag.FlagSet) []string {
-	var warns []string
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "cache" {
-			warns = append(warns, "flag -cache is deprecated; use -spec-cache-size")
-		}
-	})
-	return warns
 }
 
 // trainAndSave trains at the requested scale and writes the versioned

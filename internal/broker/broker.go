@@ -265,11 +265,22 @@ func (b *Broker) Backends() []string {
 // The what-if advisor uses it so advice reflects the same universe a real
 // selection would see.
 func (b *Broker) SelectionMask() map[platform.HostID]bool {
-	mask := b.store.Leased(b.cfg.Now())
-	for h := range b.externalStalled() {
-		mask[h] = true
+	return b.mask(nil, b.externalStalled())
+}
+
+// mask builds a fresh exclusion set for one selection: every leased host,
+// minus own (the hosts of the lease a rebind is replacing, which are
+// candidates for its replacement), plus stalled — in that order, so a stalled
+// host stays masked even when the rebound lease holds it.
+func (b *Broker) mask(own []platform.HostID, stalled map[platform.HostID]bool) map[platform.HostID]bool {
+	m := b.store.Leased(b.cfg.Now())
+	for _, h := range own {
+		delete(m, h)
 	}
-	return mask
+	for h := range stalled {
+		m[h] = true
+	}
+	return m
 }
 
 // Metrics returns the broker's counter set.
@@ -537,14 +548,48 @@ type Outcome struct {
 // ErrDraining, a generation error, the context's error, or an
 // *UnsatisfiableError carrying the full trace.
 func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
+	return b.walk(ctx, "", req, nil)
+}
+
+// Rebind transparently re-selects a live lease down its request's spec
+// ladder — the reconciler's path when a bound cluster is declared stalled.
+// It is Select's walk started from a lease that already exists: instead of
+// acquiring a fresh lease it atomically swaps the old one (preserving its
+// expiry) once a replacement collection binds; the old lease stays intact
+// until that swap, so a failed rebind changes nothing. stalled is the
+// caller's exclusion set (typically the dead clusters' hosts) and is grown
+// in place as bind failures discover more stalled clusters. The error is
+// ErrLeaseGone when the lease was released or expired mid-rebind (the swap
+// is then abandoned, never applied late), ErrDraining, ErrNoInventory, the
+// context's error, or an *UnsatisfiableError carrying the full trace.
+func (b *Broker) Rebind(ctx context.Context, leaseID string, req Request, stalled map[platform.HostID]bool) (*Outcome, error) {
+	if leaseID == "" { // walk reads the empty ID as "fresh selection"; it never names a lease
+		return nil, fmt.Errorf("%w: %q", ErrLeaseGone, leaseID)
+	}
+	return b.walk(ctx, leaseID, req, stalled)
+}
+
+// walk is the one Chapter VII fallback procedure behind both entry points:
+// admit the request past the drain gate, render the ladder, and try every
+// rung × backend pair in order until one binds. A fresh selection passes
+// replace "" and alone moves the selections, inflight, fallback-depth and
+// unsatisfied series. stalled accumulates, per request, the hosts of clusters
+// whose managers refused or stalled past the wait bound, so every later
+// attempt routes around them instead of re-selecting the same dead clusters;
+// it starts from the caller's set (nil for none) plus the hosts the
+// reconciler's exclusion provider already knows to be dead.
+func (b *Broker) walk(ctx context.Context, replace string, req Request, stalled map[platform.HostID]bool) (*Outcome, error) {
 	if !b.enter() {
 		return nil, ErrDraining
 	}
 	defer b.inflight.Done()
 	defer b.flushExpired() // selections sweep inline; surface what they reclaimed
-	b.metrics.inflight.Add(1)
-	defer b.metrics.inflight.Add(-1)
-	b.metrics.selections.Add(1)
+	fresh := replace == ""
+	if fresh {
+		b.metrics.inflight.Add(1)
+		defer b.metrics.inflight.Add(-1)
+		b.metrics.selections.Add(1)
+	}
 
 	b.invMu.RLock()
 	inv := b.inv
@@ -559,6 +604,11 @@ func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !fresh {
+		if _, held := b.store.Lookup(replace, b.cfg.Now()); !held {
+			return nil, fmt.Errorf("%w: %s", ErrLeaseGone, replace)
+		}
+	}
 
 	genCtx, genSpan := obs.StartSpan(ctx, "generate")
 	ladder, err := b.ladder(genCtx, req)
@@ -568,32 +618,31 @@ func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
 		return nil, err
 	}
 
-	ttl := req.TTL
-	if ttl <= 0 {
-		ttl = b.cfg.LeaseTTL
+	if req.TTL <= 0 {
+		req.TTL = b.cfg.LeaseTTL
 	}
-	maxWait := req.MaxBindWaitSeconds
-	if maxWait <= 0 {
-		maxWait = b.cfg.MaxBindWaitSeconds
+	if req.MaxBindWaitSeconds <= 0 {
+		req.MaxBindWaitSeconds = b.cfg.MaxBindWaitSeconds
 	}
-
-	// stalled accumulates, per request, the hosts of clusters whose
-	// managers refused or stalled past the wait bound: the Chapter VII
-	// rebind loop routes every later attempt around them instead of
-	// re-selecting the same dead clusters. It is seeded with the hosts the
-	// reconciler's exclusion provider already knows to be dead.
-	stalled := make(map[platform.HostID]bool)
+	if stalled == nil {
+		stalled = make(map[platform.HostID]bool)
+	}
 	for h := range b.externalStalled() {
 		stalled[h] = true
 	}
 	var trace []RungAttempt
 	for rung, sp := range ladder {
 		for _, sel := range sels {
-			out, atts := b.tryRung(ctx, inv, req.Dag, rung, sp, sel, ttl, maxWait, stalled)
+			out, atts, err := b.tryRung(ctx, inv, &req, replace, stalled, rung, sp, sel)
 			trace = append(trace, atts...)
+			if err != nil {
+				return nil, err
+			}
 			if out != nil {
 				out.Trace = trace
-				b.metrics.fallbackDepth(rung)
+				if fresh {
+					b.metrics.fallbackDepth(rung)
+				}
 				return out, nil
 			}
 			if err := ctx.Err(); err != nil {
@@ -601,7 +650,9 @@ func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
 			}
 		}
 	}
-	b.metrics.unsatisfied.Add(1)
+	if fresh {
+		b.metrics.unsatisfied.Add(1)
+	}
 	return nil, &UnsatisfiableError{Trace: trace}
 }
 
@@ -647,242 +698,123 @@ func (b *Broker) ladder(ctx context.Context, req Request) ([]*spec.Specification
 	return ladder, nil
 }
 
-// tryRung attempts one (rung, backend) pair: select with leased hosts
-// masked, acquire the lease, bind with bounded retry. Three failures restart
-// the loop instead of abandoning the rung: losing the acquisition race to a
-// concurrent session (bounded by LeaseAttempts), a bind refusal that stalls
-// new clusters — the Chapter VII rebind loop, which re-selects around the
-// stalled clusters and is bounded because every iteration must grow the
-// mask — and, for RungSelectors (moga), a bind refusal that taught the probe
-// nothing, which walks to the next rank of the selector's own Pareto front
-// (bounded because the front is finite and exhaustion is a selection
-// failure). A selection failure ends the rung: it is deterministic given the
-// mask and rank, so the caller moves on.
-func (b *Broker) tryRung(ctx context.Context, inv *inventory, d *dag.DAG, rung int, sp *spec.Specification, sel Selector, ttl time.Duration, maxWait float64, stalled map[platform.HostID]bool) (*Outcome, []RungAttempt) {
+// tryRung attempts one (rung, backend) pair: select with leased and stalled
+// hosts masked, take the lease, bind with bounded retry. Three failures
+// restart the loop instead of abandoning the rung: losing the acquisition or
+// swap race to a concurrent session (bounded by LeaseAttempts), a bind
+// refusal that stalls new clusters — the Chapter VII rebind loop, which
+// re-selects around the stalled clusters and is bounded because every
+// iteration must grow the mask — and, for RungSelectors (moga), a bind refusal
+// that taught the probe nothing, which walks to the next rank of the
+// selector's own Pareto front (bounded because the front is finite and
+// exhaustion is a selection failure). A selection failure ends the rung: it
+// is deterministic given the mask and rank, so the caller moves on.
+//
+// A rebind differs in three places. It looks its lease up every iteration,
+// unmasks that lease's hosts, and a vanished lease ends the whole walk (the
+// non-nil error). It commits with Swap, not Acquire. And it commits after the
+// bind, not before: binding is a stateless feasibility check, so discarding it
+// when the swap fails is free, while swapping first would tear down the old
+// lease for a collection the managers then refuse — bind-before-swap is what
+// makes a failed rebind change nothing. A fresh selection leases first and
+// releases on refusal, because the gap between selecting hosts and owning
+// them is where a concurrent session wins the race, and a bind's backoff
+// sleeps inside that gap would turn more selections into re-selections.
+// Either commit reads the clock as it commits, never a value from before the
+// selection or the backoff, so the store's expiry sweep and the lease's
+// BoundAt see the moment the lease changed hands.
+func (b *Broker) tryRung(ctx context.Context, inv *inventory, req *Request, replace string, stalled map[platform.HostID]bool, rung int, sp *spec.Specification, sel Selector) (*Outcome, []RungAttempt, error) {
 	var atts []RungAttempt
-	leaseMisses := 0
+	fresh := replace == ""
+	rebindTag := ""
+	if !fresh {
+		rebindTag = " rebind=" + replace
+	}
+	commitMisses := 0
 	walk := rungWalk{sel: sel}
 	for {
 		rank := walk.rank
 		att := RungAttempt{Rung: rung, ClockGHz: sp.MaxClockGHz, RCSize: sp.RCSize, Backend: sel.Name(), FrontRank: rank}
-		excluded := b.store.Leased(b.cfg.Now())
-		for h := range stalled {
-			excluded[h] = true
+		var own Lease
+		if !fresh {
+			var held bool
+			if own, held = b.store.Lookup(replace, b.cfg.Now()); !held {
+				return nil, atts, fmt.Errorf("%w: %s", ErrLeaseGone, replace)
+			}
 		}
+		excluded := b.mask(own.Hosts, stalled)
 		_, selSpan := obs.StartSpan(ctx, "select")
-		selSpan.SetDetail("rung=%d backend=%s rank=%d", rung, sel.Name(), rank)
-		rc, err := walk.pick(ctx, d, sp, excluded)
-		selSpan.EndErr(err)
-		if err != nil {
-			att.Stage, att.Err = StageSelect, err.Error()
-			b.metrics.rungAttempt(sel.Name(), StageSelect)
-			return nil, append(atts, att)
-		}
-		_, leaseSpan := obs.StartSpan(ctx, "lease")
-		leaseSpan.SetDetail("rung=%d hosts=%d", rung, len(rc.Hosts))
-		lease, err := b.store.Acquire(rc.Hosts, ttl, b.cfg.Now(), leaseMeta(inv, d, sp, rc, rung, rank, sel.Name()))
-		leaseSpan.EndErr(err)
-		if err != nil {
-			att.Stage, att.Err = StageLease, err.Error()
-			b.metrics.rungAttempt(sel.Name(), StageLease)
-			atts = append(atts, att)
-			leaseMisses++
-			if leaseMisses >= b.cfg.LeaseAttempts {
-				return nil, atts
-			}
-			walk.reselect()
-			continue // a concurrent session won the race: re-select
-		}
-		bindCtx, bindSpan := obs.StartSpan(ctx, "bind")
-		bindSpan.SetDetail("rung=%d backend=%s", rung, sel.Name())
-		binding, err := b.bindWithRetry(bindCtx, inv.grid, rc, maxWait)
-		bindSpan.EndErr(err)
-		if err != nil {
-			b.store.Release(lease.ID, b.cfg.Now())
-			grew := b.markStalled(inv, rc, maxWait, stalled)
-			att.Stage, att.Err = StageBind, err.Error()
-			b.metrics.rungAttempt(sel.Name(), StageBind)
-			b.metrics.bindFailures.Add(1)
-			obs.LoggerFrom(ctx).Debug("bind failed",
-				"rung", rung, "backend", sel.Name(), "stalled_hosts", grew, "error", err)
-			atts = append(atts, att)
-			if grew > 0 && ctx.Err() == nil {
-				walk.reselect()
-				continue // route the re-selection around the stalled clusters
-			}
-			if ctx.Err() == nil && walk.advance() {
-				continue // the probe learned nothing: walk the Pareto front
-			}
-			return nil, atts
-		}
-		att.Stage = StageBound
-		att.BindWaitSeconds = binding.AvailableAt
-		b.metrics.rungAttempt(sel.Name(), StageBound)
-		return &Outcome{
-			Lease:              lease,
-			Rung:               rung,
-			Backend:            sel.Name(),
-			Spec:               sp,
-			RC:                 rc,
-			Clusters:           countClusters(rc),
-			AvailableAtSeconds: binding.AvailableAt,
-		}, append(atts, att)
-	}
-}
-
-// Rebind transparently re-selects a live lease down its request's spec
-// ladder — the reconciler's path when a bound cluster is declared stalled.
-// It walks the same rung × backend lattice as Select, but instead of
-// acquiring a fresh lease it atomically swaps the old one (preserving its
-// expiry) once a replacement collection binds; the old lease stays intact
-// until that swap, so a failed rebind changes nothing. stalled is the
-// caller's exclusion set (typically the dead clusters' hosts) and is grown
-// in place as bind failures discover more stalled clusters. The error is
-// ErrLeaseGone when the lease was released or expired mid-rebind (the swap
-// is then abandoned, never applied late), ErrDraining, ErrNoInventory, the
-// context's error, or an *UnsatisfiableError carrying the full trace.
-func (b *Broker) Rebind(ctx context.Context, leaseID string, req Request, stalled map[platform.HostID]bool) (*Outcome, error) {
-	if !b.enter() {
-		return nil, ErrDraining
-	}
-	defer b.inflight.Done()
-	defer b.flushExpired()
-
-	b.invMu.RLock()
-	inv := b.inv
-	b.invMu.RUnlock()
-	if inv == nil {
-		return nil, ErrNoInventory
-	}
-	if req.Dag == nil {
-		return nil, errors.New("broker: request has no dag")
-	}
-	sels, err := inv.selectorsFor(req.Backends)
-	if err != nil {
-		return nil, err
-	}
-	if _, held := b.store.Lookup(leaseID, b.cfg.Now()); !held {
-		return nil, fmt.Errorf("%w: %s", ErrLeaseGone, leaseID)
-	}
-
-	genCtx, genSpan := obs.StartSpan(ctx, "generate")
-	ladder, err := b.ladder(genCtx, req)
-	genSpan.SetDetail("rungs=%d", len(ladder))
-	genSpan.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	maxWait := req.MaxBindWaitSeconds
-	if maxWait <= 0 {
-		maxWait = b.cfg.MaxBindWaitSeconds
-	}
-	if stalled == nil {
-		stalled = make(map[platform.HostID]bool)
-	}
-	for h := range b.externalStalled() {
-		stalled[h] = true
-	}
-
-	var trace []RungAttempt
-	for rung, sp := range ladder {
-		for _, sel := range sels {
-			out, atts, err := b.tryRebindRung(ctx, inv, req.Dag, rung, sp, sel, leaseID, maxWait, stalled)
-			trace = append(trace, atts...)
-			if err != nil {
-				return nil, err
-			}
-			if out != nil {
-				out.Trace = trace
-				return out, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nil, &UnsatisfiableError{Trace: trace}
-}
-
-// tryRebindRung is tryRung for a rebind: the lease's own hosts are removed
-// from the exclusion mask (they are candidates for the replacement), the
-// collection binds *before* the swap — binding is a stateless feasibility
-// check against the managers, so discarding it when the swap fails is free,
-// while swapping first would tear down the old lease for a collection the
-// managers then refuse — and the acquisition is an atomic Swap preserving
-// the old expiry. A non-nil error is terminal for the whole rebind
-// (ErrLeaseGone: the lease vanished mid-flight).
-func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, rung int, sp *spec.Specification, sel Selector, leaseID string, maxWait float64, stalled map[platform.HostID]bool) (*Outcome, []RungAttempt, error) {
-	var atts []RungAttempt
-	swapMisses := 0
-	walk := rungWalk{sel: sel}
-	for {
-		rank := walk.rank
-		att := RungAttempt{Rung: rung, ClockGHz: sp.MaxClockGHz, RCSize: sp.RCSize, Backend: sel.Name(), FrontRank: rank}
-		now := b.cfg.Now()
-		own, held := b.store.Lookup(leaseID, now)
-		if !held {
-			return nil, atts, fmt.Errorf("%w: %s", ErrLeaseGone, leaseID)
-		}
-		excluded := b.store.Leased(now)
-		for _, h := range own.Hosts {
-			delete(excluded, h)
-		}
-		for h := range stalled {
-			excluded[h] = true
-		}
-		_, selSpan := obs.StartSpan(ctx, "select")
-		selSpan.SetDetail("rung=%d backend=%s rank=%d rebind=%s", rung, sel.Name(), rank, leaseID)
-		rc, err := walk.pick(ctx, d, sp, excluded)
+		selSpan.SetDetail("rung=%d backend=%s rank=%d%s", rung, sel.Name(), rank, rebindTag)
+		rc, err := walk.pick(ctx, req.Dag, sp, excluded)
 		selSpan.EndErr(err)
 		if err != nil {
 			att.Stage, att.Err = StageSelect, err.Error()
 			b.metrics.rungAttempt(sel.Name(), StageSelect)
 			return nil, append(atts, att), nil
 		}
-		bindCtx, bindSpan := obs.StartSpan(ctx, "bind")
-		bindSpan.SetDetail("rung=%d backend=%s", rung, sel.Name())
-		binding, err := b.bindWithRetry(bindCtx, inv.grid, rc, maxWait)
-		bindSpan.EndErr(err)
-		if err != nil {
-			grew := b.markStalled(inv, rc, maxWait, stalled)
-			att.Stage, att.Err = StageBind, err.Error()
-			b.metrics.rungAttempt(sel.Name(), StageBind)
-			b.metrics.bindFailures.Add(1)
-			obs.LoggerFrom(ctx).Debug("rebind bind failed",
-				"lease_id", leaseID, "rung", rung, "backend", sel.Name(), "stalled_hosts", grew, "error", err)
-			atts = append(atts, att)
-			if grew > 0 && ctx.Err() == nil {
-				walk.reselect()
-				continue
-			}
-			if ctx.Err() == nil && walk.advance() {
-				continue // the probe learned nothing: walk the Pareto front
-			}
-			return nil, atts, nil
+		var lease *Lease
+		if fresh { // lease before bind
+			_, span := obs.StartSpan(ctx, "lease")
+			span.SetDetail("rung=%d hosts=%d", rung, len(rc.Hosts))
+			meta := leaseMeta(inv, req.Dag, sp, rc, rung, rank, sel.Name())
+			lease, err = b.store.Acquire(rc.Hosts, req.TTL, b.cfg.Now(), meta)
+			span.EndErr(err)
 		}
-		_, swapSpan := obs.StartSpan(ctx, "swap")
-		swapSpan.SetDetail("old=%s rung=%d hosts=%d", leaseID, rung, len(rc.Hosts))
-		lease, err := b.store.Swap(leaseID, rc.Hosts, now, leaseMeta(inv, d, sp, rc, rung, rank, sel.Name()))
-		swapSpan.EndErr(err)
-		if err != nil {
+		var binding *bind.Binding
+		if err == nil {
+			bindCtx, bindSpan := obs.StartSpan(ctx, "bind")
+			bindSpan.SetDetail("rung=%d backend=%s", rung, sel.Name())
+			binding, err = b.bindWithRetry(bindCtx, inv.grid, rc, req.MaxBindWaitSeconds)
+			bindSpan.EndErr(err)
+			if err != nil {
+				if fresh {
+					b.store.Release(lease.ID, b.cfg.Now())
+				}
+				grew := b.markStalled(inv, rc, req.MaxBindWaitSeconds, stalled)
+				att.Stage, att.Err = StageBind, err.Error()
+				b.metrics.rungAttempt(sel.Name(), StageBind)
+				b.metrics.bindFailures.Add(1)
+				obs.LoggerFrom(ctx).Debug("bind failed",
+					"rebind", replace, "rung", rung, "backend", sel.Name(), "stalled_hosts", grew, "error", err)
+				atts = append(atts, att)
+				if grew > 0 && ctx.Err() == nil {
+					walk.reselect()
+					continue // route the re-selection around the stalled clusters
+				}
+				if ctx.Err() == nil && walk.advance() {
+					continue // the probe learned nothing: walk the Pareto front
+				}
+				return nil, atts, nil
+			}
+			if !fresh { // bind before swap
+				_, span := obs.StartSpan(ctx, "swap")
+				span.SetDetail("old=%s rung=%d hosts=%d", replace, rung, len(rc.Hosts))
+				meta := leaseMeta(inv, req.Dag, sp, rc, rung, rank, sel.Name())
+				lease, err = b.store.Swap(replace, rc.Hosts, b.cfg.Now(), meta)
+				span.EndErr(err)
+			}
+		}
+		if err != nil { // the commit failed, on whichever side of the bind it ran
 			att.Stage, att.Err = StageLease, err.Error()
 			b.metrics.rungAttempt(sel.Name(), StageLease)
 			atts = append(atts, att)
 			if errors.Is(err, ErrLeaseGone) {
 				return nil, atts, err
 			}
-			swapMisses++
-			if swapMisses >= b.cfg.LeaseAttempts {
+			commitMisses++
+			if commitMisses >= b.cfg.LeaseAttempts {
 				return nil, atts, nil
 			}
 			walk.reselect()
-			continue // a concurrent session grabbed a candidate host: re-select
+			continue // a concurrent session won the race: re-select
 		}
-		// The swap retired the old lease: close its segment in the flight
-		// recorder. The replacement lease's own observation comes when it
-		// ends in turn.
-		b.emitObservation(observe(&own, obs.EndRebound, obs.TraceIDFrom(ctx), now, 0))
-		b.flushExpired()
+		if !fresh {
+			// The swap retired the old lease: close its segment in the flight
+			// recorder at the instant the replacement took over. The
+			// replacement's own observation comes when it ends in turn.
+			b.emitObservation(observe(&own, obs.EndRebound, obs.TraceIDFrom(ctx), lease.BoundAt, 0))
+			b.flushExpired()
+		}
 		att.Stage = StageBound
 		att.BindWaitSeconds = binding.AvailableAt
 		b.metrics.rungAttempt(sel.Name(), StageBound)

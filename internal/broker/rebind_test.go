@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rsgen/internal/obs"
 	"rsgen/internal/platform"
 	"rsgen/internal/spec"
 )
@@ -192,5 +193,83 @@ func TestSelectSeedsExclusionProvider(t *testing.T) {
 		if p.Host(id).ClockGHz >= 3.0 {
 			t.Errorf("host %d belongs to an excluded cluster", id)
 		}
+	}
+}
+
+// slowSelector is a backend whose every selection takes `takes` of the
+// injected clock: the stand-in for a 25 ms moga search or a bind backoff
+// between a rebind iteration's first clock read and its commit.
+type slowSelector struct {
+	Selector
+	now   *time.Time
+	takes time.Duration
+}
+
+func (s slowSelector) Select(sp *spec.Specification, excluded map[platform.HostID]bool) (*platform.ResourceCollection, error) {
+	rc, err := s.Selector.Select(sp, excluded)
+	*s.now = s.now.Add(s.takes)
+	return rc, err
+}
+
+// A rebind commits against the clock as it reads at the commit, not as it
+// read when the iteration began: a lease whose TTL runs out in between is
+// abandoned (never swapped late), and a replacement that does go in is
+// stamped — BoundAt and the retired lease's rebound observation alike — no
+// earlier than the moment its bind returned.
+func TestRebindCommitsOnTheCommitClock(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		takes    time.Duration // how long the rebind's selection runs
+		wantGone bool          // the minute-long lease expired meanwhile
+	}{
+		{"lease outlives the selection", 10 * time.Second, false},
+		{"lease expires during the selection", 2 * time.Minute, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+			now := start
+			b, _, _ := newTestBroker(t, func(c *Config) { c.Now = func() time.Time { return now } })
+			var sink obsCollector
+			b.SetObservationSink(sink.record)
+			req := Request{Dag: testDAG(t), Options: spec.Options{ClockGHz: 2.0}, TTL: time.Minute}
+			out, err := b.Select(context.Background(), req)
+			if err != nil {
+				t.Fatalf("Select: %v", err)
+			}
+			b.inv.selectors["slow"] = slowSelector{b.inv.selectors["vgdl"], &now, tc.takes}
+			req.Backends = []string{"slow"}
+			re, err := b.Rebind(context.Background(), out.Lease.ID, req, nil)
+			bindReturned := start.Add(tc.takes)
+
+			if tc.wantGone {
+				if !errors.Is(err, ErrLeaseGone) {
+					t.Fatalf("Rebind of a lease that expired mid-flight: out %+v, err %v; want ErrLeaseGone", re, err)
+				}
+				if st := b.LeaseStats(); st.ActiveLeases != 0 || st.LeasedHosts != 0 {
+					t.Errorf("lease table %+v after the abandoned rebind, want empty (nothing resurrected)", st)
+				}
+				got := sink.all()
+				if len(got) != 1 || got[0].EndReason != obs.EndExpired || got[0].LeaseID != out.Lease.ID {
+					t.Errorf("observations %+v, want only the origin's expiry", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Rebind: %v", err)
+			}
+			if re.Lease.BoundAt.Before(bindReturned) {
+				t.Errorf("replacement BoundAt %v is earlier than the bind's return at %v", re.Lease.BoundAt, bindReturned)
+			}
+			got := sink.all()
+			if len(got) != 1 || got[0].EndReason != obs.EndRebound {
+				t.Fatalf("observations %+v, want one rebound", got)
+			}
+			if got[0].Time.Before(bindReturned) {
+				t.Errorf("rebound observation at %v is earlier than the bind's return at %v", got[0].Time, bindReturned)
+			}
+			if want := tc.takes.Seconds(); got[0].ObservedSeconds != want {
+				t.Errorf("retired lease observed %v s, want the %v s it was held", got[0].ObservedSeconds, want)
+			}
+		})
 	}
 }

@@ -87,42 +87,7 @@ type Cache struct {
 	// of recomputing it — the service-layer single-flight discipline
 	// pushed down to the evaluation engine, where concurrent sweeps from
 	// different requests overlap on shared points.
-	flightMu sync.Mutex
-	flight   map[Key]*flightResult
-}
-
-// flightResult is one in-flight evaluation; done closes once r/ok are
-// final. ok is false when the leader failed, telling followers to evaluate
-// independently so error reporting stays per-caller.
-type flightResult struct {
-	done chan struct{}
-	r    Result
-	ok   bool
-}
-
-// join returns the in-flight evaluation for key, creating one if absent;
-// leader reports whether the caller must evaluate and then finish().
-func (c *Cache) join(key Key) (f *flightResult, leader bool) {
-	c.flightMu.Lock()
-	defer c.flightMu.Unlock()
-	if c.flight == nil {
-		c.flight = make(map[Key]*flightResult)
-	}
-	if f, ok := c.flight[key]; ok {
-		return f, false
-	}
-	f = &flightResult{done: make(chan struct{})}
-	c.flight[key] = f
-	return f, true
-}
-
-// finish publishes the leader's outcome and retires the key.
-func (c *Cache) finish(key Key, f *flightResult, r Result, ok bool) {
-	f.r, f.ok = r, ok
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	close(f.done)
+	flight Flight[Key, Result]
 }
 
 type cacheShard struct {

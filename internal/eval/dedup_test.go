@@ -2,20 +2,23 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
 
+var errLeaderFailed = errors.New("leader failed")
+
 // installLeader manually joins the flight for p's key, simulating an
 // in-flight leader so follower behavior is deterministic (no goroutine
 // races over who computes first).
-func installLeader(t *testing.T, c *Cache, p Point) (Key, *flightResult) {
+func installLeader(t *testing.T, c *Cache, p Point) (Key, *FlightCall[Result]) {
 	t.Helper()
 	key, ok := keyOf(p)
 	if !ok {
 		t.Fatal("test point is not cacheable")
 	}
-	f, leader := c.join(key)
+	f, leader := c.flight.Join(key)
 	if !leader {
 		t.Fatal("flight already occupied")
 	}
@@ -61,7 +64,7 @@ func TestDedupFollowerSharesLeaderResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Put(key, want)
-	cache.finish(key, f, want, true)
+	cache.flight.Finish(key, f, want, nil)
 
 	got := <-done
 	if got.err != nil {
@@ -94,7 +97,7 @@ func TestDedupFollowerFallsBackWhenLeaderFails(t *testing.T) {
 		done <- err
 	}()
 	waitForDedup(t, before)
-	cache.finish(key, f, Result{}, false) // leader failed
+	cache.flight.Finish(key, f, Result{}, errLeaderFailed)
 
 	if err := <-done; err != nil {
 		t.Fatalf("follower should evaluate independently after leader failure, got %v", err)
@@ -118,7 +121,7 @@ func TestDedupFollowerHonorsContext(t *testing.T) {
 	pool := &Pool{Cache: cache, Ctx: ctx}
 	p := testPoints(t, []int{4})[0]
 	key, f := installLeader(t, cache, p)
-	defer cache.finish(key, f, Result{}, false)
+	defer cache.flight.Finish(key, f, Result{}, errLeaderFailed)
 
 	done := make(chan error, 1)
 	go func() {

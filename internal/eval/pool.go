@@ -78,24 +78,22 @@ func (pl *Pool) evalOne(ctx context.Context, p Point) (Result, error) {
 	// wait for its result. Determinism is free — a shared Result is exactly
 	// what the follower would have computed (the Workers=1-vs-8 identity
 	// contract), so dedup only changes wall-clock time, like the cache.
-	f, leader := pl.Cache.join(key)
+	f, leader := pl.Cache.flight.Join(key)
 	if leader {
 		recordMiss()
 		r, err := Evaluate(ctx, p)
 		if err == nil {
 			pl.Cache.Put(key, r)
 		}
-		pl.Cache.finish(key, f, r, err == nil)
+		pl.Cache.flight.Finish(key, f, r, err)
 		return r, err
 	}
 	recordDedup()
-	select {
-	case <-f.done:
-		if f.ok {
-			return f.r, nil
-		}
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
+	if err := f.Wait(ctx); err != nil {
+		return Result{}, err
+	}
+	if r, err := f.Result(); err == nil {
+		return r, nil
 	}
 	// The leader failed; evaluate independently so this caller reports its
 	// own error (the leader's context may have differed).

@@ -198,8 +198,19 @@ func NewAccuracy() *Accuracy {
 	}
 }
 
+// maxAbsLogError winsorises the log-error before it enters any series.
+// observed_seconds is client-reported and otherwise unbounded, and one sample
+// adds up to its value minus the detector's delta to the Page-Hinkley score:
+// the bound sits below lambda + delta = 2.05 with room for the residual an
+// honest stream carries, so no single report — however absurd, at any stream
+// length — latches the drift gauge for every tenant, while a sustained
+// slowdown (ln 4 per sample for a 4x-slow fleet, under the bound) still does.
+const maxAbsLogError = 1.791759469228055 // ln 6
+
 // Record folds one observation in; the bool reports whether this
-// observation tripped the drift detector (callers warn exactly once).
+// observation tripped the drift detector (callers warn exactly once). The
+// series see the log-error clamped to ±maxAbsLogError; the observation log
+// and ring keep the raw report.
 func (a *Accuracy) Record(o Observation) (drifted bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -209,6 +220,7 @@ func (a *Accuracy) Record(o Observation) (drifted bool) {
 	if !ok {
 		return false
 	}
+	le = max(-maxAbsLogError, min(maxAbsLogError, le))
 	a.scored++
 	k := accuracyKey{o.Backend, o.Heuristic}
 	e := a.byStream[k]

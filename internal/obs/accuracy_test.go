@@ -143,3 +143,38 @@ func TestAccuracyExposition(t *testing.T) {
 		}
 	}
 }
+
+// One absurd client report must not latch the drift gauge, whichever way it
+// errs and however long the honest stream before it (the outlier's pull on
+// the Page-Hinkley score grows with the stream's length); a sustained
+// slowdown after it still does.
+func TestAccuracyDriftSurvivesOneAbsurdReport(t *testing.T) {
+	for _, honest := range []int{8, 500} {
+		for _, absurd := range []float64{1e300, 1e-300} {
+			a := NewAccuracy()
+			for i := 0; i < honest; i++ {
+				a.Record(Observation{Backend: "vgdl", EndReason: EndReleased, PredictedSeconds: 10, ObservedSeconds: 10})
+			}
+			if a.Record(Observation{Backend: "vgdl", EndReason: EndReleased, PredictedSeconds: 10, ObservedSeconds: absurd}) {
+				t.Errorf("observed_seconds %g after %d honest samples tripped the detector", absurd, honest)
+			}
+			for i := 0; i < honest; i++ {
+				a.Record(Observation{Backend: "vgdl", EndReason: EndReleased, PredictedSeconds: 10, ObservedSeconds: 10})
+			}
+			snap := a.Snapshot()
+			if snap.Drift || snap.DriftScore >= 2 {
+				t.Errorf("observed_seconds %g after %d honest samples: drift=%v score=%v, want unlatched", absurd, honest, snap.Drift, snap.DriftScore)
+			}
+			if got := snap.AbsLogErrorP99; got > maxAbsLogError {
+				t.Errorf("quantile sketch holds |ln ratio| %v, above the %v bound", got, maxAbsLogError)
+			}
+			drifted := false
+			for i := 0; i < 20 && !drifted; i++ {
+				drifted = a.Record(Observation{Backend: "vgdl", EndReason: EndReleased, PredictedSeconds: 10, ObservedSeconds: 40})
+			}
+			if !drifted {
+				t.Errorf("after the outlier (%g, %d honest), a sustained 4x-slow stream no longer trips the detector", absurd, honest)
+			}
+		}
+	}
+}

@@ -75,46 +75,3 @@ func (c *responseCache) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// flightGroup deduplicates concurrent identical requests: the first caller
-// for a key computes, later callers wait for the shared result. Unlike
-// x/sync's singleflight (unavailable: stdlib only), results are handed out
-// as shared immutable byte slices and the computation runs under the
-// server's context, not the leader's, so a leader disconnecting cannot fail
-// the followers.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{} // closed when body/err are final
-	body []byte
-	err  error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[string]*flightCall)}
-}
-
-// join returns the in-flight call for key, creating one if absent; leader
-// reports whether the caller must run the computation and then finish().
-func (g *flightGroup) join(key string) (call *flightCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.m[key]; ok {
-		return c, false
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	return c, true
-}
-
-// finish publishes the leader's result and retires the key.
-func (g *flightGroup) finish(key string, c *flightCall, body []byte, err error) {
-	c.body, c.err = body, err
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
-}

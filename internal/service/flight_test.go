@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"rsgen/internal/eval"
 )
 
 // TestFlightLeaderCancellationFallsBack parks a leader until its compute
@@ -60,25 +63,28 @@ func TestFlightLeaderCancellationFallsBack(t *testing.T) {
 // caller arriving after the leader finished never observes the dead call —
 // it starts a new flight (or, at the HTTP layer, hits the cache).
 func TestFlightLateFollower(t *testing.T) {
-	g := newFlightGroup()
-	c1, leader := g.join("k")
+	var g eval.Flight[string, []byte]
+	c1, leader := g.Join("k")
 	if !leader {
 		t.Fatal("first join not leader")
 	}
-	g.finish("k", c1, []byte("body"), nil)
-	select {
-	case <-c1.done:
-	default:
-		t.Fatal("finished call's done channel not closed")
+	g.Finish("k", c1, []byte("body"), nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c1.Wait(ctx); err != nil {
+		t.Fatalf("finished call still in flight: %v", err)
 	}
-	c2, leader := g.join("k")
+	if body, err := c1.Result(); string(body) != "body" || err != nil {
+		t.Fatalf("finished call's result = %q, %v", body, err)
+	}
+	c2, leader := g.Join("k")
 	if !leader {
 		t.Fatal("join after finish must lead a new flight, not follow the retired one")
 	}
 	if c2 == c1 {
 		t.Fatal("join after finish returned the retired call")
 	}
-	g.finish("k", c2, nil, nil)
+	g.Finish("k", c2, nil, nil)
 }
 
 // TestFlightLateFollowerAfterFailedLeader: when the leader failed (so

@@ -46,6 +46,7 @@ import (
 
 	"rsgen/internal/broker"
 	"rsgen/internal/dag"
+	"rsgen/internal/eval"
 	"rsgen/internal/knee"
 	"rsgen/internal/moga"
 	"rsgen/internal/obs"
@@ -156,7 +157,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	cache    *responseCache
-	flight   *flightGroup
+	flight   eval.Flight[string, []byte]
 	metrics  *metrics
 	reg      *obs.Registry
 	ring     *obs.Ring
@@ -200,7 +201,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		cache:    cache,
-		flight:   newFlightGroup(),
 		metrics:  m,
 		reg:      reg,
 		ring:     obs.NewRing(cfg.TraceEntries),
@@ -537,7 +537,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions, ok
 	// leader computes under the server's context (so one client
 	// disconnecting cannot fail the rest), followers wait for the shared
 	// bytes.
-	call, leader := s.flight.join(key)
+	call, leader := s.flight.Join(key)
 	if leader {
 		body, err := s.computeResponse(rctx, nd, o)
 		if err == nil {
@@ -546,7 +546,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions, ok
 				s.cache.Put(exact, body)
 			}
 		}
-		s.flight.finish(key, call, body, err)
+		s.flight.Finish(key, call, body, err)
 		return body, srcComputed, err
 	}
 	source = srcShared
@@ -557,15 +557,13 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions, ok
 		s.metrics.dedupShared.Inc()
 	}
 	_, awaitSpan := obs.StartSpan(rctx, "await")
-	select {
-	case <-call.done:
-		awaitSpan.End()
-	case <-rctx.Done():
-		awaitSpan.EndErr(rctx.Err())
-		return nil, source, fmt.Errorf("%w: %v", errAbandoned, rctx.Err())
+	if err := call.Wait(rctx); err != nil {
+		awaitSpan.EndErr(err)
+		return nil, source, fmt.Errorf("%w: %v", errAbandoned, err)
 	}
-	if call.err == nil {
-		return call.body, source, nil
+	awaitSpan.End()
+	if body, err := call.Result(); err == nil {
+		return body, source, nil
 	}
 	// The leader failed — possibly for a reason particular to its own run
 	// (deadline hit under load). Fall back to an independent evaluation so
