@@ -44,9 +44,11 @@ bench-check:
 # hence the per-package lines. The DAG decoder's target is differential
 # (hand-written scanner vs the encoding/json oracle) and seeded with a 100 KB
 # document; the short minimize budget keeps the engine from spending the
-# whole pass shrinking mutations of it.
+# whole pass shrinking mutations of it. The vgDL finder's target is
+# differential too (run-table finder vs the per-host oracle).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/vgdl
+	$(GO) test -run xxx -fuzz 'FuzzFindDifferential$$' -fuzztime $(FUZZTIME) ./internal/vgdl
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run xxx -fuzz 'FuzzParseExpr$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/sword

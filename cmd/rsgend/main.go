@@ -107,7 +107,7 @@ func run(args []string) int {
 		leaseTTL    = fs.Duration("lease-ttl", 5*time.Minute, "default host-lease lifetime for /v1/select")
 		stateDir    = fs.String("state-dir", "", "directory for durable broker state (WAL + snapshots); empty serves from memory only")
 		obsDir      = fs.String("obs-dir", "", "directory for the prediction-accuracy observation log (append-only JSONL, size-capped rotation); empty keeps observations in memory only")
-		leaseSweep  = fs.Duration("lease-sweep", 30*time.Second, "background lease-expiry sweep interval")
+		leaseSweep  = fs.Duration("lease-sweep", 30*time.Second, "background lease-expiry sweep interval; with -state-dir also the longest a release waits for an fsync")
 		recEvery    = fs.Duration("reconcile-interval", 5*time.Second, "continuous-reconciler cycle period (0 disables the closed loop)")
 		probeWindow = fs.Duration("probe-timeout", time.Hour, "expected-progress window: clusters whose probed queue wait exceeds this are declared stalled and rebound around")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")

@@ -13,13 +13,17 @@
 //	             compaction, written atomically (tmp + rename)
 //
 // Every mutation is applied to the in-memory state first and then appended
-// to the WAL; an append that cannot be made durable rolls the mutation
-// back (Acquire) or leaves the state conservatively held (Release — an
-// unpersisted release merely resurrects the lease after a crash until its
-// TTL passes, which can never double-bind a host). After CompactEvery
-// appends the store folds the WAL into a fresh snapshot and truncates the
-// log; Close flushes a final snapshot so a graceful drain restarts with an
-// empty WAL.
+// to the WAL. A record that grants hosts (inventory, acquire, swap) is
+// fsynced before the mutation is acknowledged, and an append that cannot be
+// made durable rolls the mutation back. A release is appended without an
+// fsync of its own: it rides the next grant's fsync (a later record in the
+// same file), the next Sweep, or Close. Losing one — to a failed append or
+// to a machine crash inside that window — merely resurrects the lease until
+// its TTL passes, and can never double-bind a host: recovery replays a
+// prefix of the log, so an acknowledged grant implies every release written
+// before it is on disk too. After CompactEvery appends the store folds the
+// WAL into a fresh snapshot and truncates the log; Close flushes a final
+// snapshot so a graceful drain restarts with an empty WAL.
 //
 // Recovery (Open) is: load the snapshot if present, replay the WAL over
 // it, truncate any torn or corrupt tail, then expire every lease whose TTL
@@ -91,9 +95,9 @@ type Options struct {
 	// records; 0 defaults to 1024. The count survives restarts as the
 	// number of records replayed.
 	CompactEvery int
-	// NoSync skips fsync after appends and snapshots (tests only: a crash
-	// of the machine, not just the process, may then lose acknowledged
-	// records).
+	// NoSync skips every fsync — after appends, in Sweep, of snapshots
+	// (tests only: a crash of the machine, not just the process, may then
+	// lose acknowledged records).
 	NoSync bool
 	// Now is the clock used for recovery-time TTL expiry and compaction
 	// sweeps (tests); nil defaults to time.Now.
@@ -134,6 +138,13 @@ type Store struct {
 	wal        *os.File
 	walRecords int
 	closed     bool
+	// walSize is the log's length; syncedSize is its length at the last
+	// fsync, so the bytes in between — unsynced records, all of them
+	// releases — are what a machine crash can take. Under NoSync nothing
+	// is ever synced: syncedSize moves only with truncation and unsynced
+	// stays 0.
+	walSize, syncedSize int64
+	unsynced            int
 
 	recovery broker.RecoveryInfo
 	recInv   *broker.InventoryRecord
@@ -260,6 +271,7 @@ func (s *Store) replayWAL() error {
 	}
 	s.wal = f
 	s.walRecords = replayed
+	s.walSize, s.syncedSize = good, good
 	return nil
 }
 
@@ -298,8 +310,10 @@ func leaseSeq(id string) uint64 {
 	return n
 }
 
-// append journals one record (and fsyncs, per Options) under s.mu,
-// compacting when the record count crosses the threshold.
+// append journals one record under s.mu, compacting when the record count
+// crosses the threshold. Every op but a release is fsynced (per Options)
+// before append returns, which also makes every earlier release durable; a
+// release only leaves the log dirty for the next sync to pick up.
 func (s *Store) append(rec *walRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -312,8 +326,15 @@ func (s *Store) append(rec *walRecord) error {
 	}
 	start := time.Now()
 	n, err := appendRecord(s.wal, payload)
-	if err == nil && !s.opts.NoSync {
-		err = s.wal.Sync()
+	if err == nil {
+		s.walSize += int64(n)
+		if !s.opts.NoSync {
+			s.unsynced++
+			s.met.walUnsynced.Set(int64(s.unsynced))
+			if rec.Op != opRelease {
+				err = s.syncLocked()
+			}
+		}
 	}
 	s.met.appendSeconds.Observe(time.Since(start))
 	if err != nil {
@@ -330,6 +351,18 @@ func (s *Store) append(rec *walRecord) error {
 			s.met.snapshotErrors.Inc()
 		}
 	}
+	return nil
+}
+
+// syncLocked fsyncs the WAL and records that nothing in it is exposed any
+// more. Callers skip it under NoSync.
+func (s *Store) syncLocked() error {
+	if err := s.wal.Sync(); err != nil {
+		return err
+	}
+	s.met.walSyncs.Inc()
+	s.syncedSize, s.unsynced = s.walSize, 0
+	s.met.walUnsynced.Set(0)
 	return nil
 }
 
@@ -400,8 +433,9 @@ func (s *Store) compactLocked() error {
 	if _, err := s.wal.Seek(0, 0); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
+	s.walSize, s.syncedSize = 0, 0
 	if !s.opts.NoSync {
-		if err := s.wal.Sync(); err != nil {
+		if err := s.syncLocked(); err != nil {
 			return fmt.Errorf("durable: %w", err)
 		}
 	}
@@ -463,11 +497,12 @@ func (s *Store) Acquire(hosts []platform.Host, ttl time.Duration, now time.Time,
 	return l, nil
 }
 
-// Release frees the lease in memory and journals the release best-effort:
-// an unpersisted release resurrects the lease after a crash until its TTL
-// passes — conservative (the hosts stay masked longer), never unsafe. A
-// swallowed failure is still a durability signal, so it counts in its own
-// series and warns with the lease ID (append already counted the raw error).
+// Release frees the lease in memory and journals the release best-effort
+// and without an fsync of its own (see the package comment): an unpersisted
+// release resurrects the lease after a crash until its TTL passes —
+// conservative (the hosts stay masked longer), never unsafe. A swallowed
+// failure is still a durability signal, so it counts in its own series and
+// warns with the lease ID (append already counted the raw error).
 func (s *Store) Release(id string, now time.Time) bool {
 	ok := s.mem.Release(id, now)
 	if ok {
@@ -507,8 +542,22 @@ func (s *Store) Lookup(id string, now time.Time) (broker.Lease, bool) { return s
 
 // Sweep reclaims expired leases. Expiry is never journaled: lease
 // deadlines are absolute, so recovery re-derives every expiry against the
-// wall clock.
-func (s *Store) Sweep(now time.Time) uint64 { return s.mem.Sweep(now) }
+// wall clock. It also fsyncs a log that holds unsynced releases, which makes
+// the broker's sweep interval the longest an idle store leaves a release
+// exposed to a machine crash; a failed sync leaves the log dirty for the
+// next call and counts like any other release the disk may not hold.
+func (s *Store) Sweep(now time.Time) uint64 {
+	s.mu.Lock()
+	if !s.closed && s.unsynced > 0 {
+		if err := s.syncLocked(); err != nil {
+			s.met.walSwallowed.Inc()
+			s.opts.Logger.Warn("wal sync failed in sweep; unsynced releases will resurrect their leases after a machine crash until their TTLs pass",
+				"unsynced_records", s.unsynced, "error", err)
+		}
+	}
+	s.mu.Unlock()
+	return s.mem.Sweep(now)
+}
 
 // Leased returns the currently leased host set.
 func (s *Store) Leased(now time.Time) map[platform.HostID]bool { return s.mem.Leased(now) }

@@ -17,6 +17,8 @@ type metrics struct {
 	walBytes      *obs.Counter
 	appendErrors  *obs.Counter
 	walSwallowed  *obs.Counter
+	walSyncs      *obs.Counter
+	walUnsynced   *obs.Gauge
 
 	snapshotSeconds *obs.Histogram
 	snapshotBytes   *obs.Gauge
@@ -38,10 +40,16 @@ func newMetrics() *metrics {
 		walRecords:    reg.Counter("rsgend_store_wal_records_total"),
 		walBytes:      reg.Counter("rsgend_store_wal_bytes_total"),
 		appendErrors:  reg.Counter("rsgend_store_wal_append_errors_total"),
-		// Append failures the mutation path deliberately survives (a release
-		// kept only in memory): zero on a healthy disk, and the signal that
-		// leases will resurrect after the next crash when it moves.
+		// Journal failures the store deliberately survives (a release whose
+		// append failed, or a sweep that could not fsync the releases before
+		// it): zero on a healthy disk, and the signal that leases will
+		// resurrect after the next crash when it moves.
 		walSwallowed: reg.Counter("rsgend_store_wal_swallowed_errors_total"),
+		// Fsyncs of the log, and the records written since the last one
+		// (releases, which ride the next sync): fsyncs per session and the
+		// exposure to a machine crash, read off the scrape.
+		walSyncs:    reg.Counter("rsgend_store_wal_syncs_total"),
+		walUnsynced: reg.Gauge("rsgend_store_wal_unsynced_records"),
 
 		snapshotSeconds: reg.Histogram("rsgend_store_snapshot_seconds", obs.DefBuckets),
 		snapshotBytes:   reg.Gauge("rsgend_store_snapshot_bytes"),

@@ -29,21 +29,21 @@ const maxRecordBytes = 256 << 20
 // record on is dropped.
 var errCorruptRecord = errors.New("durable: corrupt wal record")
 
-// appendRecord frames and writes one payload, returning the bytes written.
+// appendRecord frames one payload and writes the frame with a single Write,
+// so a log never holds a header whose payload was not part of the same
+// write; it returns the bytes written.
 func appendRecord(w io.Writer, payload []byte) (int, error) {
 	if len(payload) > maxRecordBytes {
 		return 0, errCorruptRecord
 	}
-	var hdr [recordHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	frame := make([]byte, recordHeaderBytes+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	copy(frame[recordHeaderBytes:], payload)
+	if _, err := w.Write(frame); err != nil {
 		return 0, err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return recordHeaderBytes + len(payload), nil
+	return len(frame), nil
 }
 
 // scanRecords reads framed records until EOF or the first torn or corrupt

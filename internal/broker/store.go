@@ -138,6 +138,12 @@ type MemStore struct {
 	expired    uint64 // total leases reclaimed by TTL expiry
 	generation uint64
 	inv        *InventoryRecord
+	// earliest is a lower bound on every held lease's deadline, meaningful
+	// while byID is non-empty: lowered whenever a lease enters the table,
+	// recomputed by each full sweep. Releases leave it alone (a stale low
+	// bound only costs one scan that finds nothing), so sweepLocked can
+	// return without touching the table until the clock reaches it.
+	earliest time.Time
 	// expiredPending holds TTL-reclaimed leases until TakeExpired drains
 	// them (bounded by maxExpiredPending, oldest dropped first).
 	expiredPending []*Lease
@@ -159,9 +165,10 @@ func NewMemStore() *MemStore {
 // sweepLocked reclaims every lease that expired at or before now. A zero
 // now skips the sweep (recovery-time accounting reads).
 func (s *MemStore) sweepLocked(now time.Time) {
-	if now.IsZero() {
+	if now.IsZero() || len(s.byID) == 0 || now.Before(s.earliest) {
 		return
 	}
+	var earliest time.Time
 	for id, l := range s.byID {
 		if !l.Expires.After(now) {
 			for _, h := range l.Hosts {
@@ -170,8 +177,11 @@ func (s *MemStore) sweepLocked(now time.Time) {
 			delete(s.byID, id)
 			s.expired++
 			s.expiredPending = append(s.expiredPending, l)
+		} else if earliest.IsZero() || l.Expires.Before(earliest) {
+			earliest = l.Expires
 		}
 	}
+	s.earliest = earliest
 	if drop := len(s.expiredPending) - maxExpiredPending; drop > 0 {
 		s.expiredPending = append([]*Lease(nil), s.expiredPending[drop:]...)
 	}
@@ -249,11 +259,20 @@ func (s *MemStore) Acquire(hosts []platform.Host, ttl time.Duration, now time.Ti
 	}
 	s.nextID++
 	l := newLease(fmt.Sprintf("lease-%08d", s.nextID), now.Add(ttl), now, meta, hosts)
-	for _, h := range hosts {
-		s.byHost[h.ID] = l.ID
+	s.holdLocked(l)
+	return l, nil
+}
+
+// holdLocked enters a lease into both maps and lowers the earliest-deadline
+// bound to cover it.
+func (s *MemStore) holdLocked(l *Lease) {
+	if len(s.byID) == 0 || l.Expires.Before(s.earliest) {
+		s.earliest = l.Expires
+	}
+	for _, h := range l.Hosts {
+		s.byHost[h] = l.ID
 	}
 	s.byID[l.ID] = l
-	return l, nil
 }
 
 // newLease assembles a lease from an acquisition's parts: the host IDs are
@@ -310,10 +329,7 @@ func (s *MemStore) Swap(oldID string, hosts []platform.Host, now time.Time, meta
 	}
 	s.nextID++
 	l := newLease(fmt.Sprintf("lease-%08d", s.nextID), old.Expires, now, meta, hosts)
-	for _, h := range hosts {
-		s.byHost[h.ID] = l.ID
-	}
-	s.byID[l.ID] = l
+	s.holdLocked(l)
 	return l, nil
 }
 
@@ -444,10 +460,7 @@ func (s *MemStore) restoreLeaseLocked(l *Lease) {
 			s.releaseLocked(other)
 		}
 	}
-	for _, h := range l.Hosts {
-		s.byHost[h] = l.ID
-	}
-	s.byID[l.ID] = l
+	s.holdLocked(l)
 }
 
 // RestoreRelease replays a release without sweeping; unknown IDs are

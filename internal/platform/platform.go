@@ -87,6 +87,10 @@ type Platform struct {
 	// published with atomic pointers, so a hit is two loads and no lock;
 	// racing misses compute identical rows and either may win.
 	interBW atomic.Pointer[[]atomic.Pointer[[]float64]]
+
+	// runs caches the run table (Runs), built on first use and published
+	// the same way: racing builders compute identical tables.
+	runs atomic.Pointer[RunTable]
 }
 
 // NumHosts returns the total host count.
@@ -96,7 +100,10 @@ func (p *Platform) NumHosts() int { return len(p.Hosts) }
 func (p *Platform) Host(id HostID) Host { return p.Hosts[id] }
 
 // Validate checks internal consistency: dense host IDs, cluster spans
-// covering all hosts, positive clock rates and bandwidths.
+// covering all hosts and agreeing with every host's Cluster field (host i
+// names cluster c exactly when i lies in c's [FirstHost, FirstHost+NumHosts)
+// span — the run table groups hosts by the field, bandwidth lookups and the
+// RC helpers go through the spans), positive clock rates and bandwidths.
 func (p *Platform) Validate() error {
 	for i, h := range p.Hosts {
 		if int(h.ID) != i {
@@ -121,6 +128,20 @@ func (p *Platform) Validate() error {
 	}
 	if covered != len(p.Hosts) {
 		return fmt.Errorf("platform: clusters cover %d hosts, have %d", covered, len(p.Hosts))
+	}
+	// Every span lies inside the host table and holds only its own
+	// cluster's hosts; with the spans summing to the host count that makes
+	// them a partition, so no host of the cluster lies outside its span.
+	for i, c := range p.Clusters {
+		first := int(c.FirstHost)
+		if first < 0 || first+c.NumHosts > len(p.Hosts) {
+			return fmt.Errorf("platform: cluster %d spans hosts [%d,%d) of %d", i, first, first+c.NumHosts, len(p.Hosts))
+		}
+		for _, h := range p.Hosts[first : first+c.NumHosts] {
+			if h.Cluster != i {
+				return fmt.Errorf("platform: host %d lies in cluster %d's span but names cluster %d", h.ID, i, h.Cluster)
+			}
+		}
 	}
 	return nil
 }
