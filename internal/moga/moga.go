@@ -198,10 +198,12 @@ type indiv struct {
 // bred so far, and all the scratch breeding, scoring and ranking need, so a
 // search allocates per distinct genome and per generation, not per operation.
 type engine struct {
-	cfg  Config
-	p    *platform.Platform
-	d    *dag.DAG
-	h    sched.Heuristic
+	cfg Config
+	p   *platform.Platform
+	// plan is the specification's heuristic compiled for the problem's DAG
+	// (nil without one): every scorer replays its one task order, which
+	// lives exactly as long as the search.
+	plan *sched.Plan
 	elig []platform.HostID // eligible hosts, ascending ID
 	k    int               // solution size
 	rng  *xrand.RNG
@@ -273,15 +275,9 @@ func newEngine(pr Problem, cfg Config) (*engine, error) {
 	if k > n {
 		k = n
 	}
-	h, err := sched.ByName(sp.Heuristic)
-	if err != nil {
-		h, _ = sched.ByName("MCP")
-	}
 	e := &engine{
 		cfg:   cfg,
 		p:     p,
-		d:     pr.Dag,
-		h:     h,
 		elig:  elig,
 		k:     k,
 		rng:   xrand.NewFrom(cfg.Seed, 0x6d6f6761), // "moga"
@@ -294,6 +290,13 @@ func newEngine(pr Problem, cfg Config) (*engine, error) {
 	for i, id := range elig {
 		e.usd[i] = p.HostHourlyUSD(id)
 		e.watts[i] = p.HostWatts(id)
+	}
+	if pr.Dag != nil {
+		h, err := sched.ByName(sp.Heuristic)
+		if err != nil {
+			h, _ = sched.ByName("MCP")
+		}
+		e.plan = sched.Compile(h, pr.Dag)
 	}
 	workers := min(cfg.Workers, cfg.PopSize)
 	e.scorers = make(chan *scorer, workers)
@@ -379,8 +382,8 @@ func (e *engine) score(sc *scorer, g []int32) Objectives {
 		power += e.watts[idx]
 	}
 	var turn, holdHours float64
-	if e.d != nil {
-		t, err := sched.TurnAround(e.h, e.d, sc.rc, 1)
+	if e.plan != nil {
+		t, err := e.plan.TurnAround(sc.rc, 1)
 		if err != nil {
 			// Unschedulable subsets (cannot happen for k ≥ 1, but stay
 			// total): worst on every axis so they are dominated away.

@@ -196,8 +196,10 @@ type PairBandwidthNetwork interface {
 	//	TransferTime(edgeCost, a, b) == edgeCost * ReferenceBandwidthMbps / bw[a*m+b]
 	//
 	// bit for bit. A pair whose transfers are free (both indices name the
-	// same host) holds +Inf, which a reader must take to mean a transfer
-	// time of exactly 0 rather than divide by.
+	// same host) holds +Inf, so that the same division yields exactly 0 for
+	// every finite edgeCost * ReferenceBandwidthMbps; a reader need only
+	// special-case a product that overflows to +Inf, whose quotient by +Inf
+	// is NaN where TransferTime returns 0.
 	PairBandwidths(bw []float64)
 }
 

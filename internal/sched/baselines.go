@@ -36,12 +36,12 @@ func (r Random) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule
 	return schedule(r, d, rc)
 }
 
-func (r Random) run(s *state) {
-	d, rc := s.d, s.rc
-	s.ops += float64(d.Size() + d.NumEdges())
+func (Random) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
+
+func (r Random) run(s *state, o *order) {
 	rng := xrand.NewFrom(r.Seed, 0x52414E44)
-	m := len(rc.Hosts)
-	s.runArrival(func(v dag.TaskID) (int, float64) {
+	m := len(s.rc.Hosts)
+	s.replay(o, func(v dag.TaskID) (int, float64) {
 		h := rng.Intn(m)
 		ready := s.readyTimes(v)
 		start := s.free[h]
@@ -65,12 +65,12 @@ func (RoundRobin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedu
 	return schedule(RoundRobin{}, d, rc)
 }
 
-func (RoundRobin) run(s *state) {
-	d, rc := s.d, s.rc
-	s.ops += float64(d.Size() + d.NumEdges())
-	m := len(rc.Hosts)
+func (RoundRobin) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
+
+func (RoundRobin) run(s *state, o *order) {
+	m := len(s.rc.Hosts)
 	next := 0
-	s.runArrival(func(v dag.TaskID) (int, float64) {
+	s.replay(o, func(v dag.TaskID) (int, float64) {
 		h := next
 		next = (next + 1) % m
 		ready := s.readyTimes(v)
@@ -97,7 +97,9 @@ func (MinMin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, 
 	return schedule(MinMin{}, d, rc)
 }
 
-func (MinMin) run(s *state) {
+func (MinMin) compile(*dag.DAG, *order, *orderScratch) {}
+
+func (MinMin) run(s *state, _ *order) {
 	d, rc := s.d, s.rc
 	s.ops += float64(d.Size() + d.NumEdges())
 	n := d.Size()

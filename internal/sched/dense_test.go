@@ -16,7 +16,8 @@ type clusterOnlyNet struct{ platform.ClusterNetwork }
 // dense path: on cluster-network collections, every heuristic must produce
 // bit-identical schedules and turn-arounds whether at() values come from the
 // pair-bandwidth table (scan forced at every size) or from TransferTime
-// (table hidden). The corpus DAGs are the golden corpus's; the collections
+// (table hidden). The corpus DAGs are the golden corpus's, plus one with an
+// overflowing edge cost; the collections
 // cover the moga sizes, the largest size below the real gate, a one-cluster
 // RC, a repeated host (a free pair off the diagonal) and an RC with more
 // hosts than the DAG has edges (table declined).
@@ -56,18 +57,14 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 		{"top40", p.FastestHosts(40), true},
 		{"one-cluster", p.Hosts[big.FirstHost : int(big.FirstHost)+min(big.NumHosts, 16)], true},
 		{"repeated-host", repeated, true},
+		{"twins", []platform.Host{repeated[2], repeated[2]}, true},
 	}
-	cases := goldenCases(t)
-	dags := map[string]*dag.DAG{}
-	for _, c := range cases {
-		dags[c.name[len(c.h.Name())+1:]] = c.d // one per (network, dag) cell; same two DAGs
-	}
-	seen := map[*dag.DAG]bool{}
-	for _, d := range dags {
-		if seen[d] {
-			continue
-		}
-		seen[d] = true
+	golden := goldenDAGs()
+	// One edge whose cost × ReferenceBandwidthMbps overflows: the table's
+	// +Inf free pairs would turn its transfer into NaN instead of 0. On the
+	// diagonal the parent host's own free time hides that; between twins
+	// (one host listed twice) it does not.
+	for _, d := range []*dag.DAG{golden[0].d, golden[1].d, overflowingEdge(golden[1].d)} {
 		for _, rr := range rcs {
 			table := platform.SubsetRC(p, rr.hosts)
 			hidden := &platform.ResourceCollection{

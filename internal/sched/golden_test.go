@@ -38,20 +38,26 @@ type goldenCase struct {
 	rc   *platform.ResourceCollection
 }
 
-func goldenCases(t *testing.T) []goldenCase {
-	t.Helper()
-	// Two DAG shapes: a wide low-communication sweep and a dense
-	// communication-heavy mesh.
+type namedDAG struct {
+	name string
+	d    *dag.DAG
+}
+
+// goldenDAGs are the corpus's two DAG shapes: a wide low-communication
+// sweep and a dense communication-heavy mesh.
+func goldenDAGs() []namedDAG {
 	wide := dag.MustGenerate(dag.GenSpec{
 		Size: 180, CCR: 0.1, Parallelism: 0.7, Density: 0.3, Regularity: 0.6, MeanCost: 40,
 	}, xrand.New(101))
 	dense := dag.MustGenerate(dag.GenSpec{
 		Size: 140, CCR: 1.0, Parallelism: 0.4, Density: 0.8, Regularity: 0.3, MeanCost: 25,
 	}, xrand.New(102))
-	dags := []struct {
-		name string
-		d    *dag.DAG
-	}{{"wide", wide}, {"dense", dense}}
+	return []namedDAG{{"wide", wide}, {"dense", dense}}
+}
+
+func goldenCases(t *testing.T) []goldenCase {
+	t.Helper()
+	dags := goldenDAGs()
 
 	// Homogeneous and heterogeneous hosts, each under the uniform network
 	// and under the pair-dependent goldenNet.

@@ -53,12 +53,11 @@ func (mc MCP) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, 
 	return schedule(mc, d, rc)
 }
 
-func (mc MCP) run(s *state) {
-	d := s.d
+func (mc MCP) compile(d *dag.DAG, o *order, sc *orderScratch) {
 	n := d.Size()
 	alap := d.ALAPs()
 	// Graph-metric cost: b-levels + ALAP are O(n + e).
-	s.ops += float64(n + d.NumEdges())
+	ops := float64(n + d.NumEdges())
 
 	// keys[v] = [alap(v), k smallest descendant ALAPs...], ascending,
 	// stored flat (stride floats per task, lenBuf[v] live entries).
@@ -66,10 +65,10 @@ func (mc MCP) run(s *state) {
 	// union come from a bounded insertion pass — no per-node sort.
 	prefix := mc.prefixLen()
 	stride := 1 + prefix
-	s.keyBuf = growF64(s.keyBuf, n*stride)
-	s.lenBuf = growI32(s.lenBuf, n)
-	keys := s.keyBuf
-	klen := s.lenBuf
+	sc.keyBuf = growF64(sc.keyBuf, n*stride)
+	sc.lenBuf = growI32(sc.lenBuf, n)
+	keys := sc.keyBuf
+	klen := sc.lenBuf
 	order := d.TopoOrder()
 	var bufArr [16]float64
 	buf := bufArr[:]
@@ -82,7 +81,7 @@ func (mc MCP) run(s *state) {
 		for _, a := range d.Succ(v) {
 			cb := int(a.Task) * stride
 			ck := keys[cb : cb+int(klen[a.Task])]
-			s.ops += float64(len(ck))
+			ops += float64(len(ck))
 			for _, x := range ck {
 				if prefix == 0 {
 					break
@@ -112,7 +111,7 @@ func (mc MCP) run(s *state) {
 		klen[v] = int32(1 + cnt)
 	}
 	// Lexicographic sort cost.
-	s.ops += float64(n) * math.Log2(float64(n)+1)
+	ops += float64(n) * math.Log2(float64(n)+1)
 
 	less := func(a, b dag.TaskID) bool {
 		ka := keys[int(a)*stride : int(a)*stride+int(klen[a])]
@@ -131,8 +130,10 @@ func (mc MCP) run(s *state) {
 	// Process in MCP priority order restricted to ready tasks: ALAP order
 	// is topological for positive task costs, so this visits tasks in the
 	// exact MCP order while remaining robust to zero-cost corner cases.
-	s.runOrdered(less, s.minFinishHost)
+	sc.ordered(d, o, ops, less)
 }
+
+func (MCP) run(s *state, o *order) { s.replay(o, s.minFinishHost) }
 
 // Greedy is the simple heuristic of Fig. IV-3: as soon as a task's
 // dependencies have cleared, schedule it on the host that would start its
@@ -148,11 +149,9 @@ func (Greedy) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, 
 	return schedule(Greedy{}, d, rc)
 }
 
-func (Greedy) run(s *state) {
-	d := s.d
-	s.ops += float64(d.Size() + d.NumEdges()) // ready-list bookkeeping
-	s.runArrival(s.minStartHost)
-}
+func (Greedy) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
+
+func (Greedy) run(s *state, o *order) { s.replay(o, s.minStartHost) }
 
 // FCFS is the cheapest heuristic (Fig. V-15): ready tasks in first-come
 // first-served order, each assigned to the earliest-available host,
@@ -167,16 +166,16 @@ func (FCFS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, er
 	return schedule(FCFS{}, d, rc)
 }
 
-func (FCFS) run(s *state) {
-	d, rc := s.d, s.rc
-	s.ops += float64(d.Size() + d.NumEdges())
-	m := len(rc.Hosts)
+func (FCFS) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
+
+func (FCFS) run(s *state, o *order) {
+	m := len(s.rc.Hosts)
 	h := &hostHeap{}
 	for i := 0; i < m; i++ {
 		h.push(hostSlot{host: i, free: 0})
 	}
 	logM := math.Log2(float64(m) + 1)
-	s.runArrival(func(v dag.TaskID) (int, float64) {
+	s.replay(o, func(v dag.TaskID) (int, float64) {
 		slot := h.pop()
 		ready := s.readyTimes(v)
 		start := slot.free
@@ -207,45 +206,45 @@ func (FCA) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, err
 	return schedule(FCA{}, d, rc)
 }
 
-func (FCA) run(s *state) {
-	d, rc := s.d, s.rc
+func (FCA) compile(d *dag.DAG, o *order, sc *orderScratch) {
 	bl := d.BLevels()
-	s.ops += float64(d.Size()+d.NumEdges()) + float64(d.Size())*math.Log2(float64(d.Size())+1)
-	m := len(rc.Hosts)
-	s.runOrdered(
-		func(a, b dag.TaskID) bool {
-			if bl[a] != bl[b] {
-				return bl[a] > bl[b]
-			}
-			return a < b
-		},
-		func(v dag.TaskID) (int, float64) {
-			ready := s.readyTimes(v)
-			// Earliest the task could possibly be data-ready anywhere:
-			// the idle test below is deliberately communication-blind, so
-			// it needs only free times and clocks — the class index
-			// answers it for any network model. Leaves are ordered
-			// fastest class first, lowest host index within a class, so
-			// the leftmost idle leaf is exactly the scan's pick.
-			r := ready.maxParentFin
-			ci := s.classIndex()
-			var h int
-			if p := ci.tree.leftmostLE(0, m, r); p >= 0 {
-				h = ci.hostAt(p)
-			} else {
-				// No host is idle at r: fall back to the earliest-free
-				// host, ties by lowest host index (identity order).
-				_, p := s.identityIndex().tree.argmin(0, m)
-				h = p
-			}
-			s.ops += float64(m)
-			start := s.free[h]
-			if rr := ready.at(h); rr > start {
-				start = rr
-			}
-			return h, start
-		},
-	)
+	pre := float64(d.Size()+d.NumEdges()) + float64(d.Size())*math.Log2(float64(d.Size())+1)
+	sc.ordered(d, o, pre, func(a, b dag.TaskID) bool {
+		if bl[a] != bl[b] {
+			return bl[a] > bl[b]
+		}
+		return a < b
+	})
+}
+
+func (FCA) run(s *state, o *order) {
+	m := len(s.rc.Hosts)
+	s.replay(o, func(v dag.TaskID) (int, float64) {
+		ready := s.readyTimes(v)
+		// Earliest the task could possibly be data-ready anywhere: the
+		// idle test below is deliberately communication-blind, so it
+		// needs only free times and clocks — the class index answers it
+		// for any network model. Leaves are ordered fastest class first,
+		// lowest host index within a class, so the leftmost idle leaf is
+		// exactly the scan's pick.
+		r := ready.maxParentFin
+		ci := s.classIndex()
+		var h int
+		if p := ci.tree.leftmostLE(0, m, r); p >= 0 {
+			h = ci.hostAt(p)
+		} else {
+			// No host is idle at r: fall back to the earliest-free host,
+			// ties by lowest host index (identity order).
+			_, p := s.identityIndex().tree.argmin(0, m)
+			h = p
+		}
+		s.ops += float64(m)
+		start := s.free[h]
+		if rr := ready.at(h); rr > start {
+			start = rr
+		}
+		return h, start
+	})
 }
 
 // DLS is Dynamic Level Scheduling (Sih & Lee; Fig. V-13): at each step,
@@ -276,7 +275,9 @@ func (DLS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, err
 	return schedule(DLS{}, d, rc)
 }
 
-func (DLS) run(s *state) {
+func (DLS) compile(*dag.DAG, *order, *orderScratch) {}
+
+func (DLS) run(s *state, _ *order) {
 	d, rc := s.d, s.rc
 	sl := d.BLevels()
 	s.ops += float64(d.Size() + d.NumEdges())
@@ -284,7 +285,7 @@ func (DLS) run(s *state) {
 	n := d.Size()
 	m := len(rc.Hosts)
 	hosts := rc.Hosts
-	s.initReady()
+	s.initReady(d)
 	ready := s.ready
 	// Each ready task's readyFn is built once (parents are final once
 	// ready); its best (host, DL) is recomputed only after invalidation.

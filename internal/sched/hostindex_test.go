@@ -27,6 +27,10 @@ func TestIndexedHostSelectionMatchesScan(t *testing.T) {
 			Size: 120, CCR: 1.5, Parallelism: 0.3, Density: 0.8, Regularity: 0.2, MeanCost: 50,
 		}, xrand.New(82)),
 	}
+	// +Inf data-ready times: where no host can start a task before +Inf the
+	// scan picks host 0, and a +Inf class threshold must not make the
+	// indexed search mask leaves without end.
+	dags = append(dags, overflowingEdge(dags[0]))
 	p, err := platform.Generate(platform.GenSpec{Clusters: 20, Year: 2005}, xrand.New(85))
 	if err != nil {
 		t.Fatal(err)

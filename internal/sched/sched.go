@@ -101,28 +101,46 @@ type Heuristic interface {
 	Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error)
 }
 
-// runner is the body of a heuristic in this package: it places every task of
-// a prepared state. Schedule and TurnAround differ only in what they read
-// out of the state afterwards.
+// runner is the body of a heuristic in this package, in two halves (see
+// plan.go): compile derives the placement order from the DAG alone, and run
+// places every task of a prepared state by replaying it. DLS and MinMin pick
+// each next task by the collection's free times, so their compile leaves o
+// alone and their run ignores it.
 type runner interface {
-	run(s *state)
+	compile(d *dag.DAG, o *order, sc *orderScratch)
+	run(s *state, o *order)
 }
 
-func schedule(r runner, d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
+// runOnce prepares a state and places every task, compiling r's order into
+// the state's pooled scratch. Schedule and TurnAround differ only in what
+// they read out of the state afterwards.
+func runOnce(r runner, d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
 	s, err := newState(d, rc)
 	if err != nil {
 		return nil, err
 	}
-	r.run(s)
+	r.compile(d, &s.ord, &s.orderScratch)
+	r.run(s, &s.ord)
+	return s, nil
+}
+
+func schedule(r runner, d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
+	s, err := runOnce(r, d, rc)
+	if err != nil {
+		return nil, err
+	}
 	return s.finish(), nil
 }
 
 // TurnAround returns exactly h.Schedule(d, rc).TurnAround(scr) — the
 // §III.2.3 objective — without materializing the Schedule: for this
-// package's heuristics the call allocates nothing in steady state. It is the
-// one turn-around predictor of the serving path: the moga objective and the
-// broker's bind-time promise both call it, so the accuracy series scores the
-// estimate selection optimized.
+// package's heuristics the Host/Start/Finish slices stay with the pooled
+// state, so an MCP call allocates only the closure its ready order compiles
+// with, and Greedy, Random and RoundRobin calls allocate nothing. It is the
+// one turn-around predictor of the serving path: the broker's bind-time
+// promise calls it, and the moga objective calls it through a Plan compiled
+// once per search, so the accuracy series scores the estimate selection
+// optimized.
 func TurnAround(h Heuristic, d *dag.DAG, rc *platform.ResourceCollection, scr float64) (float64, error) {
 	r, ok := h.(runner)
 	if !ok {
@@ -132,11 +150,10 @@ func TurnAround(h Heuristic, d *dag.DAG, rc *platform.ResourceCollection, scr fl
 		}
 		return s.TurnAround(scr), nil
 	}
-	s, err := newState(d, rc)
+	s, err := runOnce(r, d, rc)
 	if err != nil {
 		return 0, err
 	}
-	r.run(s)
 	return s.turnAround(scr), nil
 }
 
@@ -178,7 +195,7 @@ func execTime(cost float64, h platform.Host) float64 {
 // are pooled: everything except the returned Host/Start/Finish slices is
 // scratch reused across Schedule calls, so the steady-state inner loop
 // allocates nothing. TurnAround does not hand those three slices out, so
-// they stay with the state and the whole call allocates nothing.
+// they stay with the state.
 type state struct {
 	d     *dag.DAG
 	rc    *platform.ResourceCollection
@@ -228,21 +245,20 @@ type state struct {
 
 	// sp holds the distinct parent-holding hosts of the task currently in
 	// the shared-scratch readyFn: the only hosts whose data-ready time can
-	// differ from best1 under a uniform network.
+	// differ from best1 under a uniform network, or from their group's under
+	// a cluster network. Only the indexed host searches read it, so on a
+	// cluster network it is filled only at or above indexMinHosts.
 	sp []int32
-
-	// Pooled ready-loop scratch.
-	unmet []int32
-	ready []dag.TaskID
-	heap  taskHeap
 
 	// Lazily built host-selection indexes (see hostindex.go).
 	idIdx    hostIndex
 	classIdx hostIndex
 
-	// MCP key scratch (flat lexicographic keys).
-	keyBuf []float64
-	lenBuf []int32
+	// The one-shot paths (Schedule, TurnAround) compile the heuristic's
+	// order into ord with the embedded compiler scratch, which DLS's ready
+	// loop also uses; a Plan brings its own order.
+	ord order
+	orderScratch
 }
 
 // stateGets counts state acquisitions (one per Schedule call) and stateNews
@@ -428,7 +444,6 @@ func (s *state) release() {
 	s.rc = nil
 	s.cnet = nil
 	s.pnet = nil
-	s.heap.less = nil
 	statePool.Put(s)
 }
 
@@ -509,8 +524,9 @@ type readyFn struct {
 
 // readyTimes builds the shared-scratch readyFn. The result is invalidated
 // by the next readyTimes call on the same state. As a side effect it leaves
-// the distinct parent-holding hosts in s.sp for the fast host-selection
-// paths.
+// the distinct parent-holding hosts in s.sp for the indexed host-selection
+// paths: always under a uniform network, and under a cluster network only
+// at or above indexMinHosts, the only sizes where those paths run.
 func (s *state) readyTimes(v dag.TaskID) readyFn {
 	return s.buildReady(v, false)
 }
@@ -531,13 +547,13 @@ func (s *state) buildReady(v dag.TaskID, owned bool) readyFn {
 		}
 	}
 	if !r.fast {
-		if owned || s.cnet == nil {
+		if owned || s.cnet == nil || len(s.rc.Hosts) < indexMinHosts {
 			return r
 		}
 		// Cluster network: at() stays the exact per-parent path, but the
 		// grouped host selection needs the parent-holding hosts stamped
 		// (they are the only hosts whose data-ready time differs from
-		// their group's).
+		// their group's). Below the gate the hosts are scanned instead.
 		s.stamp++
 		r.stamp = s.stamp
 		s.sp = s.sp[:0]
@@ -658,7 +674,10 @@ func (r *readyFn) at(h int) float64 {
 // from the dense table, one parent (one contiguous table row) at a time.
 // Each term is Platform.TransferTime's own expression with the bandwidth
 // read from the table, and a maximum does not depend on the order its terms
-// are visited in, so every value is bit-identical to at(h).
+// are visited in, so every value is bit-identical to at(h). A free pair's
+// +Inf needs no branch: c/+Inf is exactly 0 for every finite c. Only an
+// edge whose c overflows to +Inf, where the quotient would be NaN, takes
+// the branching row.
 func (r *readyFn) atAll() []float64 {
 	s := r.s
 	m := len(s.rc.Hosts)
@@ -687,12 +706,21 @@ func (r *readyFn) atAll() []float64 {
 		}
 		c := p.Cost * platform.ReferenceBandwidthMbps
 		ph := host[p.Task]
-		for h, b := range s.pairBW[ph*m : (ph+1)*m] {
-			t := f
-			if !math.IsInf(b, 1) { // +Inf marks a free pair
-				t += c / b
+		row := s.pairBW[ph*m : (ph+1)*m]
+		if math.IsInf(c, 1) {
+			for h, b := range row {
+				t := f
+				if !math.IsInf(b, 1) { // +Inf marks a free pair
+					t += c / b
+				}
+				if t > rd[h] {
+					rd[h] = t
+				}
 			}
-			if t > rd[h] {
+			continue
+		}
+		for h, b := range row {
+			if t := f + c/b; t > rd[h] {
 				rd[h] = t
 			}
 		}
@@ -738,126 +766,6 @@ func (s *state) place(v dag.TaskID, h int, start float64) {
 			s.grpIdx.update(h, f)
 		}
 	}
-}
-
-// initReady fills s.unmet with in-degrees and s.ready with the entry tasks
-// in ID order.
-func (s *state) initReady() {
-	d := s.d
-	n := d.Size()
-	s.unmet = growI32(s.unmet, n)
-	s.ready = s.ready[:0]
-	for v := 0; v < n; v++ {
-		u := int32(d.NumPred(dag.TaskID(v)))
-		s.unmet[v] = u
-		if u == 0 {
-			s.ready = append(s.ready, dag.TaskID(v))
-		}
-	}
-}
-
-// runArrival runs the ready-list loop in the historical "arrival" order:
-// take slot 0, move the last ready task into it. Used by every heuristic
-// without an explicit ready-task priority (Greedy, FCFS, Random,
-// RoundRobin); the exact order is pinned by the golden corpus.
-func (s *state) runArrival(assign func(v dag.TaskID) (host int, start float64)) {
-	d := s.d
-	s.initReady()
-	ready := s.ready
-	for len(ready) > 0 {
-		v := ready[0]
-		ready[0] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		h, start := assign(v)
-		s.place(v, h, start)
-		for _, a := range d.Succ(v) {
-			s.unmet[a.Task]--
-			if s.unmet[a.Task] == 0 {
-				ready = append(ready, a.Task)
-			}
-		}
-	}
-	s.ready = ready[:0]
-}
-
-// runOrdered runs the ready-list loop popping tasks in the strict total
-// order given by less, via a binary heap: O(log width) per pick instead of
-// the O(width) scan, selecting exactly the same task every step. Each pick
-// charges len(ready) ops — the modeled cost of the classic linear scan.
-func (s *state) runOrdered(
-	less func(a, b dag.TaskID) bool,
-	assign func(v dag.TaskID) (host int, start float64),
-) {
-	d := s.d
-	s.initReady()
-	h := &s.heap
-	h.reset(less)
-	for _, v := range s.ready {
-		h.push(v)
-	}
-	for h.len() > 0 {
-		s.ops += float64(h.len())
-		v := h.pop()
-		hh, start := assign(v)
-		s.place(v, hh, start)
-		for _, a := range d.Succ(v) {
-			s.unmet[a.Task]--
-			if s.unmet[a.Task] == 0 {
-				h.push(a.Task)
-			}
-		}
-	}
-}
-
-// taskHeap is a binary min-heap of task IDs under a strict total order,
-// implemented directly (no interface boxing, no per-push allocation).
-type taskHeap struct {
-	items []dag.TaskID
-	less  func(a, b dag.TaskID) bool
-}
-
-func (h *taskHeap) reset(less func(a, b dag.TaskID) bool) {
-	h.items = h.items[:0]
-	h.less = less
-}
-
-func (h *taskHeap) len() int { return len(h.items) }
-
-func (h *taskHeap) push(v dag.TaskID) {
-	h.items = append(h.items, v)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *taskHeap) pop() dag.TaskID {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= last {
-			break
-		}
-		c := l
-		if r < last && h.less(h.items[r], h.items[l]) {
-			c = r
-		}
-		if !h.less(h.items[c], h.items[i]) {
-			break
-		}
-		h.items[i], h.items[c] = h.items[c], h.items[i]
-		i = c
-	}
-	return top
 }
 
 // minFinishHost evaluates the hosts for task v and returns the one with the
@@ -909,14 +817,14 @@ var indexMinHosts = 128
 
 // minFinishFast is the uniform-network bucketed host search. Every host
 // holding no parent data has data-ready time best1, so within one speed
-// class the scan's lexicographic (finish, start, index) minimum is either
-// the lowest-index host already free at best1 or, failing that, the
-// earliest-free host — one segment-tree query each. Parent-holding hosts
-// are masked out and evaluated exactly.
+// class the scan's lexicographic (finish, start, index) minimum is the
+// class's earliestStart candidate. Parent-holding hosts are evaluated
+// exactly. The search starts from the scan's initial (0, +Inf), so a task
+// that can start nowhere before +Inf gets the scan's answer too.
 func (s *state) minFinishFast(ready *readyFn, cost float64) (int, float64) {
 	ci := s.classIndex()
 	hosts := s.rc.Hosts
-	bestH, bestStart, bestFin := -1, math.Inf(1), math.Inf(1)
+	bestH, bestStart, bestFin := 0, math.Inf(1), math.Inf(1)
 	consider := func(h int, st float64) {
 		fin := st + execTime(cost, hosts[h])
 		if fin < bestFin ||
@@ -924,52 +832,13 @@ func (s *state) minFinishFast(ready *readyFn, cost float64) (int, float64) {
 			bestH, bestStart, bestFin = h, st, fin
 		}
 	}
-	for _, ph := range s.sp {
-		h := int(ph)
-		st := s.free[h]
-		if r := ready.at(h); r > st {
-			st = r
-		}
-		consider(h, st)
-	}
-	// Parent-holding hosts were evaluated exactly above; within a class
-	// every other host starts at max(free, best1). Instead of eagerly
-	// masking every parent host (O(parents·log m) tree updates), query
-	// first and mask only on conflict: the leftmost winner is rarely a
-	// parent host when m is large.
-	thr := ready.best1
-	stamp := ready.stamp
+	s.considerParentHosts(ready, consider)
 	lo := 0
 	for _, end := range ci.classEnd {
-		hi := int(end)
-		for {
-			if p := ci.tree.leftmostLE(lo, hi, thr); p >= 0 {
-				// Free no later than the class-wide data-ready time: the
-				// class minimum start is exactly thr, achieved first by
-				// the lowest host index (leaves ascend by index within a
-				// class).
-				h := ci.hostAt(p)
-				if s.scratchStamp[h] == stamp {
-					ci.mask(h)
-					continue
-				}
-				consider(h, thr)
-				break
-			}
-			// Every host in the class waits for its own free time.
-			val, p := ci.tree.argmin(lo, hi)
-			if p < 0 || math.IsInf(val, 1) {
-				break
-			}
-			h := ci.hostAt(p)
-			if s.scratchStamp[h] == stamp {
-				ci.mask(h)
-				continue
-			}
-			consider(h, val)
-			break
+		if h, st, ok := s.earliestStart(ci, lo, int(end), ready.best1, ready.stamp); ok {
+			consider(h, st)
 		}
-		lo = hi
+		lo = int(end)
 	}
 	ci.unmaskAll()
 	return bestH, bestStart
@@ -982,7 +851,7 @@ func (s *state) minFinishFast(ready *readyFn, cost float64) (int, float64) {
 func (s *state) minFinishGrouped(ready *readyFn, v dag.TaskID, cost float64) (int, float64) {
 	gi := &s.grpIdx
 	hosts := s.rc.Hosts
-	bestH, bestStart, bestFin := -1, math.Inf(1), math.Inf(1)
+	bestH, bestStart, bestFin := 0, math.Inf(1), math.Inf(1)
 	consider := func(h int, st float64) {
 		fin := st + execTime(cost, hosts[h])
 		if fin < bestFin ||
@@ -990,43 +859,14 @@ func (s *state) minFinishGrouped(ready *readyFn, v dag.TaskID, cost float64) (in
 			bestH, bestStart, bestFin = h, st, fin
 		}
 	}
-	for _, ph := range s.sp {
-		h := int(ph)
-		st := s.free[h]
-		if r := ready.at(h); r > st {
-			st = r
-		}
-		consider(h, st)
-	}
+	s.considerParentHosts(ready, consider)
 	rd := s.groupReadyTimes(v)
-	stamp := ready.stamp
 	lo := 0
 	for g, end := range gi.classEnd {
-		hi := int(end)
-		thr := rd[g]
-		for {
-			if p := gi.tree.leftmostLE(lo, hi, thr); p >= 0 {
-				h := gi.hostAt(p)
-				if s.scratchStamp[h] == stamp {
-					gi.mask(h)
-					continue
-				}
-				consider(h, thr)
-				break
-			}
-			val, p := gi.tree.argmin(lo, hi)
-			if p < 0 || math.IsInf(val, 1) {
-				break
-			}
-			h := gi.hostAt(p)
-			if s.scratchStamp[h] == stamp {
-				gi.mask(h)
-				continue
-			}
-			consider(h, val)
-			break
+		if h, st, ok := s.earliestStart(gi, lo, int(end), rd[g], ready.stamp); ok {
+			consider(h, st)
 		}
-		lo = hi
+		lo = int(end)
 	}
 	gi.unmaskAll()
 	return bestH, bestStart
@@ -1035,12 +875,28 @@ func (s *state) minFinishGrouped(ready *readyFn, v dag.TaskID, cost float64) (in
 // minStartGrouped is minFinishGrouped for the Greedy (minimum start) rule.
 func (s *state) minStartGrouped(ready *readyFn, v dag.TaskID) (int, float64) {
 	gi := &s.grpIdx
-	bestH, bestStart := -1, math.Inf(1)
+	bestH, bestStart := 0, math.Inf(1)
 	consider := func(h int, st float64) {
 		if st < bestStart || (st == bestStart && h < bestH) {
 			bestH, bestStart = h, st
 		}
 	}
+	s.considerParentHosts(ready, consider)
+	rd := s.groupReadyTimes(v)
+	lo := 0
+	for g, end := range gi.classEnd {
+		if h, st, ok := s.earliestStart(gi, lo, int(end), rd[g], ready.stamp); ok {
+			consider(h, st)
+		}
+		lo = int(end)
+	}
+	gi.unmaskAll()
+	return bestH, bestStart
+}
+
+// considerParentHosts hands every parent-holding host of ready's task, with
+// its exact start time, to consider.
+func (s *state) considerParentHosts(ready *readyFn, consider func(h int, st float64)) {
 	for _, ph := range s.sp {
 		h := int(ph)
 		st := s.free[h]
@@ -1049,38 +905,47 @@ func (s *state) minStartGrouped(ready *readyFn, v dag.TaskID) (int, float64) {
 		}
 		consider(h, st)
 	}
-	rd := s.groupReadyTimes(v)
-	stamp := ready.stamp
-	lo := 0
-	for g, end := range gi.classEnd {
-		hi := int(end)
-		thr := rd[g]
-		for {
-			if p := gi.tree.leftmostLE(lo, hi, thr); p >= 0 {
-				h := gi.hostAt(p)
-				if s.scratchStamp[h] == stamp {
-					gi.mask(h)
-					continue
-				}
-				consider(h, thr)
-				break
-			}
-			val, p := gi.tree.argmin(lo, hi)
-			if p < 0 || math.IsInf(val, 1) {
-				break
-			}
-			h := gi.hostAt(p)
+}
+
+// earliestStart returns the host among leaves [lo, hi) of x on which a task
+// whose data reaches every host without a parent at thr starts earliest,
+// under the scan's tie-break: the lowest-index host already free at thr,
+// failing that the earliest-free host — one segment-tree query each.
+// Parent-holding hosts (stamped with stamp) are evaluated exactly by the
+// caller, so they are skipped. Instead of eagerly masking every parent host
+// (O(parents·log m) tree updates), it queries first and masks only on
+// conflict: the leftmost winner is rarely a parent host when m is large.
+// The caller unmasks. ok is false when every host in range is masked, and
+// when thr is +Inf: a host starting then cannot beat the scan's initial
+// (0, +Inf), and a masked leaf's +Inf would satisfy the query forever.
+func (s *state) earliestStart(x *hostIndex, lo, hi int, thr float64, stamp int64) (h int, start float64, ok bool) {
+	if math.IsInf(thr, 1) {
+		return 0, 0, false
+	}
+	for {
+		if p := x.tree.leftmostLE(lo, hi, thr); p >= 0 {
+			// Free no later than thr: the minimum start is exactly thr,
+			// achieved first by the lowest host index (leaves ascend by
+			// index within a class).
+			h := x.hostAt(p)
 			if s.scratchStamp[h] == stamp {
-				gi.mask(h)
+				x.mask(h)
 				continue
 			}
-			consider(h, val)
-			break
+			return h, thr, true
 		}
-		lo = hi
+		// Every host in range waits for its own free time.
+		val, p := x.tree.argmin(lo, hi)
+		if p < 0 || math.IsInf(val, 1) {
+			return 0, 0, false
+		}
+		h := x.hostAt(p)
+		if s.scratchStamp[h] == stamp {
+			x.mask(h)
+			continue
+		}
+		return h, val, true
 	}
-	gi.unmaskAll()
-	return bestH, bestStart
 }
 
 // minStartHost is minFinishHost but minimizes start time, ignoring host
@@ -1092,45 +957,15 @@ func (s *state) minStartHost(v dag.TaskID) (int, float64) {
 	var bestStart float64
 	if s.uniform && len(s.rc.Hosts) >= indexMinHosts {
 		ii := s.identityIndex()
-		bestH, bestStart = -1, math.Inf(1)
+		bestH, bestStart = 0, math.Inf(1)
 		consider := func(h int, st float64) {
 			if st < bestStart || (st == bestStart && h < bestH) {
 				bestH, bestStart = h, st
 			}
 		}
-		for _, ph := range s.sp {
-			h := int(ph)
-			st := s.free[h]
-			if r := ready.at(h); r > st {
-				st = r
-			}
+		s.considerParentHosts(&ready, consider)
+		if h, st, ok := s.earliestStart(ii, 0, len(s.rc.Hosts), ready.best1, ready.stamp); ok {
 			consider(h, st)
-		}
-		// Same conflict-driven masking as minFinishFast: parent-holding
-		// hosts were handled exactly above, so they are skipped (masked)
-		// only if the tree actually nominates one.
-		thr := ready.best1
-		stamp := ready.stamp
-		m := len(s.rc.Hosts)
-		for {
-			if p := ii.tree.leftmostLE(0, m, thr); p >= 0 {
-				if s.scratchStamp[p] == stamp {
-					ii.mask(p)
-					continue
-				}
-				consider(p, thr)
-				break
-			}
-			val, p := ii.tree.argmin(0, m)
-			if p < 0 || math.IsInf(val, 1) {
-				break
-			}
-			if s.scratchStamp[p] == stamp {
-				ii.mask(p)
-				continue
-			}
-			consider(p, val)
-			break
 		}
 		ii.unmaskAll()
 	} else if s.cnet != nil && len(s.rc.Hosts) >= indexMinHosts && s.groupsOK() {
