@@ -12,21 +12,25 @@
 //	snapshot.db  one framed record holding the full state at the last
 //	             compaction, written atomically (tmp + rename)
 //
-// Every mutation is applied to the in-memory state first and then appended
-// to the WAL. A record that grants hosts (inventory, acquire, swap) is
-// fsynced before the mutation is acknowledged, and an append that cannot be
-// made durable rolls the mutation back. A release is appended without an
-// fsync of its own: it rides the next grant's fsync (a later record in the
-// same file), the next Sweep, or Close. Losing one — to a failed append or
-// to a machine crash inside that window — merely resurrects the lease until
-// its TTL passes, and can never double-bind a host: recovery replays a
-// prefix of the log, so an acknowledged grant implies every release written
-// before it is on disk too. After CompactEvery appends the store folds the
-// WAL into a fresh snapshot and truncates the log; Close flushes a final
-// snapshot so a graceful drain restarts with an empty WAL.
+// Every mutation runs validate → journal → apply → compact-if-due under one
+// committer lock, so a snapshot never holds a record the log lacks, every
+// record in the log has been applied, and nothing is ever undone. A record
+// that grants hosts (inventory, acquire, swap) is fsynced before it is
+// applied and acknowledged (its hosts masked from selection meanwhile); a
+// failed append is cut back off the log and never applied. A release is
+// appended without an fsync of its own: it rides the next grant's fsync (a
+// later record in the same file), the next Sweep, or Close. Losing one — to
+// a failed append or to a machine crash inside that window — merely
+// resurrects the lease until its TTL passes, and can never double-bind a
+// host: recovery replays a prefix of the log, so an acknowledged grant
+// implies every release written before it is on disk too. After
+// CompactEvery appends the store folds the WAL into a fresh snapshot and
+// truncates the log; Close flushes a final snapshot so a graceful drain
+// restarts with an empty WAL.
 //
-// Recovery (Open) is: load the snapshot if present, replay the WAL over
-// it, truncate any torn or corrupt tail, then expire every lease whose TTL
+// Recovery (Open) is: load the snapshot if present, replay the WAL over it
+// through the same apply the live path uses (recorded IDs and timestamps),
+// truncate any torn or corrupt tail, then expire every lease whose TTL
 // passed while the process was down (wall-clock comparison — the lease
 // deadlines are absolute timestamps).
 package durable
@@ -36,11 +40,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,34 +62,20 @@ const (
 	snapshotVersion = 1
 )
 
-// WAL record operations.
-const (
-	opInventory = "inventory"
-	opAcquire   = "acquire"
-	opRelease   = "release"
-	opSwap      = "swap"
-)
-
-// walRecord is the JSON payload of one WAL record.
-type walRecord struct {
-	Op string `json:"op"`
-	// Generation and Inventory accompany opInventory.
-	Generation uint64                  `json:"generation,omitempty"`
-	Inventory  *broker.InventoryRecord `json:"inventory,omitempty"`
-	// Lease accompanies opAcquire; for opSwap it is the replacement lease.
-	Lease *broker.Lease `json:"lease,omitempty"`
-	// LeaseID accompanies opRelease; for opSwap it is the replaced lease.
-	LeaseID string `json:"lease_id,omitempty"`
+// walFile is the log as the store writes it: an *os.File, or in tests one
+// that fails on cue.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
 }
 
 // snapshotFile is the JSON payload of the single snapshot record.
 type snapshotFile struct {
-	Version      int                     `json:"version"`
-	Generation   uint64                  `json:"generation"`
-	NextID       uint64                  `json:"next_id"`
-	ExpiredTotal uint64                  `json:"expired_total"`
-	Inventory    *broker.InventoryRecord `json:"inventory,omitempty"`
-	Leases       []*broker.Lease         `json:"leases,omitempty"`
+	Version int `json:"version"`
+	broker.SnapshotState
 }
 
 // Options parameterize a durable store; the zero value is production-safe.
@@ -120,8 +109,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Store is the durable broker.Store. All mutations go through the embedded
-// in-memory state machine first and are then journaled; see the package
+// Store is the durable broker.Store: the in-memory state machine with the
+// journal between each mutation's prepare and its apply; see the package
 // comment for the write and recovery protocols.
 type Store struct {
 	mem  *broker.MemStore
@@ -129,15 +118,17 @@ type Store struct {
 	opts Options
 	met  *metrics
 
-	// mu serializes WAL appends, compaction, and Close, so a compaction
-	// can never lose a record appended concurrently: an append is entirely
-	// before the compaction (then its effect is inside the state snapshot,
-	// because state is mutated before the record is appended) or entirely
-	// after the truncation (then it survives in the fresh WAL).
+	// mu is the committer lock. Every mutation holds it from prepare to
+	// apply, and compaction and Close hold it too, so a compaction never
+	// sees a prepared record that is not applied yet: each record is inside
+	// the snapshot or survives in the fresh WAL.
 	mu         sync.Mutex
-	wal        *os.File
+	wal        walFile
 	walRecords int
 	closed     bool
+	// wedged fails every append after one that could not be cut back off
+	// the log, until a compaction truncates it.
+	wedged error
 	// walSize is the log's length; syncedSize is its length at the last
 	// fsync, so the bytes in between — unsynced records, all of them
 	// releases — are what a machine crash can take. Under NoSync nothing
@@ -160,61 +151,52 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	s := &Store{
-		mem:  broker.NewMemStore(),
-		dir:  dir,
-		opts: opts.withDefaults(),
-		met:  newMetrics(),
-	}
+	s := &Store{dir: dir, opts: opts.withDefaults(), met: newMetrics()}
 	s.recovery.Durable = true
-	if err := s.loadSnapshot(); err != nil {
+	snap, err := s.loadSnapshot()
+	if err != nil {
 		return nil, err
 	}
+	s.mem = broker.LoadMemStore(snap, s.journal)
 	if err := s.replayWAL(); err != nil {
 		return nil, err
 	}
 	// Expire whatever leases' TTLs ran out while the process was down.
-	live := s.mem.Stats(time.Time{})
-	s.recovery.LeasesRecovered = live.ActiveLeases
+	live := s.mem.Snapshot(time.Time{})
+	s.recovery.LeasesRecovered = len(live.Leases)
 	after := s.mem.Stats(s.opts.Now())
-	s.recovery.LeasesExpired = live.ActiveLeases - after.ActiveLeases
-	s.recInv = s.mem.InventoryRecord()
+	s.recovery.LeasesExpired = len(live.Leases) - after.ActiveLeases
+	s.recInv = live.Inventory
 	s.recovery.InventoryRecovered = s.recInv != nil
 	s.met.setRecovery(s.recovery)
 	return s, nil
 }
 
-// loadSnapshot restores the last compaction snapshot, if any.
-func (s *Store) loadSnapshot() error {
+// loadSnapshot reads the last compaction snapshot; the zero state when
+// there is none.
+func (s *Store) loadSnapshot() (*broker.SnapshotState, error) {
+	var snap snapshotFile
 	data, err := os.ReadFile(filepath.Join(s.dir, snapName))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return &snap.SnapshotState, nil
 	}
 	if err != nil {
-		return fmt.Errorf("durable: %w", err)
+		return nil, fmt.Errorf("durable: %w", err)
 	}
 	payloads, _, scanErr := scanRecords(bytes.NewReader(data))
 	if len(payloads) == 0 {
 		// A snapshot is written atomically (tmp + rename), so a torn one
 		// means tampering or disk corruption, not a crash; refuse to guess.
-		return fmt.Errorf("durable: snapshot %s unreadable: %v", snapName, scanErr)
+		return nil, fmt.Errorf("durable: snapshot %s unreadable: %v", snapName, scanErr)
 	}
-	var snap snapshotFile
 	if err := json.Unmarshal(payloads[0], &snap); err != nil {
-		return fmt.Errorf("durable: snapshot %s: %w", snapName, err)
+		return nil, fmt.Errorf("durable: snapshot %s: %w", snapName, err)
 	}
 	if snap.Version > snapshotVersion {
-		return fmt.Errorf("durable: snapshot version %d newer than supported %d", snap.Version, snapshotVersion)
+		return nil, fmt.Errorf("durable: snapshot version %d newer than supported %d", snap.Version, snapshotVersion)
 	}
-	s.mem.RestoreSnapshot(&broker.SnapshotState{
-		Generation:   snap.Generation,
-		NextID:       snap.NextID,
-		ExpiredTotal: snap.ExpiredTotal,
-		Inventory:    snap.Inventory,
-		Leases:       snap.Leases,
-	})
 	s.recovery.SnapshotLoaded = true
-	return nil
+	return &snap.SnapshotState, nil
 }
 
 // replayWAL applies every intact record and truncates the torn tail.
@@ -226,14 +208,14 @@ func (s *Store) replayWAL() error {
 	payloads, good, scanErr := scanRecords(f)
 	replayed := 0
 	for _, p := range payloads {
-		var rec walRecord
+		var rec broker.Record
 		if err := json.Unmarshal(p, &rec); err != nil {
 			// The frame's CRC passed but the payload is not one of ours:
 			// treat it like a corrupt tail and stop replaying here.
 			scanErr = errCorruptRecord
 			break
 		}
-		s.apply(&rec)
+		s.mem.Apply(&rec)
 		replayed++
 	}
 	if replayed < len(payloads) {
@@ -275,82 +257,77 @@ func (s *Store) replayWAL() error {
 	return nil
 }
 
-// apply replays one WAL record into the in-memory state.
-func (s *Store) apply(rec *walRecord) {
-	switch rec.Op {
-	case opInventory:
-		s.mem.RestoreInventory(rec.Inventory, rec.Generation)
-	case opAcquire:
-		if rec.Lease == nil {
-			return
-		}
-		s.mem.RestoreLease(rec.Lease)
-		s.mem.BumpNextID(leaseSeq(rec.Lease.ID))
-	case opRelease:
-		s.mem.RestoreRelease(rec.LeaseID)
-	case opSwap:
-		if rec.Lease == nil {
-			return
-		}
-		s.mem.RestoreRelease(rec.LeaseID)
-		s.mem.RestoreLease(rec.Lease)
-		s.mem.BumpNextID(leaseSeq(rec.Lease.ID))
+// journal runs between each mutation's prepare and its apply, under s.mu
+// (broker.LoadMemStore). A release's failed append is swallowed —
+// counted in its own series, warned with the lease ID — so it still
+// applies (see Release); append already counted the raw error.
+func (s *Store) journal(rec *broker.Record) error {
+	err := s.append(rec)
+	if err != nil && rec.Op == broker.OpRelease {
+		s.met.walSwallowed.Inc()
+		s.opts.Logger.Warn("wal append failed on release; the lease will resurrect after a crash until its TTL passes",
+			"lease_id", rec.LeaseID, "error", err)
+		return nil
 	}
-	// Unknown ops are skipped: an older binary replaying a newer log keeps
-	// the records it understands.
+	return err
 }
 
-// leaseSeq extracts the allocation counter from a "lease-%08d" ID; 0 when
-// the ID has another shape (the allocator then just never reuses it).
-func leaseSeq(id string) uint64 {
-	n, err := strconv.ParseUint(strings.TrimPrefix(id, "lease-"), 10, 64)
-	if err != nil {
-		return 0
+// endCommit ends a mutation begun by taking s.mu, its record journaled and
+// applied or refused: a due compaction runs, then the lock is let go. A
+// failed compaction must not fail the mutation; the next one retries.
+func (s *Store) endCommit() {
+	if !s.closed && s.walRecords >= s.opts.CompactEvery {
+		if err := s.compactLocked(); err != nil {
+			s.met.snapshotErrors.Inc()
+		}
 	}
-	return n
+	s.mu.Unlock()
 }
 
-// append journals one record under s.mu, compacting when the record count
-// crosses the threshold. Every op but a release is fsynced (per Options)
-// before append returns, which also makes every earlier release durable; a
-// release only leaves the log dirty for the next sync to pick up.
-func (s *Store) append(rec *walRecord) error {
+// append journals one record under s.mu. Every op but a release is fsynced
+// (per Options) before append returns, which also makes every earlier
+// release durable; a release only leaves the log dirty for the next sync to
+// pick up. A failed write or fsync cuts the log back to its length before
+// the append: a torn frame left mid-log would end every later replay there,
+// and a whole one would ride the next fsync to disk though nothing applied
+// it.
+func (s *Store) append(rec *broker.Record) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("durable: store is closed")
 	}
+	if s.wedged != nil {
+		s.met.appendErrors.Inc()
+		return s.wedged
+	}
 	start := time.Now()
+	size := s.walSize
 	n, err := appendRecord(s.wal, payload)
-	if err == nil {
-		s.walSize += int64(n)
-		if !s.opts.NoSync {
+	s.walSize += int64(n)
+	if err == nil && !s.opts.NoSync {
+		if rec.Op == broker.OpRelease {
 			s.unsynced++
 			s.met.walUnsynced.Set(int64(s.unsynced))
-			if rec.Op != opRelease {
-				err = s.syncLocked()
-			}
+		} else {
+			err = s.syncLocked()
 		}
 	}
 	s.met.appendSeconds.Observe(time.Since(start))
 	if err != nil {
 		s.met.appendErrors.Inc()
+		s.walSize = size
+		_, serr := s.wal.Seek(size, io.SeekStart)
+		if cut := errors.Join(serr, s.wal.Truncate(size)); cut != nil {
+			s.wedged = fmt.Errorf("durable: wal not cut back after a failed append: %w", cut)
+		}
 		return fmt.Errorf("durable: wal append: %w", err)
 	}
 	s.met.walRecords.Inc()
 	s.met.walBytes.Add(uint64(n))
 	s.walRecords++
-	if s.walRecords >= s.opts.CompactEvery {
-		// Compaction failure must not fail the already-durable mutation:
-		// the WAL keeps growing and the next append retries.
-		if err := s.compactLocked(); err != nil {
-			s.met.snapshotErrors.Inc()
-		}
-	}
 	return nil
 }
 
@@ -380,15 +357,7 @@ func (s *Store) Compact() error {
 
 func (s *Store) compactLocked() error {
 	start := time.Now()
-	st := s.mem.Snapshot(s.opts.Now())
-	payload, err := json.Marshal(snapshotFile{
-		Version:      snapshotVersion,
-		Generation:   st.Generation,
-		NextID:       st.NextID,
-		ExpiredTotal: st.ExpiredTotal,
-		Inventory:    st.Inventory,
-		Leases:       st.Leases,
-	})
+	payload, err := json.Marshal(snapshotFile{snapshotVersion, *s.mem.Snapshot(s.opts.Now())})
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
@@ -433,7 +402,7 @@ func (s *Store) compactLocked() error {
 	if _, err := s.wal.Seek(0, 0); err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	s.walSize, s.syncedSize = 0, 0
+	s.walSize, s.syncedSize, s.wedged = 0, 0, nil
 	if !s.opts.NoSync {
 		if err := s.syncLocked(); err != nil {
 			return fmt.Errorf("durable: %w", err)
@@ -467,74 +436,42 @@ func (s *Store) Close() error {
 // RegisterInventory persists the inventory record and the bumped
 // generation; the lease table is cleared (the old hosts no longer exist).
 func (s *Store) RegisterInventory(rec *broker.InventoryRecord, now time.Time) (uint64, error) {
-	gen, err := s.mem.RegisterInventory(rec, now)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.append(&walRecord{Op: opInventory, Generation: gen, Inventory: rec}); err != nil {
-		return 0, err
-	}
-	return gen, nil
+	s.mu.Lock()
+	defer s.endCommit()
+	return s.mem.RegisterInventory(rec, now)
 }
 
 // Generation returns the inventory epoch.
 func (s *Store) Generation() uint64 { return s.mem.Generation() }
 
-// Acquire leases the hosts in memory, then journals the lease. A journal
-// failure rolls the lease back and fails the acquisition: a lease the
-// store cannot promise to remember across a crash is never handed out
-// (handing it out and forgetting it would double-bind the hosts after a
-// restart).
+// Acquire journals the lease, fsynced, before it holds it. A journal
+// failure fails the acquisition with nothing held: a lease the store cannot
+// promise to remember across a crash is never handed out (handing it out
+// and forgetting it would double-bind the hosts after a restart).
 func (s *Store) Acquire(hosts []platform.Host, ttl time.Duration, now time.Time, meta broker.LeaseMeta) (*broker.Lease, error) {
-	l, err := s.mem.Acquire(hosts, ttl, now, meta)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.append(&walRecord{Op: opAcquire, Lease: l}); err != nil {
-		s.mem.RestoreRelease(l.ID)
-		return nil, err
-	}
-	return l, nil
+	s.mu.Lock()
+	defer s.endCommit()
+	return s.mem.Acquire(hosts, ttl, now, meta)
 }
 
-// Release frees the lease in memory and journals the release best-effort
-// and without an fsync of its own (see the package comment): an unpersisted
-// release resurrects the lease after a crash until its TTL passes —
-// conservative (the hosts stay masked longer), never unsafe. A swallowed
-// failure is still a durability signal, so it counts in its own series and
-// warns with the lease ID (append already counted the raw error).
+// Release journals the release best-effort, without an fsync of its own
+// (see the package comment), and frees the lease whatever the journal did:
+// an unpersisted release resurrects the lease after a crash until its TTL
+// passes — conservative, never unsafe. journal counts and warns a
+// swallowed failure.
 func (s *Store) Release(id string, now time.Time) bool {
-	ok := s.mem.Release(id, now)
-	if ok {
-		if err := s.append(&walRecord{Op: opRelease, LeaseID: id}); err != nil {
-			s.met.walSwallowed.Inc()
-			s.opts.Logger.Warn("wal append failed on release; the lease will resurrect after a crash until its TTL passes",
-				"lease_id", id, "error", err)
-		}
-	}
-	return ok
+	s.mu.Lock()
+	defer s.endCommit()
+	return s.mem.Release(id, now)
 }
 
-// Swap replaces a lease in memory, then journals old and new as one opSwap
-// record: recovery replays either the whole swap or none of it, so the
-// durable state never holds both leases or neither. A journal failure rolls
-// the swap back — the caller keeps the old lease, exactly as if the rebind
-// never happened.
+// Swap journals old and new as one swap record before it replaces the
+// lease, so recovery never holds both leases or neither. A journal failure
+// fails the swap with nothing applied: the caller keeps the old lease.
 func (s *Store) Swap(oldID string, hosts []platform.Host, now time.Time, meta broker.LeaseMeta) (*broker.Lease, error) {
-	old, held := s.mem.Lookup(oldID, now)
-	if !held {
-		return nil, fmt.Errorf("%w: %s", broker.ErrLeaseGone, oldID)
-	}
-	l, err := s.mem.Swap(oldID, hosts, now, meta)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.append(&walRecord{Op: opSwap, LeaseID: oldID, Lease: l}); err != nil {
-		s.mem.RestoreRelease(l.ID)
-		s.mem.RestoreLease(&old)
-		return nil, err
-	}
-	return l, nil
+	s.mu.Lock()
+	defer s.endCommit()
+	return s.mem.Swap(oldID, hosts, now, meta)
 }
 
 // Lookup returns a copy of a live lease.

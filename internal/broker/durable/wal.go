@@ -2,7 +2,7 @@
 //
 //	uint32 LE  payload length
 //	uint32 LE  CRC-32 (IEEE) of the payload
-//	payload    bytes (a JSON walRecord, but the framing is payload-agnostic)
+//	payload    bytes (a JSON broker.Record, but the framing is payload-agnostic)
 //
 // The frame is what makes replay crash-safe: a torn write (power loss mid
 // append) leaves either a short header, a short payload, or a payload whose

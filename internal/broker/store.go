@@ -3,6 +3,8 @@ package broker
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -61,13 +63,35 @@ type RecoveryInfo struct {
 }
 
 // SnapshotState is a point-in-time copy of a store's full mutable state:
-// what a durable store writes at compaction and restores at open.
+// what a durable store writes at compaction and resumes from at open.
 type SnapshotState struct {
-	Generation   uint64
-	NextID       uint64
-	ExpiredTotal uint64
-	Inventory    *InventoryRecord
-	Leases       []*Lease
+	Generation   uint64           `json:"generation"`
+	NextID       uint64           `json:"next_id"`
+	ExpiredTotal uint64           `json:"expired_total"`
+	Inventory    *InventoryRecord `json:"inventory,omitempty"`
+	Leases       []*Lease         `json:"leases,omitempty"`
+}
+
+// Record operations.
+const (
+	OpInventory = "inventory"
+	OpAcquire   = "acquire"
+	OpRelease   = "release"
+	OpSwap      = "swap"
+)
+
+// Record is one store mutation, complete: the lease ID is allocated and
+// every timestamp stamped before it exists, so applying it needs nothing
+// but the record. Its JSON form is the durable store's WAL payload.
+type Record struct {
+	Op string `json:"op"`
+	// Generation and Inventory accompany OpInventory.
+	Generation uint64           `json:"generation,omitempty"`
+	Inventory  *InventoryRecord `json:"inventory,omitempty"`
+	// Lease accompanies OpAcquire; for OpSwap it is the replacement lease.
+	Lease *Lease `json:"lease,omitempty"`
+	// LeaseID accompanies OpRelease; for OpSwap it is the replaced lease.
+	LeaseID string `json:"lease_id,omitempty"`
 }
 
 // Store owns the broker's mutable state: the registered inventory record,
@@ -81,8 +105,8 @@ type SnapshotState struct {
 type Store interface {
 	// RegisterInventory replaces the inventory, drops every lease (their
 	// hosts no longer exist), and returns the bumped generation. An error
-	// means the registration could not be made durable and was not applied
-	// logically consistently; callers should retry.
+	// means the registration could not be made durable and was not applied;
+	// callers should retry.
 	RegisterInventory(rec *InventoryRecord, now time.Time) (uint64, error)
 	// Generation returns the current inventory epoch (0 before any
 	// registration).
@@ -128,8 +152,8 @@ type Store interface {
 
 // MemStore is the in-memory Store: the broker's original maps behind the
 // Store interface. It is both the production fast path (no -state-dir) and
-// the state machine durable stores journal around — the Restore* methods
-// exist for their replay path and skip sweeping and ID allocation.
+// the state machine durable stores journal: see commit, LoadMemStore and
+// Apply.
 type MemStore struct {
 	mu         sync.Mutex
 	byHost     map[platform.HostID]string // host → holding lease ID
@@ -147,6 +171,12 @@ type MemStore struct {
 	// expiredPending holds TTL-reclaimed leases until TakeExpired drains
 	// them (bounded by maxExpiredPending, oldest dropped first).
 	expiredPending []*Lease
+	// journal, when set, runs between each mutation's prepare and apply;
+	// inflight is the record it is writing. Meanwhile a grant's hosts stay
+	// in the selection mask and the lease a release or swap targets is not
+	// swept, so it ends exactly once.
+	journal  func(*Record) error
+	inflight *Record
 }
 
 // maxExpiredPending bounds the undrained expired-lease queue so a broker
@@ -170,7 +200,7 @@ func (s *MemStore) sweepLocked(now time.Time) {
 	}
 	var earliest time.Time
 	for id, l := range s.byID {
-		if !l.Expires.After(now) {
+		if !l.Expires.After(now) && (s.inflight == nil || s.inflight.LeaseID != id) {
 			for _, h := range l.Hosts {
 				delete(s.byHost, h)
 			}
@@ -197,16 +227,89 @@ func (s *MemStore) TakeExpired() []*Lease {
 	return out
 }
 
+// commit runs one mutation: prepare validates it and builds its complete
+// record (nil: nothing to do) without changing state, applyLocked installs
+// it, in one critical section — or, with a journal, the record is journaled
+// in between, in flight with the lock released, and applied only if the
+// journal accepts it. The zero Record means nothing was applied.
+func (s *MemStore) commit(prepare func() (*Record, error)) (Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, err := prepare()
+	if rec == nil {
+		return Record{}, err
+	}
+	if s.journal != nil {
+		s.inflight = rec
+		s.mu.Unlock()
+		err = s.journal(rec)
+		s.mu.Lock()
+		s.inflight = nil
+		if err != nil {
+			return Record{}, err
+		}
+	}
+	s.applyLocked(rec)
+	return *rec, nil
+}
+
+// Apply installs a record replayed from a log, with its recorded ID and
+// timestamps.
+func (s *MemStore) Apply(rec *Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.applyLocked(rec)
+}
+
+// applyLocked is the one apply, live and replayed. Logs written before
+// prepare and apply were one pipeline may repeat a lease the snapshot holds
+// or grant a host ahead of the release that freed it: the incoming lease
+// wins. Unknown ops are skipped, so an older binary keeps the rest.
+func (s *MemStore) applyLocked(rec *Record) {
+	switch rec.Op {
+	case OpInventory:
+		s.inv = rec.Inventory
+		s.generation = max(s.generation, rec.Generation)
+		s.byHost = make(map[platform.HostID]string)
+		s.byID = make(map[string]*Lease)
+	case OpRelease:
+		s.releaseLocked(rec.LeaseID)
+	case OpAcquire, OpSwap:
+		l := rec.Lease
+		if l == nil {
+			return
+		}
+		s.releaseLocked(rec.LeaseID) // the swapped-out lease; "" for an acquire
+		s.releaseLocked(l.ID)
+		for _, h := range l.Hosts {
+			if other, ok := s.byHost[h]; ok {
+				s.releaseLocked(other)
+			}
+		}
+		s.holdLocked(l)
+		// A prepare names the next lease without taking the number, so a
+		// refused grant leaves no gap; applying it takes the number.
+		s.nextID = max(s.nextID, leaseSeq(l.ID))
+	}
+}
+
+// leaseSeq extracts the allocation counter from a "lease-%08d" ID; 0 when
+// the ID has another shape (the allocator then just never reuses it).
+func leaseSeq(id string) uint64 {
+	n, err := strconv.ParseUint(strings.TrimPrefix(id, "lease-"), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
 // RegisterInventory replaces the inventory, bumps the generation, and drops
 // every lease.
 func (s *MemStore) RegisterInventory(rec *InventoryRecord, now time.Time) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.generation++
-	s.inv = rec
-	s.byHost = make(map[platform.HostID]string)
-	s.byID = make(map[string]*Lease)
-	return s.generation, nil
+	r, err := s.commit(func() (*Record, error) {
+		return &Record{Op: OpInventory, Generation: s.generation + 1, Inventory: rec}, nil
+	})
+	return r.Generation, err
 }
 
 // Generation returns the inventory epoch.
@@ -214,14 +317,6 @@ func (s *MemStore) Generation() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.generation
-}
-
-// InventoryRecord returns the currently registered inventory record (nil
-// before registration).
-func (s *MemStore) InventoryRecord() *InventoryRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inv
 }
 
 // Sweep reclaims expired leases and reports how many are gone in total.
@@ -233,7 +328,8 @@ func (s *MemStore) Sweep(now time.Time) uint64 {
 }
 
 // Leased returns the currently leased host set: the exclusion mask for the
-// next selection attempt.
+// next selection attempt. The hosts of a grant still being journaled are
+// in it already.
 func (s *MemStore) Leased(now time.Time) map[platform.HostID]bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,6 +338,11 @@ func (s *MemStore) Leased(now time.Time) map[platform.HostID]bool {
 	for h := range s.byHost {
 		out[h] = true
 	}
+	if s.inflight != nil && s.inflight.Lease != nil {
+		for _, h := range s.inflight.Lease.Hosts {
+			out[h] = true
+		}
+	}
 	return out
 }
 
@@ -249,18 +350,24 @@ func (s *MemStore) Leased(now time.Time) map[platform.HostID]bool {
 // (a concurrent session won the race between selection and acquisition) the
 // whole acquisition fails and the caller re-selects with a fresh mask.
 func (s *MemStore) Acquire(hosts []platform.Host, ttl time.Duration, now time.Time, meta LeaseMeta) (*Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(now)
+	rec, err := s.commit(func() (*Record, error) {
+		s.sweepLocked(now)
+		if err := s.freeLocked(hosts, ""); err != nil {
+			return nil, err
+		}
+		return &Record{Op: OpAcquire, Lease: newLease(s.nextID+1, now.Add(ttl), now, meta, hosts)}, nil
+	})
+	return rec.Lease, err
+}
+
+// freeLocked fails unless every host is unheld or held by lease owner.
+func (s *MemStore) freeLocked(hosts []platform.Host, owner string) error {
 	for _, h := range hosts {
-		if holder, ok := s.byHost[h.ID]; ok {
-			return nil, fmt.Errorf("broker: host %d already leased by %s", h.ID, holder)
+		if holder, ok := s.byHost[h.ID]; ok && holder != owner {
+			return fmt.Errorf("broker: host %d already leased by %s", h.ID, holder)
 		}
 	}
-	s.nextID++
-	l := newLease(fmt.Sprintf("lease-%08d", s.nextID), now.Add(ttl), now, meta, hosts)
-	s.holdLocked(l)
-	return l, nil
+	return nil
 }
 
 // holdLocked enters a lease into both maps and lowers the earliest-deadline
@@ -275,12 +382,12 @@ func (s *MemStore) holdLocked(l *Lease) {
 	s.byID[l.ID] = l
 }
 
-// newLease assembles a lease from an acquisition's parts: the host IDs are
-// copied and sorted, BoundAt is stamped from now, and the meta annotations
-// ride along verbatim.
-func newLease(id string, expires, now time.Time, meta LeaseMeta, hosts []platform.Host) *Lease {
+// newLease assembles a lease from an acquisition's parts: the ID is formed
+// from seq, the host IDs are copied and sorted, BoundAt is stamped from now,
+// and the meta annotations ride along verbatim.
+func newLease(seq uint64, expires, now time.Time, meta LeaseMeta, hosts []platform.Host) *Lease {
 	l := &Lease{
-		ID:                  id,
+		ID:                  fmt.Sprintf("lease-%08d", seq),
 		Hosts:               make([]platform.HostID, len(hosts)),
 		Expires:             expires,
 		Rung:                meta.Rung,
@@ -303,34 +410,32 @@ func newLease(id string, expires, now time.Time, meta LeaseMeta, hosts []platfor
 // Release frees a lease's hosts; ok is false for unknown (or already
 // expired) lease IDs.
 func (s *MemStore) Release(id string, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(now)
-	return s.releaseLocked(id)
+	rec, _ := s.commit(func() (*Record, error) {
+		s.sweepLocked(now)
+		if _, ok := s.byID[id]; !ok {
+			return nil, nil
+		}
+		return &Record{Op: OpRelease, LeaseID: id}, nil
+	})
+	return rec.Op != ""
 }
 
 // Swap atomically replaces lease oldID with a fresh lease over hosts. The
 // new lease inherits the old deadline; on any failure the old lease remains
 // exactly as it was.
 func (s *MemStore) Swap(oldID string, hosts []platform.Host, now time.Time, meta LeaseMeta) (*Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweepLocked(now)
-	old, ok := s.byID[oldID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrLeaseGone, oldID)
-	}
-	s.releaseLocked(oldID)
-	for _, h := range hosts {
-		if holder, ok := s.byHost[h.ID]; ok {
-			s.restoreLeaseLocked(old)
-			return nil, fmt.Errorf("broker: host %d already leased by %s", h.ID, holder)
+	rec, err := s.commit(func() (*Record, error) {
+		s.sweepLocked(now)
+		old, ok := s.byID[oldID]
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrLeaseGone, oldID)
 		}
-	}
-	s.nextID++
-	l := newLease(fmt.Sprintf("lease-%08d", s.nextID), old.Expires, now, meta, hosts)
-	s.holdLocked(l)
-	return l, nil
+		if err := s.freeLocked(hosts, oldID); err != nil {
+			return nil, err
+		}
+		return &Record{Op: OpSwap, LeaseID: oldID, Lease: newLease(s.nextID+1, old.Expires, now, meta, hosts)}, nil
+	})
+	return rec.Lease, err
 }
 
 // Lookup returns a copy of a live lease (the hosts slice is cloned so
@@ -412,71 +517,17 @@ func (s *MemStore) Snapshot(now time.Time) *SnapshotState {
 	return st
 }
 
-// RestoreSnapshot installs a snapshot wholesale, replacing the current
-// state (durable-store recovery, step one).
-func (s *MemStore) RestoreSnapshot(st *SnapshotState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.generation = st.Generation
-	s.nextID = st.NextID
-	s.expired = st.ExpiredTotal
-	s.inv = st.Inventory
-	s.byHost = make(map[platform.HostID]string)
-	s.byID = make(map[string]*Lease)
+// LoadMemStore resumes a store from a snapshot: its counters, then its
+// inventory and leases applied as the records that put them there. A
+// non-nil journal gets every later mutation's record between its prepare
+// and its apply, and refuses the mutation by returning an error; mutations
+// leave the lock while it runs, so the caller must serialize them.
+func LoadMemStore(st *SnapshotState, journal func(*Record) error) *MemStore {
+	s := NewMemStore()
+	s.nextID, s.expired, s.journal = st.NextID, st.ExpiredTotal, journal
+	s.applyLocked(&Record{Op: OpInventory, Generation: st.Generation, Inventory: st.Inventory})
 	for _, l := range st.Leases {
-		s.restoreLeaseLocked(l)
+		s.applyLocked(&Record{Op: OpAcquire, Lease: l})
 	}
-}
-
-// RestoreInventory replays an inventory registration: install the record,
-// set the persisted generation, drop every lease (mirroring
-// RegisterInventory's runtime semantics).
-func (s *MemStore) RestoreInventory(rec *InventoryRecord, generation uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inv = rec
-	if generation > s.generation {
-		s.generation = generation
-	}
-	s.byHost = make(map[platform.HostID]string)
-	s.byID = make(map[string]*Lease)
-}
-
-// RestoreLease replays an acquisition without sweeping or allocating an ID.
-// Re-applying a record is idempotent (compaction can race an append, so a
-// lease may appear in both the snapshot and the WAL): the incoming lease
-// replaces any same-ID lease, and any other lease holding one of its hosts
-// is evicted so the host↔lease maps stay consistent.
-func (s *MemStore) RestoreLease(l *Lease) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.restoreLeaseLocked(l)
-}
-
-func (s *MemStore) restoreLeaseLocked(l *Lease) {
-	s.releaseLocked(l.ID)
-	for _, h := range l.Hosts {
-		if other, ok := s.byHost[h]; ok {
-			s.releaseLocked(other)
-		}
-	}
-	s.holdLocked(l)
-}
-
-// RestoreRelease replays a release without sweeping; unknown IDs are
-// ignored (the lease may have been dropped by a later snapshot already).
-func (s *MemStore) RestoreRelease(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.releaseLocked(id)
-}
-
-// BumpNextID raises the ID allocator to at least n so recovered lease IDs
-// are never reissued.
-func (s *MemStore) BumpNextID(n uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > s.nextID {
-		s.nextID = n
-	}
+	return s
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // The store skips its lease-table scan until the clock reaches the earliest
-// deadline. This drives acquires, swaps, releases, restores and reads under
+// deadline. This drives acquires, swaps, releases, replays and reads under
 // an injected clock that crosses many deadlines — exactly on the second as
 // often as past it — and after every step requires what a scan on every call
 // would give: a lease is gone as soon as !Expires.After(now), a zero now
@@ -69,13 +69,14 @@ func TestSweepSkipsUntilEarliestDeadline(t *testing.T) {
 					delete(live, id)
 				}
 			case op < 6:
-				// Replay path: a restored lease, possibly due earlier than
-				// everything held, must lower the bound too.
+				// Replay path: an acquire record applied from a log,
+				// possibly due earlier than everything held, must lower the
+				// bound too.
 				l := &Lease{ID: "restored-" + time.Duration(step).String(), Expires: now.Add(time.Duration(rng.Intn(4)) * time.Second)}
 				for _, h := range freshHosts() {
 					l.Hosts = append(l.Hosts, h.ID)
 				}
-				s.RestoreLease(l)
+				s.Apply(&Record{Op: OpAcquire, Lease: l})
 				live[l.ID] = l.Expires
 				swept = false
 			case op < 7:
