@@ -45,7 +45,8 @@ bench-check:
 # (hand-written scanner vs the encoding/json oracle) and seeded with a 100 KB
 # document; the short minimize budget keeps the engine from spending the
 # whole pass shrinking mutations of it. The vgDL finder's target is
-# differential too (run-table finder vs the per-host oracle).
+# differential too (run-table finder vs the per-host oracle), and so is the
+# scheduler's dense-table target (link-class tables vs TransferTime).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/vgdl
 	$(GO) test -run xxx -fuzz 'FuzzFindDifferential$$' -fuzztime $(FUZZTIME) ./internal/vgdl
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzAdviseRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/broker/durable
+	$(GO) test -run xxx -fuzz 'FuzzDenseTable$$' -fuzztime $(FUZZTIME) ./internal/sched
 
 # End-to-end service smoke: train a smoke-scale artifact, serve it on an
 # ephemeral port, request a spec for the Figure III-2 example DAG, and

@@ -279,6 +279,11 @@ func (d *DAG) Succ(id TaskID) []Adj { return d.succAdj[d.succOff[id]:d.succOff[i
 // The slice is a view into a flat CSR array, so taking it is allocation-free.
 func (d *DAG) Pred(id TaskID) []Adj { return d.predAdj[d.predOff[id]:d.predOff[id+1]] }
 
+// PredBase numbers the edges by their target: Pred(id)[i] is edge
+// PredBase(id)+i of [0, NumEdges()), and the tasks' ranges follow each other
+// in ID order. A table with one entry per edge is indexed this way.
+func (d *DAG) PredBase(id TaskID) int { return int(d.predOff[id]) }
+
 // NumSucc returns the out-degree of id without materializing the slice.
 func (d *DAG) NumSucc(id TaskID) int { return int(d.succOff[id+1] - d.succOff[id]) }
 

@@ -25,6 +25,7 @@ type ranker struct {
 	domCount  []int32
 	cur, next []int32
 	byAxis    []int32
+	val       []float64
 }
 
 // rank returns every member's rank and crowding distance. The slice is the
@@ -46,11 +47,12 @@ func (r *ranker) rank(pop []indiv) []rankInfo {
 		r.domCount[j]++
 	}
 	for i := 0; i < n; i++ {
+		oi := &pop[i].obj
 		for j := i + 1; j < n; j++ {
-			switch {
-			case pop[i].obj.Dominates(pop[j].obj):
+			switch dominance(oi, &pop[j].obj) {
+			case 1:
 				dominates(i, j)
-			case pop[j].obj.Dominates(pop[i].obj):
+			case -1:
 				dominates(j, i)
 			}
 		}
@@ -89,26 +91,31 @@ func (r *ranker) crowd(pop []indiv, front []int32) {
 		}
 		return
 	}
+	// val holds the current axis's value per member, read from the field
+	// once per member instead of once per comparison.
+	r.val = slices.Grow(r.val[:0], len(pop))[:len(pop)]
+	val := r.val
 	for axis := 0; axis < 4; axis++ {
+		for _, i := range front {
+			val[i] = pop[i].obj.axis(axis)
+		}
 		idx := append(r.byAxis[:0], front...)
 		r.byAxis = idx
 		slices.SortFunc(idx, func(x, y int32) int {
-			if c := cmp.Compare(pop[x].obj.vector()[axis], pop[y].obj.vector()[axis]); c != 0 {
+			if c := cmp.Compare(val[x], val[y]); c != 0 {
 				return c
 			}
 			return cmp.Compare(pop[x].key, pop[y].key)
 		})
-		lo := pop[idx[0]].obj.vector()[axis]
-		hi := pop[idx[m-1]].obj.vector()[axis]
+		lo := val[idx[0]]
+		hi := val[idx[m-1]]
 		out[idx[0]].crowding = math.Inf(1)
 		out[idx[m-1]].crowding = math.Inf(1)
 		if hi == lo {
 			continue
 		}
 		for x := 1; x < m-1; x++ {
-			prev := pop[idx[x-1]].obj.vector()[axis]
-			next := pop[idx[x+1]].obj.vector()[axis]
-			out[idx[x]].crowding += (next - prev) / (hi - lo)
+			out[idx[x]].crowding += (val[idx[x+1]] - val[idx[x-1]]) / (hi - lo)
 		}
 	}
 }

@@ -120,20 +120,39 @@ func (o Objectives) vector() [4]float64 {
 	return [4]float64{o.TurnAroundSeconds, o.CostUSD, o.PowerWatts, o.Fragmentation}
 }
 
+// axis returns vector()[a] without copying the vector.
+func (o *Objectives) axis(a int) float64 {
+	switch a {
+	case 0:
+		return o.TurnAroundSeconds
+	case 1:
+		return o.CostUSD
+	case 2:
+		return o.PowerWatts
+	}
+	return o.Fragmentation
+}
+
 // Dominates reports Pareto dominance: no axis worse, at least one strictly
 // better.
-func (o Objectives) Dominates(b Objectives) bool {
-	ov, bv := o.vector(), b.vector()
-	better := false
-	for i := range ov {
-		if ov[i] > bv[i] {
-			return false
-		}
-		if ov[i] < bv[i] {
-			better = true
-		}
+func (o Objectives) Dominates(b Objectives) bool { return dominance(&o, &b) > 0 }
+
+// dominance compares a and b axis by axis once and reports both directions
+// of Pareto dominance: 1 when a dominates b, -1 when b dominates a, 0 when
+// neither does. An axis that compares neither less nor greater (equal, or
+// NaN) favours neither side.
+func dominance(a, b *Objectives) int {
+	lt := a.TurnAroundSeconds < b.TurnAroundSeconds || a.CostUSD < b.CostUSD ||
+		a.PowerWatts < b.PowerWatts || a.Fragmentation < b.Fragmentation
+	gt := a.TurnAroundSeconds > b.TurnAroundSeconds || a.CostUSD > b.CostUSD ||
+		a.PowerWatts > b.PowerWatts || a.Fragmentation > b.Fragmentation
+	switch {
+	case lt && !gt:
+		return 1
+	case gt && !lt:
+		return -1
 	}
-	return better
+	return 0
 }
 
 // Solution is one point of the returned front.

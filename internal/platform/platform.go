@@ -73,7 +73,7 @@ type Cluster struct {
 // topology connecting the clusters.
 //
 // Concurrency: once built (generated or decoded) a Platform is read-only
-// apart from its bandwidth cache, and one *Platform is shared by every
+// apart from its lazily built caches, and one *Platform is shared by every
 // request the service handles. Every method is safe for concurrent use; the
 // exported fields must not be modified after the first call. A Platform
 // must not be copied by value once in use (it carries atomics).
@@ -91,6 +91,10 @@ type Platform struct {
 	// runs caches the run table (Runs), built on first use and published
 	// the same way: racing builders compute identical tables.
 	runs atomic.Pointer[RunTable]
+
+	// speeds caches the link-speed table (LinkSpeeds), published the same
+	// way; a declined table is cached too, as one with no speeds.
+	speeds atomic.Pointer[LinkSpeeds]
 }
 
 // NumHosts returns the total host count.

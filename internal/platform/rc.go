@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"rsgen/internal/xrand"
@@ -185,47 +184,54 @@ func (n platformNet) ClusterTransferTime(edgeCost float64, ca, cb int) float64 {
 }
 
 // PairBandwidthNetwork is implemented by networks that can tabulate the
-// bandwidth between every pair of RC hosts, so a scheduler that evaluates
-// every (parent host, candidate host) pair reads a table instead of calling
+// bandwidth between every pair of RC hosts as a link class, so a scheduler
+// that evaluates every (parent host, candidate host) pair divides each edge
+// cost once per class and then reads a table, instead of calling
 // TransferTime through the interface each time.
 type PairBandwidthNetwork interface {
 	Network
-	// PairBandwidths fills bw, row-major with len(bw) = m·m for an m-host
-	// RC, such that for every edgeCost ≠ 0
+	// PairBandwidths fills cls, row-major with len(cls) = m·m for an m-host
+	// RC, with each pair's class in the returned table s: class 0 for a free
+	// pair (both indices name the same host), whose TransferTime is 0, and
+	// otherwise a class for which, bit for bit and for every edgeCost ≠ 0,
 	//
-	//	TransferTime(edgeCost, a, b) == edgeCost * ReferenceBandwidthMbps / bw[a*m+b]
+	//	TransferTime(edgeCost, a, b) == edgeCost * ReferenceBandwidthMbps / s.Mbps[cls[a*m+b]]
 	//
-	// bit for bit. A pair whose transfers are free (both indices name the
-	// same host) holds +Inf, so that the same division yields exactly 0 for
-	// every finite edgeCost * ReferenceBandwidthMbps; a reader need only
-	// special-case a product that overflows to +Inf, whose quotient by +Inf
-	// is NaN where TransferTime returns 0.
-	PairBandwidths(bw []float64)
+	// A network that declines a table returns nil and leaves cls alone; the
+	// caller then falls back to TransferTime.
+	PairBandwidths(cls []uint8) (s *LinkSpeeds)
 }
 
-// PairBandwidths implements PairBandwidthNetwork with Platform.Bandwidth's
-// three cases, the widest-path row fetched once per source host.
-func (n platformNet) PairBandwidths(bw []float64) {
+// PairBandwidths implements PairBandwidthNetwork in one pass over the pairs,
+// reading Platform.Bandwidth's three cases from the platform's speed table,
+// each source cluster's class row fetched once per source host.
+func (n platformNet) PairBandwidths(cls []uint8) *LinkSpeeds {
 	p := n.p
+	t := p.LinkSpeeds()
+	if t == nil {
+		return nil
+	}
 	m := len(n.hosts)
 	for a, ha := range n.hosts {
-		row := bw[a*m : (a+1)*m]
+		row := cls[a*m : (a+1)*m]
 		ca := p.Hosts[ha.ID].Cluster
-		var inter []float64
+		intra := t.intra[ca]
+		var inter []uint8
 		for b, hb := range n.hosts {
 			switch cb := p.Hosts[hb.ID].Cluster; {
 			case ha.ID == hb.ID:
-				row[b] = math.Inf(1)
+				row[b] = 0
 			case ca == cb:
-				row[b] = p.Clusters[ca].IntraMbps
+				row[b] = intra
 			default:
 				if inter == nil {
-					inter = p.interClusterRow(ca)
+					inter = t.interRow(ca)
 				}
 				row[b] = inter[cb]
 			}
 		}
 	}
+	return t
 }
 
 // TopHostsRC returns the k-fastest-hosts naive abstraction of §IV.2.4.1 as

@@ -112,24 +112,18 @@ func (MinMin) run(s *state, _ *order) {
 			ready = append(ready, dag.TaskID(v))
 		}
 	}
-	rf := make(map[dag.TaskID]readyFn, len(ready))
 	for len(ready) > 0 {
 		bestI, bestH := -1, -1
 		bestFin := math.Inf(1)
 		bestStart := 0.0
 		for i, v := range ready {
-			f, ok := rf[v]
-			if !ok {
-				f = s.readyTimesOwned(v)
-				rf[v] = f
-			}
 			cost := d.Task(v).Cost
-			for h, r := range f.atAll() {
+			for h, r := range s.readyAll(v) {
 				st := s.free[h]
 				if r > st {
 					st = r
 				}
-				fin := st + execTime(cost, s.rc.Hosts[h])
+				fin := st + s.execTime(cost, h)
 				if fin < bestFin || (fin == bestFin && (bestI == -1 || v < ready[bestI])) {
 					bestI, bestH, bestFin, bestStart = i, h, fin, st
 				}
@@ -139,7 +133,6 @@ func (MinMin) run(s *state, _ *order) {
 		v := ready[bestI]
 		ready[bestI] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
-		delete(rf, v)
 		s.place(v, bestH, bestStart)
 		for _, a := range d.Succ(v) {
 			unmet[a.Task]--

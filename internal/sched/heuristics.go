@@ -182,7 +182,7 @@ func (FCFS) run(s *state, o *order) {
 		if r := ready.at(slot.host); r > start {
 			start = r
 		}
-		exec := execTime(s.d.Task(v).Cost, s.rc.Hosts[slot.host])
+		exec := s.execTime(s.d.Task(v).Cost, slot.host)
 		h.push(hostSlot{host: slot.host, free: start + exec})
 		s.ops += logM
 		return slot.host, start
@@ -220,14 +220,18 @@ func (FCA) compile(d *dag.DAG, o *order, sc *orderScratch) {
 func (FCA) run(s *state, o *order) {
 	m := len(s.rc.Hosts)
 	s.replay(o, func(v dag.TaskID) (int, float64) {
-		ready := s.readyTimes(v)
-		// Earliest the task could possibly be data-ready anywhere: the
-		// idle test below is deliberately communication-blind, so it
-		// needs only free times and clocks — the class index answers it
-		// for any network model. Leaves are ordered fastest class first,
-		// lowest host index within a class, so the leftmost idle leaf is
-		// exactly the scan's pick.
-		r := ready.maxParentFin
+		// Earliest the task could possibly be data-ready anywhere, the
+		// maximum parent finish: the idle test below is deliberately
+		// communication-blind, so it needs only free times and clocks —
+		// the class index answers it for any network model. Leaves are
+		// ordered fastest class first, lowest host index within a class,
+		// so the leftmost idle leaf is exactly the scan's pick.
+		r := 0.0
+		for _, p := range s.d.Pred(v) {
+			if f := s.fin[p.Task]; f > r {
+				r = f
+			}
+		}
 		ci := s.classIndex()
 		var h int
 		if p := ci.tree.leftmostLE(0, m, r); p >= 0 {
@@ -240,6 +244,7 @@ func (FCA) run(s *state, o *order) {
 		}
 		s.ops += float64(m)
 		start := s.free[h]
+		ready := s.readyTimes(v)
 		if rr := ready.at(h); rr > start {
 			start = rr
 		}
@@ -284,34 +289,26 @@ func (DLS) run(s *state, _ *order) {
 
 	n := d.Size()
 	m := len(rc.Hosts)
-	hosts := rc.Hosts
 	s.initReady(d)
 	ready := s.ready
-	// Each ready task's readyFn is built once (parents are final once
-	// ready); its best (host, DL) is recomputed only after invalidation.
-	rfs := make([]readyFn, n)
-	built := make([]bool, n)
+	// Each ready task's best (host, DL) is recomputed only after
+	// invalidation.
 	cands := make([]dlsCand, n)
 	for len(ready) > 0 {
 		bestI, bestH := -1, -1
 		bestDL := math.Inf(-1)
 		bestStart := 0.0
 		for i, v := range ready {
-			if !built[v] {
-				rfs[v] = s.readyTimesOwned(v)
-				built[v] = true
-			}
 			c := &cands[v]
 			if !c.valid {
-				f := &rfs[v]
 				w := d.Task(v).Cost
 				cd, ch, cst := math.Inf(-1), -1, 0.0
-				for h, r := range f.atAll() {
+				for h, r := range s.readyAll(v) {
 					st := s.free[h]
 					if r > st {
 						st = r
 					}
-					delta := w - execTime(w, hosts[h])
+					delta := w - s.execTime(w, h)
 					dl := sl[v] - st + delta
 					if dl > cd {
 						cd, ch, cst = dl, h, st

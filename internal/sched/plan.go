@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync/atomic"
+
 	"rsgen/internal/dag"
 	"rsgen/internal/platform"
 )
@@ -42,12 +44,17 @@ type orderScratch struct {
 // Plan is a heuristic compiled for one DAG: the placement order and its
 // DAG-only ops, computed once, so that scoring many collections — the moga
 // objective scores hundreds per search — pays only for the host choices.
-// A Plan is read-only after Compile and safe for concurrent use.
+// The first small collection scored also leaves the DAG's edge × link-class
+// transfer times (see quotients) with the plan, so later ones divide
+// nothing; the table lives exactly as long as the plan. A Plan is safe for
+// concurrent use: that table is published atomically, and everything else
+// is read-only after Compile.
 type Plan struct {
-	h Heuristic
-	d *dag.DAG
-	r runner // nil when h is not one of this package's heuristics
-	o order
+	h    Heuristic
+	d    *dag.DAG
+	r    runner // nil when h is not one of this package's heuristics
+	o    order
+	quot atomic.Pointer[quotTable]
 }
 
 // Compile prepares h for repeated scheduling of d.
@@ -72,6 +79,7 @@ func (p *Plan) TurnAround(rc *platform.ResourceCollection, scr float64) (float64
 	if err != nil {
 		return 0, err
 	}
+	s.plan = p
 	p.r.run(s, &p.o)
 	return s.turnAround(scr), nil
 }

@@ -37,22 +37,28 @@ func planDAGs() map[string]*dag.DAG {
 	}, xrand.New(1))
 	out["moga64"] = moga
 	out["single"] = dag.MustGenerate(dag.GenSpec{Size: 1, MeanCost: 7, Parallelism: 0.5, Density: 0.5, Regularity: 0.5}, xrand.New(2))
-	free := append([]dag.Edge(nil), moga.Edges()...)
-	for i := range free {
-		if i%3 == 0 {
-			free[i].Cost = 0
-		}
-	}
-	out["zero-cost-edges"] = dag.MustNew(moga.Tasks(), free)
+	out["zero-cost-edges"] = zeroCostEdges(moga, 3)
 	out["overflowing-edge"] = overflowingEdge(moga)
 	return out
 }
 
+// zeroCostEdges returns d with edges 0, every, 2·every, … free (every = 1
+// frees them all).
+func zeroCostEdges(d *dag.DAG, every int) *dag.DAG {
+	edges := append([]dag.Edge(nil), d.Edges()...)
+	for i := range edges {
+		if i%every == 0 {
+			edges[i].Cost = 0
+		}
+	}
+	return dag.MustNew(d.Tasks(), edges)
+}
+
 // overflowingEdge returns d with one edge so costly (≥ MaxFloat64 /
 // ReferenceBandwidthMbps) that its transfer time overflows to +Inf between
-// distinct hosts on every network: the one case where the dense table's
-// +Inf needs its branch, and where the indexed host searches see a +Inf
-// data-ready time.
+// distinct hosts on every network: its row of the dense path's transfer
+// times is +Inf in every class but the free one, and the indexed host
+// searches see a +Inf data-ready time.
 func overflowingEdge(d *dag.DAG) *dag.DAG {
 	edges := append([]dag.Edge(nil), d.Edges()...)
 	edges[len(edges)/2].Cost = math.MaxFloat64 / 2
@@ -111,8 +117,8 @@ func TestPlanMatchesSchedule(t *testing.T) {
 
 // TestPlanReuse runs one plan per heuristic over 60 collections, first
 // serially against the one-shot TurnAround and then from 8 goroutines
-// sharing the plans (under -race this is the proof that a Plan is read-only
-// after Compile).
+// sharing fresh plans (under -race this is the proof that sharing a Plan,
+// whose quotient table the first small collection builds, is race-free).
 func TestPlanReuse(t *testing.T) {
 	p := platform.MustGenerate(platform.GenSpec{Clusters: 200, Year: 2007}, xrand.New(3))
 	d := planDAGs()["moga64"]
@@ -150,6 +156,9 @@ func TestPlanReuse(t *testing.T) {
 		}
 	}
 
+	for i, h := range hs {
+		plans[i] = Compile(h, d)
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

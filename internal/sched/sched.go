@@ -185,12 +185,6 @@ func All() []Heuristic {
 	return []Heuristic{FCFS{}, FCA{}, Greedy{}, MCP{}, DLS{}}
 }
 
-// execTime returns the execution time of a task of the given reference cost
-// on a host: the uniform-processor scaling of §III.1.2.
-func execTime(cost float64, h platform.Host) float64 {
-	return cost / h.Speedup()
-}
-
 // state is the shared bookkeeping for all list-scheduling heuristics. States
 // are pooled: everything except the returned Host/Start/Finish slices is
 // scratch reused across Schedule calls, so the steady-state inner loop
@@ -204,6 +198,10 @@ type state struct {
 	start []float64 // these three to the Schedule, turnAround keeps them
 	fin   []float64
 	ops   float64
+
+	// speedup[h] is rc.Hosts[h].Speedup(), computed once per call so an
+	// execution time is one division (see execTime).
+	speedup []float64
 
 	uniform       bool // rc.Net is a UniformNetwork: locality-only transfer costs
 	uniformFactor float64
@@ -221,33 +219,40 @@ type state struct {
 	grpIdx   hostIndex
 
 	// Small-RC dense path (rc.Net is a platform.PairBandwidthNetwork and
-	// the RC is below indexMinHosts, where the heuristics scan every
-	// host per task): the m×m pair bandwidths are tabulated once per call
-	// so the scan's per-(parent, host) transfer time is one table read
-	// instead of an interface call chain (see atAll). pairState follows
-	// grpState: 0 = not attempted this call, 1 = pairBW is filled,
-	// 2 = unusable.
+	// the RC is below indexMinHosts, where the heuristics scan every host
+	// per task): the m×m pair link classes are tabulated once per call and
+	// each edge's transfer time to every class once per plan (or per
+	// one-shot call), so the scan's per-(parent, host) transfer time is two
+	// table reads instead of an interface call chain and a division (see
+	// readyAll). pairState follows grpState: 0 = not attempted this call,
+	// 1 = pairCls and quot are filled, 2 = unusable.
 	pnet      platform.PairBandwidthNetwork
 	pairState int8
-	pairBW    []float64 // row-major m×m (pooled)
-	hostRd    []float64 // atAll's result (pooled)
+	pairCls   []uint8   // row-major m×m link classes (pooled)
+	quot      []float64 // edge × class transfer times, nCls per edge (see quotients)
+	nCls      int
+	quotBuf   []float64 // the one-shot calls' quot (pooled)
+	hostRd    []float64 // readyAll's result (pooled)
+
+	// plan is the Plan running on this state (nil for a one-shot call): its
+	// quotient table outlives the call, the state's does not.
+	plan *Plan
 
 	// Shared per-host scratch for the uniform-network fast path: the
 	// per-host max parent finish of the task currently being evaluated,
 	// valid where scratchStamp matches stamp. Stamping avoids clearing
 	// the arrays between tasks; the stamp survives pooling, so stale
 	// entries from a previous schedule can never match. Only one readyFn
-	// may use the scratch at a time; DLS and MinMin, which cache many
-	// readyFns, use owned storage instead.
+	// may use the scratch at a time.
 	scratchFin   []float64
 	scratchStamp []int64
 	stamp        int64
 
 	// sp holds the distinct parent-holding hosts of the task currently in
-	// the shared-scratch readyFn: the only hosts whose data-ready time can
-	// differ from best1 under a uniform network, or from their group's under
-	// a cluster network. Only the indexed host searches read it, so on a
-	// cluster network it is filled only at or above indexMinHosts.
+	// the readyFn: the only hosts whose data-ready time can differ from
+	// best1 under a uniform network, or from their group's under a cluster
+	// network. Only the indexed host searches read it, so on a cluster
+	// network it is filled only at or above indexMinHosts.
 	sp []int32
 
 	// Lazily built host-selection indexes (see hostindex.go).
@@ -305,8 +310,10 @@ func newState(d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
 		s.host[i] = -1
 	}
 	s.free = growF64(s.free, m)
-	for i := range s.free {
+	s.speedup = growF64(s.speedup, m)
+	for i, h := range rc.Hosts {
 		s.free[i] = 0
+		s.speedup[i] = h.Speedup()
 	}
 	s.idIdx.built = false
 	s.classIdx.built = false
@@ -437,13 +444,15 @@ func (s *state) makespan() float64 {
 	return mk
 }
 
-// release drops the state's references to the caller's inputs and returns
-// it to the pool.
+// release drops the state's references to the caller's inputs, the plan and
+// the plan's quotient table among them, and returns it to the pool.
 func (s *state) release() {
 	s.d = nil
 	s.rc = nil
 	s.cnet = nil
 	s.pnet = nil
+	s.plan = nil
+	s.quot = nil
 	statePool.Put(s)
 }
 
@@ -475,6 +484,19 @@ func growI32(b []int32, n int) []int32 {
 	return b[:n]
 }
 
+func growU8(b []uint8, n int) []uint8 {
+	if cap(b) < n {
+		return make([]uint8, n)
+	}
+	return b[:n]
+}
+
+// execTime returns the execution time of a task of the given reference cost
+// on RC host h: the uniform-processor scaling of §III.1.2.
+func (s *state) execTime(cost float64, h int) float64 {
+	return cost / s.speedup[h]
+}
+
 // identityIndex returns the host-order free-time index, building it from
 // the current free times on first use (place keeps it in sync afterwards).
 func (s *state) identityIndex() *hostIndex {
@@ -492,12 +514,6 @@ func (s *state) classIndex() *hostIndex {
 	return &s.classIdx
 }
 
-// hostFin is one (host, max parent finish) pair of an owned readyFn.
-type hostFin struct {
-	host int32
-	fin  float64
-}
-
 // readyFn captures, for one task whose parents are all scheduled, the
 // host-dependent data-ready time. For uniform networks evaluation is O(1)
 // per host after O(parents) setup; otherwise O(parents) per host.
@@ -505,109 +521,47 @@ type readyFn struct {
 	s *state
 	v dag.TaskID
 
-	// maxParentFin is the maximum parent finish time: the earliest the
-	// task could possibly be data-ready anywhere (used by FCA's idle-host
-	// test).
-	maxParentFin float64
-
 	// Fast path (uniform network): off-host max of finish+transfer over
-	// up to two distinct hosts, plus per-host max parent finish. The
-	// per-host values live either in the state's stamped scratch arrays
-	// (one readyFn live at a time) or in an owned pair list (DLS and
-	// MinMin cache many).
+	// up to two distinct hosts, plus per-host max parent finish in the
+	// state's stamped scratch arrays.
 	best1, best2         float64 // top-2 finish+transfer over distinct hosts
 	bestHost1, bestHost2 int
-	stamp                int64 // scratch validity tag; 0 = owned mode
-	own                  []hostFin
+	stamp                int64 // scratch validity tag
 	fast                 bool
 }
 
-// readyTimes builds the shared-scratch readyFn. The result is invalidated
-// by the next readyTimes call on the same state. As a side effect it leaves
-// the distinct parent-holding hosts in s.sp for the indexed host-selection
-// paths: always under a uniform network, and under a cluster network only
-// at or above indexMinHosts, the only sizes where those paths run.
+// readyTimes builds task v's readyFn. The result is invalidated by the next
+// readyTimes call on the same state. As a side effect it leaves the distinct
+// parent-holding hosts in s.sp for the indexed host-selection paths: always
+// under a uniform network, and under a cluster network only at or above
+// indexMinHosts, the only sizes where those paths run.
 func (s *state) readyTimes(v dag.TaskID) readyFn {
-	return s.buildReady(v, false)
-}
-
-// readyTimesOwned builds a readyFn whose per-host data is privately owned
-// and stays valid across later readyTimes calls (used by DLS and MinMin).
-func (s *state) readyTimesOwned(v dag.TaskID) readyFn {
-	return s.buildReady(v, true)
-}
-
-func (s *state) buildReady(v dag.TaskID, owned bool) readyFn {
 	r := readyFn{s: s, v: v, bestHost1: -1, bestHost2: -1, fast: s.uniform}
-	preds := s.d.Pred(v)
-	fin := s.fin
-	for _, p := range preds {
-		if f := fin[p.Task]; f > r.maxParentFin {
-			r.maxParentFin = f
-		}
-	}
-	if !r.fast {
-		if owned || s.cnet == nil || len(s.rc.Hosts) < indexMinHosts {
-			return r
-		}
-		// Cluster network: at() stays the exact per-parent path, but the
-		// grouped host selection needs the parent-holding hosts stamped
-		// (they are the only hosts whose data-ready time differs from
-		// their group's). Below the gate the hosts are scanned instead.
-		s.stamp++
-		r.stamp = s.stamp
-		s.sp = s.sp[:0]
-		host := s.host
-		for _, p := range preds {
-			ph := host[p.Task]
-			f := fin[p.Task]
-			if s.scratchStamp[ph] == r.stamp {
-				if f > s.scratchFin[ph] {
-					s.scratchFin[ph] = f
-				}
-			} else {
-				s.scratchFin[ph] = f
-				s.scratchStamp[ph] = r.stamp
-				s.sp = append(s.sp, int32(ph))
-			}
-		}
+	if !r.fast && (s.cnet == nil || len(s.rc.Hosts) < indexMinHosts) {
 		return r
 	}
-	if owned {
-		r.own = make([]hostFin, 0, len(preds))
-	} else {
-		s.stamp++
-		r.stamp = s.stamp
-		s.sp = s.sp[:0]
-	}
-	host := s.host
-	for _, p := range preds {
+	// On a cluster network at() stays the exact per-parent path, but the
+	// grouped host selection needs the parent-holding hosts stamped (they
+	// are the only hosts whose data-ready time differs from their group's).
+	// Below the gate the hosts are scanned instead.
+	s.stamp++
+	r.stamp = s.stamp
+	s.sp = s.sp[:0]
+	host, fin := s.host, s.fin
+	for _, p := range s.d.Pred(v) {
 		ph := host[p.Task]
 		f := fin[p.Task]
-		if owned {
-			found := false
-			for i := range r.own {
-				if r.own[i].host == int32(ph) {
-					if f > r.own[i].fin {
-						r.own[i].fin = f
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				r.own = append(r.own, hostFin{host: int32(ph), fin: f})
+		if s.scratchStamp[ph] == r.stamp {
+			if f > s.scratchFin[ph] {
+				s.scratchFin[ph] = f
 			}
 		} else {
-			if s.scratchStamp[ph] == r.stamp {
-				if f > s.scratchFin[ph] {
-					s.scratchFin[ph] = f
-				}
-			} else {
-				s.scratchFin[ph] = f
-				s.scratchStamp[ph] = r.stamp
-				s.sp = append(s.sp, int32(ph))
-			}
+			s.scratchFin[ph] = f
+			s.scratchStamp[ph] = r.stamp
+			s.sp = append(s.sp, int32(ph))
+		}
+		if !r.fast {
+			continue
 		}
 		// Transfer cost to any *other* host is locality-independent
 		// under a uniform network.
@@ -633,17 +587,8 @@ func (r *readyFn) at(h int) float64 {
 	s := r.s
 	if r.fast {
 		var ready float64
-		if r.stamp != 0 {
-			if s.scratchStamp[h] == r.stamp {
-				ready = s.scratchFin[h]
-			}
-		} else {
-			for i := range r.own {
-				if r.own[i].host == int32(h) {
-					ready = r.own[i].fin
-					break
-				}
-			}
+		if s.scratchStamp[h] == r.stamp {
+			ready = s.scratchFin[h]
 		}
 		if r.bestHost1 != h {
 			if r.best1 > ready {
@@ -667,60 +612,43 @@ func (r *readyFn) at(h int) float64 {
 	return ready
 }
 
-// atAll returns at(h) for every host h, valid until the next atAll call on
-// the same state: what the heuristics' linear scans — the paths that
-// evaluate every host for every task — read instead of calling at per host.
-// On a small RC whose network can tabulate pair bandwidths the values come
-// from the dense table, one parent (one contiguous table row) at a time.
-// Each term is Platform.TransferTime's own expression with the bandwidth
-// read from the table, and a maximum does not depend on the order its terms
-// are visited in, so every value is bit-identical to at(h). A free pair's
-// +Inf needs no branch: c/+Inf is exactly 0 for every finite c. Only an
-// edge whose c overflows to +Inf, where the quotient would be NaN, takes
-// the branching row.
-func (r *readyFn) atAll() []float64 {
-	s := r.s
+// readyAll returns the data-ready time of task v on every host, valid until
+// the next readyAll call on the same state: what the heuristics' linear
+// scans — the paths that evaluate every host for every task — read instead
+// of building a readyFn and calling at per host. On a small RC whose network
+// tabulates link classes the values come from the dense tables, one parent
+// (one contiguous class row) at a time: the parent's finish plus the edge's
+// transfer time to the class of each (parent host, host) pair. Every
+// quotient is Platform.TransferTime's own division over the same operands,
+// done once per class instead of once per host, and a maximum does not
+// depend on the order its terms are visited in, so every value is
+// bit-identical to at(h). Without the tables (see pairTable; a platform
+// with more than platform.MaxLinkSpeeds speeds declines them) every value
+// is at(h).
+func (s *state) readyAll(v dag.TaskID) []float64 {
 	m := len(s.rc.Hosts)
 	s.hostRd = growF64(s.hostRd, m)
 	rd := s.hostRd
 	if !s.pairTable() {
+		r := s.readyTimes(v)
 		for h := range rd {
 			rd[h] = r.at(h)
 		}
 		return rd
 	}
-	for h := range rd {
-		rd[h] = 0
-	}
-	host := s.host
-	fin := s.fin
-	for _, p := range s.d.Pred(r.v) {
+	clear(rd)
+	k := s.nCls
+	host, fin := s.host, s.fin
+	e := s.d.PredBase(v)
+	for _, p := range s.d.Pred(v) {
 		f := fin[p.Task]
-		if p.Cost == 0 {
-			for h := range rd {
-				if f > rd[h] {
-					rd[h] = f
-				}
-			}
-			continue
-		}
-		c := p.Cost * platform.ReferenceBandwidthMbps
+		q := s.quot[e*k : (e+1)*k]
+		e++
 		ph := host[p.Task]
-		row := s.pairBW[ph*m : (ph+1)*m]
-		if math.IsInf(c, 1) {
-			for h, b := range row {
-				t := f
-				if !math.IsInf(b, 1) { // +Inf marks a free pair
-					t += c / b
-				}
-				if t > rd[h] {
-					rd[h] = t
-				}
-			}
-			continue
-		}
-		for h, b := range row {
-			if t := f + c/b; t > rd[h] {
+		row := s.pairCls[ph*m : (ph+1)*m]
+		rd := rd[:len(row)]
+		for h, c := range row {
+			if t := f + q[c]; t > rd[h] {
 				rd[h] = t
 			}
 		}
@@ -728,28 +656,80 @@ func (r *readyFn) atAll() []float64 {
 	return rd
 }
 
-// pairTable reports whether this call schedules from the dense
-// pair-bandwidth table, filling it on first use. The table has m² entries
-// and a scan reads one per (edge, host), so it is filled only when the DAG
-// has at least m edges: never more writes than the reads they replace.
+// pairTable reports whether this call schedules from the dense tables,
+// filling them on first use. The class table has m² entries and a scan
+// reads one per (edge, host), so it is filled only when the DAG has at
+// least m edges: never more writes than the reads they replace.
 func (s *state) pairTable() bool {
 	if s.pairState == 0 {
+		s.pairState = 2
 		m := len(s.rc.Hosts)
-		if s.pnet == nil || m >= indexMinHosts || s.d.NumEdges() < m {
-			s.pairState = 2
-		} else {
-			s.pairBW = growF64(s.pairBW, m*m)
-			s.pnet.PairBandwidths(s.pairBW)
-			s.pairState = 1
+		if s.pnet != nil && m < indexMinHosts && s.d.NumEdges() >= m {
+			s.pairCls = growU8(s.pairCls, m*m)
+			if ls := s.pnet.PairBandwidths(s.pairCls); ls != nil {
+				s.quot = s.quotients(ls)
+				s.nCls = len(ls.Mbps)
+				s.pairState = 1
+			}
 		}
 	}
 	return s.pairState == 1
 }
 
+// quotients returns the transfer times of s's DAG under ls: the plan's
+// table, built on the plan's first call on ls's platform, or for a one-shot
+// call the state's pooled scratch filled afresh.
+func (s *state) quotients(ls *platform.LinkSpeeds) []float64 {
+	p := s.plan
+	if p == nil {
+		s.quotBuf = fillQuotients(s.quotBuf, s.d, ls.Mbps)
+		return s.quotBuf
+	}
+	if t := p.quot.Load(); t != nil && t.speeds == ls {
+		return t.q
+	}
+	t := &quotTable{speeds: ls, q: fillQuotients(nil, s.d, ls.Mbps)}
+	p.quot.Store(t) // racing builders compute identical tables
+	return t.q
+}
+
+// quotTable is a Plan's quotient table and the speed table it was built for.
+type quotTable struct {
+	speeds *platform.LinkSpeeds
+	q      []float64
+}
+
+// fillQuotients writes, for every edge of d in PredBase order, its transfer
+// time over each link class: len(mbps) entries per edge, q[e*len(mbps)+k].
+// Class 0, the free pair, is 0. Every other entry is Platform.TransferTime's
+// edgeCost * ReferenceBandwidthMbps / bandwidth, so a cost whose product
+// overflows gets +Inf there, as TransferTime does; a zero cost gets 0
+// everywhere, as TransferTime returns without dividing.
+func fillQuotients(q []float64, d *dag.DAG, mbps []float64) []float64 {
+	k := len(mbps)
+	q = growF64(q, d.NumEdges()*k)
+	e := 0
+	for v := range d.Size() {
+		for _, p := range d.Pred(dag.TaskID(v)) {
+			row := q[e*k : (e+1)*k]
+			e++
+			clear(row)
+			if p.Cost == 0 {
+				continue
+			}
+			c := p.Cost * platform.ReferenceBandwidthMbps
+			for j := 1; j < k; j++ {
+				row[j] = c / mbps[j]
+			}
+		}
+	}
+	return q
+}
+
 // place commits task v to host h with the given start time, keeping any
 // built host index in sync with the new free time.
 func (s *state) place(v dag.TaskID, h int, start float64) {
-	exec := execTime(s.d.Task(v).Cost, s.rc.Hosts[h])
+	exec := s.execTime(s.d.Task(v).Cost, h)
 	s.host[v] = h
 	s.start[v] = start
 	f := start + exec
@@ -780,31 +760,31 @@ func (s *state) place(v dag.TaskID, h int, start float64) {
 // and one provably optimal candidate per speed class can win, with the
 // linear scan's (finish, start, index) tie-breaking reproduced exactly.
 func (s *state) minFinishHost(v dag.TaskID) (int, float64) {
-	ready := s.readyTimes(v)
 	cost := s.d.Task(v).Cost
-	npred := s.d.NumPred(v)
+	m := len(s.rc.Hosts)
 	var bestH int
 	var bestStart float64
-	if s.uniform && len(s.rc.Hosts) >= indexMinHosts {
+	if s.uniform && m >= indexMinHosts {
+		ready := s.readyTimes(v)
 		bestH, bestStart = s.minFinishFast(&ready, cost)
-	} else if s.cnet != nil && len(s.rc.Hosts) >= indexMinHosts && s.groupsOK() {
+	} else if s.cnet != nil && m >= indexMinHosts && s.groupsOK() {
+		ready := s.readyTimes(v)
 		bestH, bestStart = s.minFinishGrouped(&ready, v, cost)
 	} else {
-		hosts := s.rc.Hosts
 		bestFin := math.Inf(1)
 		bestH, bestStart = 0, math.Inf(1)
-		for h, r := range ready.atAll() {
+		for h, r := range s.readyAll(v) {
 			st := s.free[h]
 			if r > st {
 				st = r
 			}
-			fin := st + execTime(cost, hosts[h])
+			fin := st + s.execTime(cost, h)
 			if fin < bestFin || (fin == bestFin && st < bestStart) {
 				bestH, bestStart, bestFin = h, st, fin
 			}
 		}
 	}
-	s.ops += float64(len(s.rc.Hosts)) * float64(1+npred)
+	s.ops += float64(m) * float64(1+s.d.NumPred(v))
 	return bestH, bestStart
 }
 
@@ -823,10 +803,9 @@ var indexMinHosts = 128
 // that can start nowhere before +Inf gets the scan's answer too.
 func (s *state) minFinishFast(ready *readyFn, cost float64) (int, float64) {
 	ci := s.classIndex()
-	hosts := s.rc.Hosts
 	bestH, bestStart, bestFin := 0, math.Inf(1), math.Inf(1)
 	consider := func(h int, st float64) {
-		fin := st + execTime(cost, hosts[h])
+		fin := st + s.execTime(cost, h)
 		if fin < bestFin ||
 			(fin == bestFin && (st < bestStart || (st == bestStart && h < bestH))) {
 			bestH, bestStart, bestFin = h, st, fin
@@ -850,10 +829,9 @@ func (s *state) minFinishFast(ready *readyFn, cost float64) (int, float64) {
 // provably optimal candidate exactly as in minFinishFast.
 func (s *state) minFinishGrouped(ready *readyFn, v dag.TaskID, cost float64) (int, float64) {
 	gi := &s.grpIdx
-	hosts := s.rc.Hosts
 	bestH, bestStart, bestFin := 0, math.Inf(1), math.Inf(1)
 	consider := func(h int, st float64) {
-		fin := st + execTime(cost, hosts[h])
+		fin := st + s.execTime(cost, h)
 		if fin < bestFin ||
 			(fin == bestFin && (st < bestStart || (st == bestStart && h < bestH))) {
 			bestH, bestStart, bestFin = h, st, fin
@@ -952,10 +930,11 @@ func (s *state) earliestStart(x *hostIndex, lo, hi int, thr float64, stamp int64
 // speed: the Greedy policy of Fig. IV-3. Charges m ops (Greedy evaluates
 // only availability, not per-parent costs).
 func (s *state) minStartHost(v dag.TaskID) (int, float64) {
-	ready := s.readyTimes(v)
+	m := len(s.rc.Hosts)
 	var bestH int
 	var bestStart float64
-	if s.uniform && len(s.rc.Hosts) >= indexMinHosts {
+	if s.uniform && m >= indexMinHosts {
+		ready := s.readyTimes(v)
 		ii := s.identityIndex()
 		bestH, bestStart = 0, math.Inf(1)
 		consider := func(h int, st float64) {
@@ -964,15 +943,16 @@ func (s *state) minStartHost(v dag.TaskID) (int, float64) {
 			}
 		}
 		s.considerParentHosts(&ready, consider)
-		if h, st, ok := s.earliestStart(ii, 0, len(s.rc.Hosts), ready.best1, ready.stamp); ok {
+		if h, st, ok := s.earliestStart(ii, 0, m, ready.best1, ready.stamp); ok {
 			consider(h, st)
 		}
 		ii.unmaskAll()
-	} else if s.cnet != nil && len(s.rc.Hosts) >= indexMinHosts && s.groupsOK() {
+	} else if s.cnet != nil && m >= indexMinHosts && s.groupsOK() {
+		ready := s.readyTimes(v)
 		bestH, bestStart = s.minStartGrouped(&ready, v)
 	} else {
 		bestH, bestStart = 0, math.Inf(1)
-		for h, r := range ready.atAll() {
+		for h, r := range s.readyAll(v) {
 			st := s.free[h]
 			if r > st {
 				st = r
@@ -982,6 +962,6 @@ func (s *state) minStartHost(v dag.TaskID) (int, float64) {
 			}
 		}
 	}
-	s.ops += float64(len(s.rc.Hosts))
+	s.ops += float64(m)
 	return bestH, bestStart
 }
