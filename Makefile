@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race bench bench-smoke bench-check fuzz-smoke serve-smoke crash-smoke churn-smoke advise-smoke accuracy-smoke
+.PHONY: check vet build test race bench bench-smoke bench-check fuzz-smoke
 
 check: vet build race bench-smoke fuzz-smoke
 
@@ -59,36 +59,3 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/broker/durable
 	$(GO) test -run xxx -fuzz 'FuzzDenseTable$$' -fuzztime $(FUZZTIME) ./internal/sched
-
-# End-to-end service smoke: train a smoke-scale artifact, serve it on an
-# ephemeral port, request a spec for the Figure III-2 example DAG, and
-# diff the response against the committed golden.
-serve-smoke:
-	bash scripts/serve_smoke.sh
-
-# End-to-end crash recovery: serve with -state-dir, register an inventory,
-# acquire a lease, SIGKILL the server, restart on the same directory, and
-# assert the lease and inventory survived (and release still works).
-crash-smoke:
-	bash scripts/crash_smoke.sh
-
-# End-to-end churn: serve with the reconciler enabled, bind a lease, kill
-# its hosts via /v1/platform/events, and assert the transparent re-selection
-# down the spec ladder — including SIGKILL + restart on the same state
-# directory recovering the post-rebind lease.
-churn-smoke:
-	bash scripts/churn_smoke.sh
-
-# End-to-end multi-objective selection: register a priced inventory, ask
-# POST /v1/advise for the Pareto front (>= 2 mutually non-dominated
-# solutions), then round-trip a backend=moga select and release.
-advise-smoke:
-	bash scripts/advise_smoke.sh
-
-# End-to-end prediction accuracy: bind with -state-dir and -obs-dir,
-# SIGKILL mid-lease, restart, release with an observed makespan, and
-# assert the observation is complete (predicted + observed + trace id),
-# the rsgend_accuracy_* families are exposed, and rsgend_model_drift
-# flips under a synthetic 4x-slow cluster.
-accuracy-smoke:
-	bash scripts/accuracy_smoke.sh

@@ -6,18 +6,16 @@ import (
 )
 
 // ModelFormatVersion is the on-disk format version MarshalJSON stamps into
-// every serialized Model. UnmarshalJSON accepts artifacts up to and
-// including this version (unversioned legacy files decode as v0) and
-// rejects anything newer.
+// every serialized Model. UnmarshalJSON accepts versions 1 through this one
+// and rejects anything else.
 const ModelFormatVersion = 1
 
 const modelFormat = "rsgen-heuristic-model"
 
-// modelWire is the versioned JSON layout; the payload fields match the
-// legacy encoding so v0 files decode through the same struct.
+// modelWire is the versioned JSON layout of a Model.
 type modelWire struct {
-	Format       string        `json:"format,omitempty"`
-	Version      int           `json:"version,omitempty"`
+	Format       string        `json:"format"`
+	Version      int           `json:"version"`
 	Observations []Observation `json:"observations"`
 	Heuristics   []string      `json:"heuristics"`
 }
@@ -32,18 +30,18 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes either the versioned wire format or a legacy
-// unversioned file, and rebuilds the normalization spans Predict uses.
+// UnmarshalJSON decodes the versioned wire format and rebuilds the
+// normalization spans Predict uses.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var w modelWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	if w.Format != "" && w.Format != modelFormat {
+	if w.Format != modelFormat {
 		return fmt.Errorf("heurpred: artifact format %q, want %q", w.Format, modelFormat)
 	}
-	if w.Version > ModelFormatVersion {
-		return fmt.Errorf("heurpred: artifact version %d newer than supported %d", w.Version, ModelFormatVersion)
+	if w.Version < 1 || w.Version > ModelFormatVersion {
+		return fmt.Errorf("heurpred: artifact version %d, want 1…%d", w.Version, ModelFormatVersion)
 	}
 	m.Observations = w.Observations
 	m.Heuristics = w.Heuristics

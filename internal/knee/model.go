@@ -326,7 +326,7 @@ func (ms *ModelSet) Save(w io.Writer) error {
 	return enc.Encode(ms)
 }
 
-// Load reads a model set saved with Save (versioned or legacy format).
+// Load reads a model set saved with Save.
 func Load(r io.Reader) (*ModelSet, error) {
 	var ms ModelSet
 	if err := json.NewDecoder(r).Decode(&ms); err != nil {

@@ -7,18 +7,15 @@ import (
 )
 
 // ModelSetFormatVersion is the on-disk format version MarshalJSON stamps
-// into every serialized ModelSet. UnmarshalJSON accepts artifacts up to and
-// including this version (and unversioned legacy files, treated as v0) and
-// rejects anything newer, so an old binary fails loudly instead of silently
-// misreading a future layout.
+// into every serialized ModelSet. UnmarshalJSON accepts versions 1 through
+// this one and rejects anything else, so an old binary fails loudly instead
+// of silently misreading a future layout.
 const ModelSetFormatVersion = 1
 
-// modelSetWire is the versioned JSON layout of a ModelSet. The payload
-// fields match the legacy (pre-version) encoding, so v0 files decode
-// through the same struct.
+// modelSetWire is the versioned JSON layout of a ModelSet.
 type modelSetWire struct {
-	Format       string        `json:"format,omitempty"`
-	Version      int           `json:"version,omitempty"`
+	Format       string        `json:"format"`
+	Version      int           `json:"version"`
 	Models       []*Model      `json:"models"`
 	Observations []Observation `json:"observations,omitempty"`
 }
@@ -37,18 +34,17 @@ func (ms *ModelSet) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON decodes either the versioned wire format or a legacy
-// unversioned file (format/version fields absent).
+// UnmarshalJSON decodes the versioned wire format.
 func (ms *ModelSet) UnmarshalJSON(data []byte) error {
 	var w modelSetWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	if w.Format != "" && w.Format != modelSetFormat {
+	if w.Format != modelSetFormat {
 		return fmt.Errorf("knee: artifact format %q, want %q", w.Format, modelSetFormat)
 	}
-	if w.Version > ModelSetFormatVersion {
-		return fmt.Errorf("knee: artifact version %d newer than supported %d", w.Version, ModelSetFormatVersion)
+	if w.Version < 1 || w.Version > ModelSetFormatVersion {
+		return fmt.Errorf("knee: artifact version %d, want 1…%d", w.Version, ModelSetFormatVersion)
 	}
 	ms.Models = w.Models
 	ms.Observations = w.Observations

@@ -11,9 +11,8 @@ import (
 )
 
 // ArtifactFormatVersion is the generator-artifact version SaveGenerator
-// writes. LoadGenerator accepts artifacts up to and including this version
-// (legacy unversioned {"size":…,"heuristic":…} envelopes decode as v0) and
-// rejects anything newer.
+// writes. LoadGenerator accepts versions 1 through this one and rejects
+// anything else.
 const ArtifactFormatVersion = 1
 
 const artifactFormat = "rsgen-generator"
@@ -22,8 +21,8 @@ const artifactFormat = "rsgen-generator"
 // one JSON document, plus training-provenance metadata so loaders can
 // report how much work the artifact saves.
 type artifactWire struct {
-	Format  string `json:"format,omitempty"`
-	Version int    `json:"version,omitempty"`
+	Format  string `json:"format"`
+	Version int    `json:"version"`
 	// TrainSeconds is the wall-clock cost of the training run that
 	// produced the artifact (0 when unknown).
 	TrainSeconds float64         `json:"train_seconds,omitempty"`
@@ -51,20 +50,19 @@ func SaveGenerator(w io.Writer, g *Generator, trainSeconds float64) error {
 	})
 }
 
-// LoadGenerator reads an artifact written by SaveGenerator (or a legacy
-// unversioned model envelope) and returns the assembled generator plus the
-// recorded training cost in seconds (0 when the artifact predates the
-// field).
+// LoadGenerator reads an artifact written by SaveGenerator and returns the
+// assembled generator plus the recorded training cost in seconds (0 when
+// unknown).
 func LoadGenerator(r io.Reader) (*Generator, float64, error) {
 	var w artifactWire
 	if err := json.NewDecoder(r).Decode(&w); err != nil {
 		return nil, 0, fmt.Errorf("spec: load generator: %w", err)
 	}
-	if w.Format != "" && w.Format != artifactFormat {
+	if w.Format != artifactFormat {
 		return nil, 0, fmt.Errorf("spec: artifact format %q, want %q", w.Format, artifactFormat)
 	}
-	if w.Version > ArtifactFormatVersion {
-		return nil, 0, fmt.Errorf("spec: artifact version %d newer than supported %d", w.Version, ArtifactFormatVersion)
+	if w.Version < 1 || w.Version > ArtifactFormatVersion {
+		return nil, 0, fmt.Errorf("spec: artifact version %d, want 1…%d", w.Version, ArtifactFormatVersion)
 	}
 	if w.Size == nil || len(w.Size.Models) == 0 {
 		return nil, 0, errors.New("spec: artifact has no size models")
