@@ -46,7 +46,10 @@ bench-check:
 # document; the short minimize budget keeps the engine from spending the
 # whole pass shrinking mutations of it. The vgDL finder's target is
 # differential too (run-table finder vs the per-host oracle), and so is the
-# scheduler's dense-table target (link-class tables vs TransferTime).
+# scheduler's dense-table target (link- and speed-class tables vs
+# TransferTime and a division per host). The last target is not a parser: it
+# draws whole moga searches and requires Workers 1 and 2 to return the same
+# result, since scoring runs concurrently with breeding.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/vgdl
 	$(GO) test -run xxx -fuzz 'FuzzFindDifferential$$' -fuzztime $(FUZZTIME) ./internal/vgdl
@@ -59,3 +62,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/broker/durable
 	$(GO) test -run xxx -fuzz 'FuzzDenseTable$$' -fuzztime $(FUZZTIME) ./internal/sched
+	$(GO) test -run xxx -fuzz 'FuzzSearchWorkers$$' -fuzztime $(FUZZTIME) ./internal/moga

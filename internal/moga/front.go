@@ -15,7 +15,7 @@ type rankInfo struct {
 
 // ranker runs NSGA-II's fast non-dominated sort followed by per-front
 // crowding-distance assignment, keeping its working storage between calls
-// (the engine ranks twice per generation).
+// (the engine ranks once per generation).
 type ranker struct {
 	out []rankInfo
 	// dom[i*n : i*n+domLen[i]] lists the members i dominates, in the order
@@ -74,17 +74,17 @@ func (r *ranker) rank(pop []indiv) []rankInfo {
 				}
 			}
 		}
-		r.crowd(pop, current)
+		r.crowd(pop, current, r.out)
 		current, next = next, current
 	}
 	r.cur, r.next = current, next
 	return r.out
 }
 
-// crowd assigns crowding distances within one front (indices into pop).
-func (r *ranker) crowd(pop []indiv, front []int32) {
+// crowd adds crowding distances within one front (indices into pop) to the
+// zeroed entries of out, which is indexed like pop.
+func (r *ranker) crowd(pop []indiv, front []int32, out []rankInfo) {
 	m := len(front)
-	out := r.out
 	if m <= 2 {
 		for _, i := range front {
 			out[i].crowding = math.Inf(1)

@@ -15,13 +15,17 @@
 // generations and Config.MaxEvaluations unique objective evaluations, with
 // context cancellation checked every generation.
 //
-// Each generation runs breed → score → select. Breeding is sequential on the
-// one stream and never reads a child's objectives: duplicates, memo hits and
-// the evaluation budget are all resolved by genome key. Scoring — a pure
-// function of the genome — then runs over the generation's new genomes
-// across Config.Workers goroutines, and selection sees the same scores in
-// the same order a serial loop would. The Result is therefore identical for
-// every worker count; Workers = 1 is the same code on one goroutine.
+// Each generation breeds while it scores, then selects. Breeding is
+// sequential on the one stream and never reads a child's objectives:
+// duplicates, memo hits and the evaluation budget are all resolved by genome
+// key. So each genome new to the search is handed to the scoring goroutines,
+// started once per search, the moment it is charged, and scored — a pure
+// function of the genome — while breeding goes on. Selection waits for the
+// generation's scores and sees them in the order a serial loop would, then
+// ranks the merged pool once: the survivors carry their ranking into the
+// next generation's tournaments. The Result is therefore identical for
+// every worker count; Workers = 1 is the same code on one goroutine, which
+// scores each genome as it is charged.
 package moga
 
 import (
@@ -31,9 +35,9 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 
 	"rsgen/internal/dag"
-	"rsgen/internal/eval"
 	"rsgen/internal/platform"
 	"rsgen/internal/sched"
 	"rsgen/internal/spec"
@@ -61,8 +65,9 @@ type Config struct {
 	MaxEvaluations int
 	// Seed drives the deterministic search stream; 0 means 1.
 	Seed uint64
-	// Workers bounds the goroutines that score a generation's new genomes;
-	// 0 means GOMAXPROCS. It decides only when a genome is scored, never
+	// Workers bounds the goroutines that score new genomes while the
+	// caller's goroutine breeds; 0 means GOMAXPROCS, and 1 scores on the
+	// caller's goroutine. It decides only when a genome is scored, never
 	// what the search returns.
 	Workers int
 	// Stats, when non-nil, accumulates counters across searches (exposed
@@ -183,6 +188,7 @@ func Search(ctx context.Context, pr Problem, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.stop()
 	pop := e.initialPopulation()
 	gens := 0
 	for g := 0; g < cfg.Generations; g++ {
@@ -232,17 +238,27 @@ type engine struct {
 
 	// known holds every distinct genome bred so far and memo its slot by
 	// key. A genome is charged to evals the moment it enters known, while
-	// breeding; its objectives are filled in afterwards by score. inGen
-	// stamps the slots that are members of the generation being bred.
-	known    []indiv
-	memo     map[string]int32
-	evals    int
-	unscored []int32
-	inGen    []uint32
-	gen      uint32
+	// breeding; its objectives are filled in by settle. inGen stamps the
+	// slots that are members of the generation being bred.
+	known []indiv
+	memo  map[string]int32
+	evals int
+	inGen []uint32
+	gen   uint32
 
-	// scorers holds one scratch set per scoring goroutine.
-	scorers chan *scorer
+	// Scoring. queue hands each genome new this generation to the scorers
+	// (fresh lists their slots in known) and settle waits for their scores
+	// in objs, one slot per fresh genome: pre-sized, because known may move
+	// while the scorers write. With one worker sc scores on the breeding
+	// goroutine and jobs is nil; otherwise jobs feeds the scoring
+	// goroutines, pending counts the generation's jobs not yet scored and
+	// live the goroutines not yet stopped.
+	fresh   []int32
+	objs    []Objectives
+	sc      *scorer
+	jobs    chan scoreJob
+	pending sync.WaitGroup
+	live    sync.WaitGroup
 
 	// Breeding scratch: a stamped set over eligible indices, the child
 	// being bred, the parents' symmetric difference, sample draws, the key
@@ -254,9 +270,13 @@ type engine struct {
 	keyBuf      []byte
 	slab        []int32
 
-	rk    ranker
-	order []int32 // survivors' sort permutation
-	spare []indiv // the population buffer not in use this generation
+	// ranked is the population's ranking: computed for the initial one,
+	// then carried over by survivors from the pool's.
+	rk     ranker
+	ranked []rankInfo
+	order  []int32 // survivors' sort permutation
+	cut    []int32 // the members of the front survivors split
+	spare  []indiv // the population buffer not in use this generation
 }
 
 // scorer is what one goroutine needs to score genomes: a k-host collection
@@ -266,6 +286,16 @@ type scorer struct {
 	inCluster []uint32
 	stamp     uint32
 }
+
+// scoreJob is one genome to score and the slot its objectives go to.
+type scoreJob struct {
+	genome []int32
+	out    *Objectives
+}
+
+// corners is the number of single-objective seeds initialPopulation adds
+// before its random fill.
+const corners = 4
 
 func newEngine(pr Problem, cfg Config) (*engine, error) {
 	sp := pr.Spec
@@ -317,15 +347,47 @@ func newEngine(pr Problem, cfg Config) (*engine, error) {
 		}
 		e.plan = sched.Compile(h, pr.Dag)
 	}
+	// A generation brings at most PopSize new genomes, the initial one at
+	// most max(PopSize, corners).
+	e.objs = make([]Objectives, cfg.PopSize+corners)
 	workers := min(cfg.Workers, cfg.PopSize)
-	e.scorers = make(chan *scorer, workers)
-	for i := 0; i < workers; i++ {
-		e.scorers <- &scorer{
-			rc:        platform.SubsetRC(p, make([]platform.Host, k)),
-			inCluster: make([]uint32, len(p.Clusters)),
-		}
+	if workers <= 1 {
+		e.sc = e.newScorer()
+		return e, nil
+	}
+	// Room for a generation's every job: queue never blocks breeding.
+	e.jobs = make(chan scoreJob, len(e.objs))
+	e.live.Add(workers)
+	for range workers {
+		go e.scoreJobs(e.newScorer())
 	}
 	return e, nil
+}
+
+func (e *engine) newScorer() *scorer {
+	return &scorer{
+		rc:        platform.SubsetRC(e.p, make([]platform.Host, e.k)),
+		inCluster: make([]uint32, len(e.p.Clusters)),
+	}
+}
+
+// scoreJobs is one scoring goroutine: it scores jobs until stop closes the
+// queue.
+func (e *engine) scoreJobs(sc *scorer) {
+	defer e.live.Done()
+	for j := range e.jobs {
+		*j.out = e.score(sc, j.genome)
+		e.pending.Done()
+	}
+}
+
+// stop ends the scoring goroutines and waits for them to exit, so none
+// outlives the search.
+func (e *engine) stop() {
+	if e.jobs != nil {
+		close(e.jobs)
+		e.live.Wait()
+	}
 }
 
 func appendKey(b []byte, g []int32) []byte {
@@ -338,8 +400,8 @@ func appendKey(b []byte, g []int32) []byte {
 // admit sorts and keys a freshly bred genome (g is scratch) and appends it
 // to dst unless the generation being bred already holds it. A genome never
 // bred before is copied into known, charged to the evaluation budget and
-// queued for scoring; one bred in an earlier generation comes back with the
-// objectives it was given then.
+// handed to the scorers; one bred in an earlier generation comes back with
+// the objectives it was given then.
 func (e *engine) admit(dst []indiv, g []int32) []indiv {
 	slices.Sort(g)
 	e.keyBuf = appendKey(e.keyBuf[:0], g)
@@ -357,7 +419,7 @@ func (e *engine) admit(dst []indiv, g []int32) []indiv {
 		e.known = append(e.known, indiv{genome: genome, key: key, slot: slot})
 		e.inGen = append(e.inGen, 0)
 		e.memo[key] = slot
-		e.unscored = append(e.unscored, slot)
+		e.queue(slot, genome)
 		e.evals++
 	case e.inGen[slot] == e.gen:
 		return dst
@@ -366,17 +428,27 @@ func (e *engine) admit(dst []indiv, g []int32) []indiv {
 	return append(dst, e.known[slot])
 }
 
-// scoreBred scores every genome bred since the last call across the scoring
-// goroutines, then hands the members of bred their objectives.
-func (e *engine) scoreBred(bred []indiv) {
-	q := e.unscored
-	eval.Fan(len(q), cap(e.scorers), func(i int) {
-		sc := <-e.scorers
-		iv := &e.known[q[i]]
-		iv.obj = e.score(sc, iv.genome)
-		e.scorers <- sc
-	})
-	e.unscored = q[:0]
+// queue scores the genome of a new slot into the generation's next objs
+// slot: at once with one worker, otherwise on a scoring goroutine.
+func (e *engine) queue(slot int32, genome []int32) {
+	out := &e.objs[len(e.fresh)]
+	e.fresh = append(e.fresh, slot)
+	if e.jobs == nil {
+		*out = e.score(e.sc, genome)
+		return
+	}
+	e.pending.Add(1)
+	e.jobs <- scoreJob{genome: genome, out: out}
+}
+
+// settle waits for the scores of every genome queued since the last call,
+// files them in known, then hands the members of bred their objectives.
+func (e *engine) settle(bred []indiv) {
+	e.pending.Wait()
+	for i, slot := range e.fresh {
+		e.known[slot].obj = e.objs[i]
+	}
+	e.fresh = e.fresh[:0]
 	for i := range bred {
 		bred[i].obj = e.known[bred[i].slot].obj
 	}
@@ -459,7 +531,7 @@ func (e *engine) initialPopulation() []indiv {
 		clusterSize[hosts[id].Cluster]++
 	}
 	byID := func(a, b int32) bool { return e.elig[a] < e.elig[b] }
-	seeds := [...]func(a, b int32) bool{
+	seeds := [corners]func(a, b int32) bool{
 		func(a, b int32) bool { // fastest
 			if ca, cb := hosts[e.elig[a]].ClockGHz, hosts[e.elig[b]].ClockGHz; ca != cb {
 				return ca > cb
@@ -490,7 +562,7 @@ func (e *engine) initialPopulation() []indiv {
 		},
 	}
 	e.gen++
-	pop := make([]indiv, 0, 2*e.cfg.PopSize+len(seeds))
+	pop := make([]indiv, 0, 2*e.cfg.PopSize+corners)
 	e.spare = make([]indiv, 0, cap(pop))
 	for _, less := range seeds {
 		pop = e.admit(pop, e.bestK(less))
@@ -505,16 +577,17 @@ func (e *engine) initialPopulation() []indiv {
 		}
 		pop = e.admit(pop, g)
 	}
-	e.scoreBred(pop)
+	e.settle(pop)
+	e.ranked = append(e.ranked[:0], e.rk.rank(pop)...)
 	return pop
 }
 
-// step runs one NSGA-II generation: binary-tournament parents, subset
-// crossover and point mutation breed the offspring; the new genomes among
-// them are scored together; then elitist survivor selection runs over the
-// merged parent+offspring pool.
+// step runs one NSGA-II generation: binary-tournament parents, chosen on the
+// population's carried ranking, breed the offspring by subset crossover and
+// point mutation while the scorers score the new genomes among them; then
+// elitist survivor selection runs over the merged parent+offspring pool.
 func (e *engine) step(pop []indiv) []indiv {
-	ranked := e.rk.rank(pop)
+	ranked := e.ranked
 	e.gen++
 	for _, iv := range pop {
 		e.inGen[iv.slot] = e.gen
@@ -530,7 +603,7 @@ func (e *engine) step(pop []indiv) []indiv {
 		e.mutate(child)
 		pool = e.admit(pool, child)
 	}
-	e.scoreBred(pool[len(pop):])
+	e.settle(pool[len(pop):])
 	return e.survivors(pool)
 }
 
@@ -610,8 +683,14 @@ func (e *engine) mutate(g []int32) {
 }
 
 // survivors keeps the best PopSize members by (rank, crowding) with full
-// deterministic tie-breaking. The result reuses the population buffer the
-// pool is not in.
+// deterministic tie-breaking, and leaves their ranking in e.ranked. The
+// result reuses the population buffer the pool is not in.
+//
+// The pool is ranked once, here. Every member that dominates a kept one
+// ranks lower and is kept too, so a kept member's rank among the survivors
+// is its rank in the pool, and a front kept whole keeps its crowding
+// distances (they depend only on the front's own members). Only the front
+// the cut splits needs its crowding recomputed over the part that is kept.
 func (e *engine) survivors(pool []indiv) []indiv {
 	ranked := e.rk.rank(pool)
 	order := e.order[:0]
@@ -628,10 +707,22 @@ func (e *engine) survivors(pool []indiv) []indiv {
 		return cmp.Compare(pool[a].key, pool[b].key)
 	})
 	e.order = order
-	out := e.spare[:0]
-	for _, i := range order[:min(e.cfg.PopSize, len(order))] {
+	keep := min(e.cfg.PopSize, len(order))
+	out, carried := e.spare[:0], e.ranked[:0]
+	for _, i := range order[:keep] {
 		out = append(out, pool[i])
+		carried = append(carried, ranked[i])
 	}
+	if r := carried[keep-1].rank; keep < len(order) && ranked[order[keep]].rank == r {
+		cut := e.cut[:0]
+		for i := keep - 1; i >= 0 && carried[i].rank == r; i-- {
+			carried[i].crowding = 0
+			cut = append(cut, int32(i))
+		}
+		e.rk.crowd(out, cut, carried)
+		e.cut = cut
+	}
+	e.ranked = carried
 	e.spare = pool[:0]
 	return out
 }
@@ -639,10 +730,9 @@ func (e *engine) survivors(pool []indiv) []indiv {
 // front extracts the rank-0 members of the final population as a knee-ranked
 // Solution slice.
 func (e *engine) front(pop []indiv) []Solution {
-	ranked := e.rk.rank(pop)
 	var sols []Solution
 	for i, iv := range pop {
-		if ranked[i].rank != 0 {
+		if e.ranked[i].rank != 0 {
 			continue
 		}
 		hosts := make([]platform.HostID, len(iv.genome))

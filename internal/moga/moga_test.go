@@ -1,14 +1,19 @@
 package moga
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"rsgen/internal/dag"
 	"rsgen/internal/platform"
@@ -174,13 +179,70 @@ func TestSearchBudget(t *testing.T) {
 	}
 }
 
-// A cancelled context aborts between generations.
+// A cancelled context aborts between generations, and no scoring goroutine
+// outlives Search: not when the context is cancelled before the search, not
+// when it is cancelled after a few generations, not when the search ends.
 func TestSearchCancellation(t *testing.T) {
 	pr := testProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Search(ctx, pr, Config{}); err != context.Canceled {
+	if _, err := Search(ctx, pr, Config{Workers: 2}); err != context.Canceled {
 		t.Errorf("Search on cancelled ctx = %v, want context.Canceled", err)
+	}
+	checkNoScorers(t, "cancelled before the search")
+
+	mid := &cancelAfter{Context: context.Background(), n: 4}
+	if _, err := Search(mid, pr, Config{Workers: 2}); err != context.Canceled {
+		t.Errorf("Search cancelled after 3 generations = %v, want context.Canceled", err)
+	}
+	if mid.scorers != 2 {
+		t.Errorf("saw %d scoring goroutines during the search, want 2", mid.scorers)
+	}
+	checkNoScorers(t, "cancelled mid-search")
+
+	mustSearch(t, pr, Config{Workers: 2})
+	checkNoScorers(t, "completed")
+}
+
+// cancelAfter is a context whose Err reports Canceled from its n-th call on
+// (Search calls it once per generation); each call also records the most
+// scoring goroutines it has seen alive.
+type cancelAfter struct {
+	context.Context
+	n, calls, scorers int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	c.scorers = max(c.scorers, scoringGoroutines())
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// scoringGoroutines counts the goroutines running engine.scoreJobs.
+func scoringGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("moga.(*engine).scoreJobs("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// checkNoScorers fails unless every scoring goroutine has exited. Search
+// waits until each has signalled its exit, so the only grace allowed is for
+// a goroutine between that signal and its return.
+func checkNoScorers(t *testing.T, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); scoringGoroutines() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d scoring goroutines outlived Search", when, scoringGoroutines())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -236,10 +298,11 @@ func TestNonDominatedSort(t *testing.T) {
 	}
 }
 
-// The worker count decides only when a genome is scored: Workers 1 and 8
-// must return the same Result, field for field, at the default budget, at a
-// budget that binds mid-generation, and on a space so small (n choose k <
-// PopSize) that breeding mostly rediscovers genomes it already holds.
+// The worker count decides only when a genome is scored: Workers 1, 2 (the
+// service's count on two cores) and 8 must return the same Result, field
+// for field, at the default budget, at a budget that binds mid-generation,
+// and on a space so small (n choose k < PopSize) that breeding mostly
+// rediscovers genomes it already holds.
 func TestSearchIndependentOfWorkers(t *testing.T) {
 	pr := testProblem(t)
 	tiny := pr
@@ -257,12 +320,15 @@ func TestSearchIndependentOfWorkers(t *testing.T) {
 		{"binding budget", pr, Config{MaxEvaluations: 100}},
 		{"tiny space", tiny, Config{}},
 	} {
-		serial, wide := c.cfg, c.cfg
-		serial.Workers, wide.Workers = 1, 8
+		serial := c.cfg
+		serial.Workers = 1
 		a := mustSearch(t, c.pr, serial)
-		b := mustSearch(t, c.pr, wide)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: Workers=1 and Workers=8 diverged:\n%+v\nvs\n%+v", c.name, a, b)
+		for _, w := range []int{2, 8} {
+			wide := c.cfg
+			wide.Workers = w
+			if b := mustSearch(t, c.pr, wide); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: Workers=1 and Workers=%d diverged:\n%+v\nvs\n%+v", c.name, w, a, b)
+			}
 		}
 		if c.cfg.MaxEvaluations > 0 && a.Evaluations != c.cfg.MaxEvaluations {
 			t.Errorf("%s: spent %d evaluations, want the budget of %d to bind", c.name, a.Evaluations, c.cfg.MaxEvaluations)
@@ -297,4 +363,106 @@ func TestConcurrentSearchesOnFreshPlatform(t *testing.T) {
 			t.Errorf("search %d diverged from search 0 on the shared platform", i)
 		}
 	}
+}
+
+// survivors carries the pool's ranking over to the population it keeps
+// instead of ranking the population again: at every generation the carried
+// ranking must equal a fresh rank of the population, field for field and
+// bit for bit. Covered: RCSize 1, 5 and 22 at the default budget and at one
+// that binds mid-generation, the tiny space, and an exclusion mask.
+func TestCarriedRankingIsFresh(t *testing.T) {
+	pr := testProblem(t)
+	tiny := pr
+	tiny.Platform = platform.MustGenerate(platform.GenSpec{Clusters: 2, Year: 2005, MeanClusterSize: 3}, xrand.New(5))
+	tiny.Spec = &spec.Specification{Heuristic: "MCP", RCSize: 2}
+	masked := pr
+	masked.Excluded = map[platform.HostID]bool{}
+	for _, h := range pr.Platform.Hosts {
+		if h.Cluster%3 == 0 {
+			masked.Excluded[h.ID] = true
+		}
+	}
+	type tc struct {
+		name string
+		pr   Problem
+		cfg  Config
+	}
+	cases := []tc{{"tiny space", tiny, Config{}}, {"exclusion mask", masked, Config{Seed: 4}}}
+	for _, k := range []int{1, 5, 22} {
+		sized := pr
+		sized.Spec = &spec.Specification{Heuristic: "MCP", RCSize: k, MinMemoryMB: 512}
+		cases = append(cases,
+			tc{fmt.Sprintf("rc%d default budget", k), sized, Config{}},
+			tc{fmt.Sprintf("rc%d binding budget", k), sized, Config{MaxEvaluations: 100, Seed: 7}})
+	}
+	for _, c := range cases {
+		cfg := c.cfg.withDefaults()
+		e, err := newEngine(c.pr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(gen int, pop []indiv) {
+			fresh := new(ranker).rank(pop)
+			if len(e.ranked) != len(fresh) {
+				t.Fatalf("%s gen %d: carried %d ranks for %d members", c.name, gen, len(e.ranked), len(fresh))
+			}
+			for i := range fresh {
+				got, want := e.ranked[i], fresh[i]
+				if got.rank != want.rank || math.Float64bits(got.crowding) != math.Float64bits(want.crowding) {
+					t.Fatalf("%s gen %d member %d: carried %+v, fresh %+v", c.name, gen, i, got, want)
+				}
+			}
+		}
+		pop := e.initialPopulation()
+		check(0, pop)
+		for g := 1; g <= cfg.Generations && e.evals < cfg.MaxEvaluations; g++ {
+			pop = e.step(pop)
+			check(g, pop)
+		}
+		e.stop()
+	}
+}
+
+// FuzzSearchWorkers draws a search from its seed — platform size and year,
+// DAG, RCSize, heuristic, population, generation and evaluation budgets,
+// exclusion density — and requires Workers 1 and 2 to return the same
+// Result, field for field.
+func FuzzSearchWorkers(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	heuristics := []string{"MCP", "Greedy", "FCA", "FCFS", "DLS", "Random", "RoundRobin", "MinMin"}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := xrand.New(seed)
+		p := platform.MustGenerate(platform.GenSpec{
+			Clusters: 1 + rng.Intn(16), Year: 2004 + rng.Intn(5), MeanClusterSize: rng.Uniform(2, 24),
+		}, rng.Split())
+		pr := Problem{Platform: p, Spec: &spec.Specification{
+			Heuristic: heuristics[rng.Intn(len(heuristics))], RCSize: 1 + rng.Intn(24),
+		}}
+		if rng.Intn(4) != 0 {
+			pr.Dag = dag.MustGenerate(dag.GenSpec{
+				Size: 2 + rng.Intn(40), CCR: rng.Uniform(0, 3), Parallelism: rng.Uniform(0.2, 0.9),
+				Density: rng.Uniform(0.1, 1), Regularity: rng.Uniform(0, 1), MeanCost: rng.Uniform(1, 60),
+			}, rng.Split())
+		}
+		density := rng.Float64()
+		pr.Excluded = map[platform.HostID]bool{}
+		for _, h := range p.Hosts {
+			if rng.Float64() < density {
+				pr.Excluded[h.ID] = true
+			}
+		}
+		cfg := Config{
+			PopSize: 1 + rng.Intn(24), Generations: 1 + rng.Intn(8),
+			MaxEvaluations: rng.Intn(160), Seed: rng.Uint64(),
+		}
+		serial, wide := cfg, cfg
+		serial.Workers, wide.Workers = 1, 2
+		a, errA := Search(context.Background(), pr, serial)
+		b, errB := Search(context.Background(), pr, wide)
+		if errA != errB || !reflect.DeepEqual(a, b) {
+			t.Fatalf("Workers=1 and Workers=2 diverged:\n%+v (%v)\nvs\n%+v (%v)", a, errA, b, errB)
+		}
+	})
 }

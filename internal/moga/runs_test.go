@@ -44,11 +44,11 @@ func TestObjectivesInvariantWithinRuns(t *testing.T) {
 	for _, h := range []string{"MCP", "Greedy", "FCA", "FCFS", "DLS", "Random", "RoundRobin", "MinMin"} {
 		for _, k := range []int{5, 12, 22} {
 			pr := Problem{Platform: p, Spec: &spec.Specification{Heuristic: h, RCSize: k}, Dag: d, Excluded: excluded}
-			e, err := newEngine(pr, Config{}.withDefaults())
+			e, err := newEngine(pr, Config{Workers: 1}.withDefaults())
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := <-e.scorers
+			sc := e.sc
 			// byRun[r] lists run r's eligible indices.
 			byRun := make([][]int32, runs.Len())
 			for i, id := range e.elig {

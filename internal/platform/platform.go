@@ -13,6 +13,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -95,6 +96,10 @@ type Platform struct {
 	// speeds caches the link-speed table (LinkSpeeds), published the same
 	// way; a declined table is cached too, as one with no speeds.
 	speeds atomic.Pointer[LinkSpeeds]
+
+	// clocks caches the host-speed table (SpeedClasses), published the
+	// same way; a declined table is cached too, as one with no speedups.
+	clocks atomic.Pointer[SpeedClasses]
 }
 
 // NumHosts returns the total host count.
@@ -107,13 +112,14 @@ func (p *Platform) Host(id HostID) Host { return p.Hosts[id] }
 // covering all hosts and agreeing with every host's Cluster field (host i
 // names cluster c exactly when i lies in c's [FirstHost, FirstHost+NumHosts)
 // span — the run table groups hosts by the field, bandwidth lookups and the
-// RC helpers go through the spans), positive clock rates and bandwidths.
+// RC helpers go through the spans), positive finite clock rates and
+// bandwidths.
 func (p *Platform) Validate() error {
 	for i, h := range p.Hosts {
 		if int(h.ID) != i {
 			return fmt.Errorf("platform: host at index %d has ID %d", i, h.ID)
 		}
-		if h.ClockGHz <= 0 {
+		if !positiveFinite(h.ClockGHz) {
 			return fmt.Errorf("platform: host %d has clock %v", i, h.ClockGHz)
 		}
 		if h.Cluster < 0 || h.Cluster >= len(p.Clusters) {
@@ -125,8 +131,8 @@ func (p *Platform) Validate() error {
 		if c.ID != i {
 			return fmt.Errorf("platform: cluster at index %d has ID %d", i, c.ID)
 		}
-		if c.NumHosts <= 0 || c.IntraMbps <= 0 || c.UplinkMbps <= 0 {
-			return fmt.Errorf("platform: cluster %d has non-positive size or bandwidth", i)
+		if c.NumHosts <= 0 || !positiveFinite(c.IntraMbps) || !positiveFinite(c.UplinkMbps) {
+			return fmt.Errorf("platform: cluster %d has size %d, LAN %v Mb/s, uplink %v Mb/s: want positive sizes and positive finite bandwidths", i, c.NumHosts, c.IntraMbps, c.UplinkMbps)
 		}
 		covered += c.NumHosts
 	}
@@ -149,6 +155,11 @@ func (p *Platform) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports x > 0 and x < +Inf. NaN fails it, where a test of
+// x <= 0 would let NaN through: the schedulers' branch-free maxima and
+// bit-pattern comparisons are exact only on non-negative, non-NaN values.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Bandwidth returns the available bandwidth in Mb/s between two hosts: the
 // intra-cluster LAN bandwidth when co-located, otherwise the widest-path

@@ -271,4 +271,38 @@ func TestRCValidateErrors(t *testing.T) {
 	if err := badClock.Validate(); err == nil {
 		t.Error("zero-clock RC validated")
 	}
+	// NaN passes a test of x <= 0; an infinite clock would make every
+	// execution time 0.
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		rc := HomogeneousRC(2, 1.0, 100)
+		rc.Hosts[0].ClockGHz = c
+		if err := rc.Validate(); err == nil {
+			t.Errorf("RC with clock %v validated", c)
+		}
+	}
+}
+
+// Platform.Validate rejects clocks and bandwidths that are NaN or +Inf, as
+// it rejects non-positive ones.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	build := func() *Platform {
+		p := MustGenerate(GenSpec{Clusters: 4, Year: 2006}, xrand.New(3))
+		return &Platform{Hosts: append([]Host(nil), p.Hosts...), Clusters: append([]Cluster(nil), p.Clusters...), Topo: p.Topo}
+	}
+	if err := build().Validate(); err != nil {
+		t.Fatalf("generated platform: %v", err)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), 0} {
+		for name, set := range map[string]func(p *Platform){
+			"host clock": func(p *Platform) { p.Hosts[3].ClockGHz = x },
+			"LAN":        func(p *Platform) { p.Clusters[1].IntraMbps = x },
+			"uplink":     func(p *Platform) { p.Clusters[2].UplinkMbps = x },
+		} {
+			p := build()
+			set(p)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s %v validated", name, x)
+			}
+		}
+	}
 }

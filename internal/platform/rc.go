@@ -42,7 +42,7 @@ type ResourceCollection struct {
 // Size returns the number of hosts in the collection.
 func (rc *ResourceCollection) Size() int { return len(rc.Hosts) }
 
-// Validate checks the RC is non-empty with positive clock rates.
+// Validate checks the RC is non-empty with positive, finite clock rates.
 func (rc *ResourceCollection) Validate() error {
 	if len(rc.Hosts) == 0 {
 		return fmt.Errorf("platform: empty resource collection")
@@ -51,7 +51,7 @@ func (rc *ResourceCollection) Validate() error {
 		return fmt.Errorf("platform: resource collection without network model")
 	}
 	for i, h := range rc.Hosts {
-		if h.ClockGHz <= 0 {
+		if !positiveFinite(h.ClockGHz) {
 			return fmt.Errorf("platform: RC host %d has clock %v", i, h.ClockGHz)
 		}
 	}
@@ -233,6 +233,21 @@ func (n platformNet) PairBandwidths(cls []uint8) *LinkSpeeds {
 	}
 	return t
 }
+
+// SpeedClassNetwork is implemented by networks over a platform, which hand
+// a scheduler the platform's host-speed table so it can tabulate execution
+// times per clock class instead of dividing per host. The table describes
+// the platform's hosts, so the caller looks up each RC host's clock in it
+// (SpeedClasses.Class) rather than trusting host identity.
+type SpeedClassNetwork interface {
+	Network
+	// SpeedClasses returns the platform's table, or nil when it declines
+	// one; the caller then divides per host.
+	SpeedClasses() *SpeedClasses
+}
+
+// SpeedClasses implements SpeedClassNetwork.
+func (n platformNet) SpeedClasses() *SpeedClasses { return n.p.SpeedClasses() }
 
 // TopHostsRC returns the k-fastest-hosts naive abstraction of §IV.2.4.1 as
 // an RC over the platform network.

@@ -129,3 +129,68 @@ func (t *LinkSpeeds) interRow(ca int) []uint8 {
 	t.inter[ca].Store(&row) // racing builders compute identical rows
 	return row
 }
+
+// MaxSpeedClasses is the most distinct host clocks a SpeedClasses table
+// holds: classes are bytes.
+const MaxSpeedClasses = math.MaxUint8
+
+// SpeedClasses is a platform's host-speed table: its distinct clock rates,
+// numbered as small classes, so a scheduler can divide each task cost once
+// per class instead of once per host. The generated platforms draw six
+// clocks, while an RC scheduled hundreds of times per search may hold any
+// mix of them. A table is immutable once published.
+type SpeedClasses struct {
+	// Speedup[k] is Host.Speedup() of every host whose clock is class k;
+	// the classes are the distinct clocks in ascending order.
+	Speedup []float64
+
+	bits []uint64 // the clocks as bit patterns, ascending
+}
+
+// SpeedClasses returns (building and caching on first use) the platform's
+// host-speed table, or nil when the platform declines one because its hosts
+// have more than MaxSpeedClasses distinct clocks.
+func (p *Platform) SpeedClasses() *SpeedClasses {
+	t := p.clocks.Load()
+	if t == nil {
+		p.clocks.CompareAndSwap(nil, buildSpeedClasses(p)) // losing the race is fine: use the winner's
+		t = p.clocks.Load()
+	}
+	if len(t.Speedup) == 0 {
+		return nil
+	}
+	return t
+}
+
+// buildSpeedClasses collects the distinct clocks as bit patterns, so
+// "distinct" means bit-distinct, as for link speeds. A declined table is
+// published as one with no speedups.
+func buildSpeedClasses(p *Platform) *SpeedClasses {
+	var bits []uint64
+	last := uint64(0) // no host has clock 0: Validate requires a positive one
+	for _, h := range p.Hosts {
+		b := math.Float64bits(h.ClockGHz)
+		if b == last {
+			continue // hosts of one cluster share a clock
+		}
+		last = b
+		if k, found := slices.BinarySearch(bits, b); !found {
+			if len(bits) == MaxSpeedClasses {
+				return &SpeedClasses{}
+			}
+			bits = slices.Insert(bits, k, b)
+		}
+	}
+	t := &SpeedClasses{Speedup: make([]float64, len(bits)), bits: bits}
+	for k, b := range bits {
+		t.Speedup[k] = Host{ClockGHz: math.Float64frombits(b)}.Speedup()
+	}
+	return t
+}
+
+// Class returns the class of a host clocked at clockGHz, and false when the
+// table lists no such clock (a host that is not the platform's own).
+func (t *SpeedClasses) Class(clockGHz float64) (uint8, bool) {
+	k, found := slices.BinarySearch(t.bits, math.Float64bits(clockGHz))
+	return uint8(k), found
+}

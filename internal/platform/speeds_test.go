@@ -189,3 +189,64 @@ func TestLinkSpeedsConcurrentFirstUse(t *testing.T) {
 		}
 	}
 }
+
+// The speed-class table lists every host clock of the platform once, in
+// ascending order, and each class's speedup is bit for bit Host.Speedup of
+// the hosts in it; a clock the platform does not have has no class.
+func TestSpeedClassesMatchHosts(t *testing.T) {
+	p := MustGenerate(GenSpec{Clusters: 200, Year: 2007}, xrand.New(1))
+	sc := p.SpeedClasses()
+	if sc == nil {
+		t.Fatal("speed-class table declined")
+	}
+	if sc != p.SpeedClasses() || sc != SubsetRC(p, p.Hosts[:3]).Net.(SpeedClassNetwork).SpeedClasses() {
+		t.Fatal("the platform and its network returned different tables")
+	}
+	seen := make([]bool, len(sc.Speedup))
+	for _, h := range p.Hosts {
+		k, ok := sc.Class(h.ClockGHz)
+		if !ok {
+			t.Fatalf("host %d: clock %v has no class", h.ID, h.ClockGHz)
+		}
+		if math.Float64bits(sc.Speedup[k]) != math.Float64bits(h.Speedup()) {
+			t.Fatalf("host %d: class %d speedup %v, Speedup %v", h.ID, k, sc.Speedup[k], h.Speedup())
+		}
+		seen[k] = true
+	}
+	for k, ok := range seen {
+		if !ok {
+			t.Errorf("class %d (speedup %v) has no host", k, sc.Speedup[k])
+		}
+		if k > 0 && !(sc.Speedup[k-1] < sc.Speedup[k]) {
+			t.Errorf("speedups not ascending: %v", sc.Speedup)
+		}
+	}
+	if _, ok := sc.Class(1.2345); ok {
+		t.Error("a clock no host has got a class")
+	}
+}
+
+// More than MaxSpeedClasses distinct clocks decline the table; exactly
+// MaxSpeedClasses do not, and a clock repeated across clusters is one class.
+func TestSpeedClassesDeclineBeyond255(t *testing.T) {
+	clocked := func(n int) *Platform {
+		p := starPlatform(n)
+		for i := range p.Hosts {
+			p.Hosts[i].ClockGHz = 1 + float64(i)/64
+			p.Clusters[i].ClockGHz = p.Hosts[i].ClockGHz
+		}
+		return p
+	}
+	if sc := clocked(MaxSpeedClasses).SpeedClasses(); sc != nil {
+		t.Fatalf("table with %d clocks accepted", len(sc.Speedup))
+	}
+	limit := clocked(MaxSpeedClasses - 1)
+	if sc := limit.SpeedClasses(); sc == nil || len(sc.Speedup) != MaxSpeedClasses {
+		t.Fatalf("%d-clock platform: table %v", len(limit.Hosts), sc)
+	}
+	limit.Hosts[7].ClockGHz = limit.Hosts[200].ClockGHz
+	limit.clocks.Store(nil)
+	if sc := limit.SpeedClasses(); sc == nil || len(sc.Speedup) != MaxSpeedClasses-1 {
+		t.Fatalf("a repeated clock: table %v", sc)
+	}
+}

@@ -18,15 +18,26 @@ var (
 // a generated platform (SubsetRC keeps the platform's cluster network), far
 // below indexMinHosts.
 func smallRC(k int) (*dag.DAG, *platform.ResourceCollection) {
+	d, rcs := smallRCs(k, 1)
+	return d, rcs[0]
+}
+
+// smallRCs is smallRC with n collections of k random hosts each.
+func smallRCs(k, n int) (*dag.DAG, []*platform.ResourceCollection) {
 	p := platform.MustGenerate(platform.GenSpec{Clusters: 200, Year: 2007}, xrand.New(1))
 	d := dag.MustGenerate(dag.GenSpec{
 		Size: 64, CCR: 0.5, Parallelism: 0.5, Density: 0.5, Regularity: 0.5, MeanCost: 40,
 	}, xrand.New(1))
-	hosts := make([]platform.Host, k)
-	for i, id := range xrand.New(2).Sample(p.NumHosts(), len(hosts)) {
-		hosts[i] = p.Hosts[id]
+	rng := xrand.New(2)
+	rcs := make([]*platform.ResourceCollection, n)
+	for j := range rcs {
+		hosts := make([]platform.Host, k)
+		for i, id := range rng.Sample(p.NumHosts(), k) {
+			hosts[i] = p.Hosts[id]
+		}
+		rcs[j] = platform.SubsetRC(p, hosts)
 	}
-	return d, platform.SubsetRC(p, hosts)
+	return d, rcs
 }
 
 func BenchmarkScheduleSmallRC(b *testing.B) {
@@ -58,18 +69,33 @@ func BenchmarkTurnAroundSmallRC(b *testing.B) {
 }
 
 // BenchmarkPlanTurnAround compares the moga objective's compiled path (one
-// Plan, many collections) with the one-shot TurnAround, which compiles the
-// order on every call, at the small, median and large RCSize moga_front
-// hands out.
+// Plan) with the one-shot TurnAround, which compiles the order on every
+// call, at the small, median and large RCSize moga_front hands out. The
+// compiled and one-shot cases score one fixed collection, so the branch
+// predictor learns its every decision; the varied case cycles the plan
+// through 800 distinct random collections, as a search does.
 func BenchmarkPlanTurnAround(b *testing.B) {
 	for _, k := range []int{5, 12, 22} {
-		d, rc := smallRC(k)
+		d, rcs := smallRCs(k, 800)
+		rc := rcs[0]
 		b.Run(fmt.Sprintf("rc%d/compiled", k), func(b *testing.B) {
 			p := Compile(MCP{}, d)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ta, err := p.TurnAround(rc, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSinkTA = ta
+			}
+		})
+		b.Run(fmt.Sprintf("rc%d/varied", k), func(b *testing.B) {
+			p := Compile(MCP{}, d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ta, err := p.TurnAround(rcs[i%len(rcs)], 1)
 				if err != nil {
 					b.Fatal(err)
 				}

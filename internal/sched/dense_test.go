@@ -40,16 +40,22 @@ var fuzzPlatform = sync.OnceValue(func() *platform.Platform {
 // FuzzDenseTable is the differential check of TestDenseTableMatchesInterfacePath
 // over generated inputs. The seed draws a DAG of 2–81 tasks, with free edges
 // and (when mix&1) overflowing ones mixed in, and a collection of 1–40 hosts
-// that (when mix&2) lists one host twice; mix>>2 picks the heuristic. The
-// table path and the hidden-table interface path must agree on the schedule
-// hash, and the one-shot and compiled TurnAround on its bits.
+// that (when mix&2) lists one host twice. When mix&4 the platform's host
+// clocks are redrawn first: either per host from 300 distinct values, so the
+// speed-class table declines, or per cluster from three, so clusters share
+// a class. mix>>3 picks the heuristic. The table paths and the hidden-table
+// interface path must agree on the schedule hash, and the one-shot and
+// compiled TurnAround on its bits.
 func FuzzDenseTable(f *testing.F) {
-	for i, seed := range []uint64{1, 2, 3, 91, 1 << 40} {
-		f.Add(seed, uint8(5+8*i), uint8(40+i), uint8(i<<2|3))
+	for i, seed := range []uint64{1, 2, 3, 91, 1 << 40, 7, 8} {
+		f.Add(seed, uint8(5+8*i), uint8(40+i), uint8(i<<3|3|(i&1)<<2))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, k, size, mix uint8) {
 		p := fuzzPlatform()
 		rng := xrand.New(seed)
+		if mix&4 != 0 {
+			p = redrawClocks(p, rng.Intn(2) == 0, rng)
+		}
 		d := dag.MustGenerate(dag.GenSpec{
 			Size: 2 + int(size)%80, CCR: rng.Uniform(0, 4), Parallelism: rng.Uniform(0.2, 0.9),
 			Density: rng.Uniform(0.1, 1), Regularity: rng.Uniform(0, 1), MeanCost: rng.Uniform(1, 100),
@@ -75,7 +81,7 @@ func FuzzDenseTable(f *testing.F) {
 			hosts[rng.Intn(m)] = hosts[rng.Intn(m)]
 		}
 		hs := append(All(), Baselines()...)
-		h := hs[int(mix>>2)%len(hs)]
+		h := hs[int(mix>>3)%len(hs)]
 
 		table := platform.SubsetRC(p, hosts)
 		hidden := &platform.ResourceCollection{
@@ -107,6 +113,79 @@ func FuzzDenseTable(f *testing.F) {
 				h.Name(), m, d.Size(), ta, pta, want.TurnAround(1))
 		}
 	})
+}
+
+// redrawClocks returns a copy of p whose host clocks are drawn afresh:
+// per host from 300 distinct values when distinct (p must have at least 300
+// hosts, so the copy declines its speed-class table), otherwise per cluster
+// from three values, so that several clusters share each clock.
+func redrawClocks(p *platform.Platform, distinct bool, rng *xrand.RNG) *platform.Platform {
+	q := &platform.Platform{
+		Hosts:    append([]platform.Host(nil), p.Hosts...),
+		Clusters: append([]platform.Cluster(nil), p.Clusters...),
+		Topo:     p.Topo,
+	}
+	off := rng.Intn(300)
+	for c := range q.Clusters {
+		clock := []float64{1.2, 2.4, 3.1}[rng.Intn(3)]
+		q.Clusters[c].ClockGHz = clock
+		for id := q.Clusters[c].FirstHost; int(id) < int(q.Clusters[c].FirstHost)+q.Clusters[c].NumHosts; id++ {
+			if distinct {
+				clock = 1 + float64((int(id)+off)%300)/128
+			}
+			q.Hosts[id].ClockGHz = clock
+		}
+	}
+	if (q.SpeedClasses() == nil) != distinct {
+		panic("redrawClocks: the speed-class table did not follow the draw")
+	}
+	return q
+}
+
+// The speed-class table is used where it pays: a Plan fills its task ×
+// class table on the first collection and reads it on every later one, and
+// a one-shot call fills scratch only when the platform has fewer classes
+// than the collection has hosts. A collection holding a host whose clock
+// the platform does not list, or a network that hides the table, divides.
+func TestSpeedTableUse(t *testing.T) {
+	p := fuzzPlatform()
+	classes := len(p.SpeedClasses().Speedup)
+	d := goldenDAGs()[1].d
+	for _, m := range []int{1, classes, classes + 1, 22} {
+		hosts := make([]platform.Host, m)
+		for i, id := range xrand.New(uint64(m)).Sample(p.NumHosts(), m) {
+			hosts[i] = p.Hosts[id]
+		}
+		rc := platform.SubsetRC(p, hosts)
+		s, err := newState(d, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.speedTable(), classes < m; got != want {
+			t.Errorf("one-shot m=%d, %d classes: speedTable() = %v, want %v", m, classes, got, want)
+		}
+		s.release()
+
+		plan := Compile(MCP{}, d)
+		s, _ = newState(d, rc)
+		s.plan = plan
+		if !s.speedTable() || plan.exec.Load() == nil {
+			t.Errorf("plan m=%d: no speed-class table", m)
+		}
+		s.release()
+
+		foreign := platform.SubsetRC(p, hosts)
+		foreign.Hosts[m-1].ClockGHz = 1.2345
+		hidden := &platform.ResourceCollection{Hosts: hosts, Net: clusterOnlyNet{rc.Net.(platform.ClusterNetwork)}}
+		for _, rc := range []*platform.ResourceCollection{foreign, hidden} {
+			s, _ = newState(d, rc)
+			s.plan = plan
+			if s.speedTable() {
+				t.Errorf("m=%d: speed-class table used for a collection it does not describe", m)
+			}
+			s.release()
+		}
+	}
 }
 
 // TestDenseTableMatchesInterfacePath is the exactness proof for the small-RC

@@ -45,16 +45,17 @@ type orderScratch struct {
 // DAG-only ops, computed once, so that scoring many collections — the moga
 // objective scores hundreds per search — pays only for the host choices.
 // The first small collection scored also leaves the DAG's edge × link-class
-// transfer times (see quotients) with the plan, so later ones divide
-// nothing; the table lives exactly as long as the plan. A Plan is safe for
-// concurrent use: that table is published atomically, and everything else
-// is read-only after Compile.
+// transfer times (see quotients) and task × speed-class execution times (see
+// execTimes) with the plan, so later ones divide nothing; the tables live
+// exactly as long as the plan. A Plan is safe for concurrent use: the tables
+// are published atomically, and everything else is read-only after Compile.
 type Plan struct {
 	h    Heuristic
 	d    *dag.DAG
 	r    runner // nil when h is not one of this package's heuristics
 	o    order
-	quot atomic.Pointer[quotTable]
+	quot atomic.Pointer[planTable[platform.LinkSpeeds]]
+	exec atomic.Pointer[planTable[platform.SpeedClasses]]
 }
 
 // Compile prepares h for repeated scheduling of d.

@@ -203,6 +203,18 @@ type state struct {
 	// execution time is one division (see execTime).
 	speedup []float64
 
+	// Speed classes (rc.Net is a platform.SpeedClassNetwork whose platform
+	// lists every RC host's clock): hostSpd[h] is host h's class and exec
+	// the DAG's task × class execution times, nSpd per task (see
+	// execTimes), so minFinishHost's scan reads an execution time instead
+	// of dividing. spdState follows pairState: 0 = not attempted this
+	// call, 1 = hostSpd and exec are filled, 2 = unusable.
+	spdState int8
+	hostSpd  []uint8
+	exec     []float64
+	nSpd     int
+	execBuf  []float64 // the one-shot calls' exec (pooled)
+
 	uniform       bool // rc.Net is a UniformNetwork: locality-only transfer costs
 	uniformFactor float64
 
@@ -320,6 +332,7 @@ func newState(d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
 	s.grpIdx.built = false
 	s.grpState = 0
 	s.pairState = 0
+	s.spdState = 0
 	s.uniform = false
 	s.cnet = nil
 	s.pnet = nil
@@ -445,7 +458,7 @@ func (s *state) makespan() float64 {
 }
 
 // release drops the state's references to the caller's inputs, the plan and
-// the plan's quotient table among them, and returns it to the pool.
+// the plan's tables among them, and returns it to the pool.
 func (s *state) release() {
 	s.d = nil
 	s.rc = nil
@@ -453,6 +466,7 @@ func (s *state) release() {
 	s.pnet = nil
 	s.plan = nil
 	s.quot = nil
+	s.exec = nil
 	statePool.Put(s)
 }
 
@@ -648,9 +662,7 @@ func (s *state) readyAll(v dag.TaskID) []float64 {
 		row := s.pairCls[ph*m : (ph+1)*m]
 		rd := rd[:len(row)]
 		for h, c := range row {
-			if t := f + q[c]; t > rd[h] {
-				rd[h] = t
-			}
+			rd[h] = max(rd[h], f+q[c])
 		}
 	}
 	return rd
@@ -680,23 +692,29 @@ func (s *state) pairTable() bool {
 // table, built on the plan's first call on ls's platform, or for a one-shot
 // call the state's pooled scratch filled afresh.
 func (s *state) quotients(ls *platform.LinkSpeeds) []float64 {
-	p := s.plan
-	if p == nil {
+	if s.plan == nil {
 		s.quotBuf = fillQuotients(s.quotBuf, s.d, ls.Mbps)
 		return s.quotBuf
 	}
-	if t := p.quot.Load(); t != nil && t.speeds == ls {
-		return t.q
-	}
-	t := &quotTable{speeds: ls, q: fillQuotients(nil, s.d, ls.Mbps)}
-	p.quot.Store(t) // racing builders compute identical tables
-	return t.q
+	return planned(&s.plan.quot, ls, func() []float64 { return fillQuotients(nil, s.d, ls.Mbps) })
 }
 
-// quotTable is a Plan's quotient table and the speed table it was built for.
-type quotTable struct {
-	speeds *platform.LinkSpeeds
-	q      []float64
+// planTable is a table a Plan keeps and the platform table it was built
+// from.
+type planTable[K any] struct {
+	key  *K
+	vals []float64
+}
+
+// planned returns the table in slot when it was built from key, and
+// otherwise fills, publishes and returns a fresh one.
+func planned[K any](slot *atomic.Pointer[planTable[K]], key *K, fill func() []float64) []float64 {
+	if t := slot.Load(); t != nil && t.key == key {
+		return t.vals
+	}
+	t := &planTable[K]{key: key, vals: fill()}
+	slot.Store(t) // racing builders compute identical tables
+	return t.vals
 }
 
 // fillQuotients writes, for every edge of d in PredBase order, its transfer
@@ -724,6 +742,66 @@ func fillQuotients(q []float64, d *dag.DAG, mbps []float64) []float64 {
 		}
 	}
 	return q
+}
+
+// speedTable reports whether this call's minFinishHost scan reads execution
+// times from the speed-class tables, filling them on first use: every RC
+// host's class, found by its clock in the platform's table, and the DAG's
+// task × class execution times (see execTimes). A Plan keeps the latter for
+// its later calls; a one-shot call fills pooled scratch, and only when the
+// platform has fewer classes than the RC has hosts, so that it never
+// divides more often than the m divisions per task the scan would.
+func (s *state) speedTable() bool {
+	if s.spdState == 0 {
+		s.spdState = 2
+		sn, ok := s.rc.Net.(platform.SpeedClassNetwork)
+		if !ok {
+			return false
+		}
+		sc := sn.SpeedClasses()
+		m := len(s.rc.Hosts)
+		if sc == nil || (s.plan == nil && len(sc.Speedup) >= m) {
+			return false
+		}
+		s.hostSpd = growU8(s.hostSpd, m)
+		for h, host := range s.rc.Hosts {
+			k, ok := sc.Class(host.ClockGHz)
+			if !ok {
+				return false
+			}
+			s.hostSpd[h] = k
+		}
+		s.exec = s.execTimes(sc)
+		s.nSpd = len(sc.Speedup)
+		s.spdState = 1
+	}
+	return s.spdState == 1
+}
+
+// execTimes returns the execution times of s's DAG under sc, as quotients
+// does the transfer times: the plan's table or the one-shot scratch.
+func (s *state) execTimes(sc *platform.SpeedClasses) []float64 {
+	if s.plan == nil {
+		s.execBuf = fillExecTimes(s.execBuf, s.d, sc.Speedup)
+		return s.execBuf
+	}
+	return planned(&s.plan.exec, sc, func() []float64 { return fillExecTimes(nil, s.d, sc.Speedup) })
+}
+
+// fillExecTimes writes, for every task of d, its execution time on each
+// speed class: len(speedup) entries per task, x[v*len(speedup)+k]. Each is
+// execTime's division over the same operands, since a host's class speedup
+// is its own Speedup() bit for bit.
+func fillExecTimes(x []float64, d *dag.DAG, speedup []float64) []float64 {
+	k := len(speedup)
+	x = growF64(x, d.Size()*k)
+	for v := range d.Size() {
+		cost := d.Task(dag.TaskID(v)).Cost
+		for j, sp := range speedup {
+			x[v*k+j] = cost / sp
+		}
+	}
+	return x
 }
 
 // place commits task v to host h with the given start time, keeping any
@@ -771,22 +849,65 @@ func (s *state) minFinishHost(v dag.TaskID) (int, float64) {
 		ready := s.readyTimes(v)
 		bestH, bestStart = s.minFinishGrouped(&ready, v, cost)
 	} else {
-		bestFin := math.Inf(1)
-		bestH, bestStart = 0, math.Inf(1)
-		for h, r := range s.readyAll(v) {
-			st := s.free[h]
-			if r > st {
-				st = r
-			}
-			fin := st + s.execTime(cost, h)
-			if fin < bestFin || (fin == bestFin && st < bestStart) {
-				bestH, bestStart, bestFin = h, st, fin
-			}
-		}
+		bestH, bestStart = s.minFinishScan(v, cost)
 	}
 	s.ops += float64(m) * float64(1+s.d.NumPred(v))
 	return bestH, bestStart
 }
+
+// minFinishScan is minFinishHost's linear scan: a host's start is the later
+// of its free time and the task's data-ready time there, and the earliest
+// finish wins, then the earlier start, then the lower index. Every start and
+// finish is non-negative and not NaN (costs are, and Validate rejects clocks
+// and bandwidths that are not positive and finite), so their bit patterns
+// order as their values do. Comparing those integers lets the compiler keep
+// the running minimum with conditional moves, not with branches that follow
+// the data; only the rare exact tie on finish keeps a branch. Execution
+// times come from the speed-class table when there is one: the same
+// quotients, read instead of divided.
+func (s *state) minFinishScan(v dag.TaskID, cost float64) (int, float64) {
+	rd := s.readyAll(v)
+	free := s.free[:len(rd)]
+	bestH := 0
+	bestStart, bestFin := infBits, infBits
+	if s.speedTable() {
+		x := s.exec[int(v)*s.nSpd : (int(v)+1)*s.nSpd]
+		cls := s.hostSpd[:len(rd)]
+		for h, r := range rd {
+			st := max(free[h], r)
+			fin, start := math.Float64bits(st+x[cls[h]]), math.Float64bits(st)
+			if fin == bestFin {
+				if start < bestStart {
+					bestH, bestStart = h, start
+				}
+				continue
+			}
+			if fin < bestFin {
+				bestH, bestStart, bestFin = h, start, fin
+			}
+		}
+	} else {
+		speedup := s.speedup[:len(rd)]
+		for h, r := range rd {
+			st := max(free[h], r)
+			fin, start := math.Float64bits(st+cost/speedup[h]), math.Float64bits(st)
+			if fin == bestFin {
+				if start < bestStart {
+					bestH, bestStart = h, start
+				}
+				continue
+			}
+			if fin < bestFin {
+				bestH, bestStart, bestFin = h, start, fin
+			}
+		}
+	}
+	return bestH, math.Float64frombits(bestStart)
+}
+
+// infBits is math.Float64bits(math.Inf(1)), above every other non-NaN,
+// non-negative float's bit pattern.
+const infBits uint64 = 0x7ff0_0000_0000_0000
 
 // indexMinHosts gates the segment-tree host selection: below this host
 // count the plain O(m) scan is faster than the index's O(parents · log m)
