@@ -44,7 +44,9 @@ bench-check:
 # hence the per-package lines. The DAG decoder's target is differential
 # (hand-written scanner vs the encoding/json oracle) and seeded with a 100 KB
 # document; the short minimize budget keeps the engine from spending the
-# whole pass shrinking mutations of it. The vgDL finder's target is
+# whole pass shrinking mutations of it. `Scanner.Skip`, which checks the
+# syntax of every value the envelope walk passes over, is held to
+# encoding/json's Valid the same way. The vgDL finder's target is
 # differential too (run-table finder vs the per-host oracle), and so is the
 # scheduler's dense-table target (link- and speed-class tables vs
 # TransferTime and a division per host). The last target is not a parser: it
@@ -57,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParseExpr$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/sword
 	$(GO) test -run xxx -fuzz 'FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/dag
+	$(GO) test -run xxx -fuzz 'FuzzSkipValid$$' -fuzztime $(FUZZTIME) ./internal/dag
 	$(GO) test -run xxx -fuzz 'FuzzSelectRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzAdviseRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service

@@ -165,8 +165,7 @@ func (s *Scanner) Skip() error {
 	case c == '"':
 		return s.skipString()
 	case c == '-' || '0' <= c && c <= '9':
-		_, err := s.number()
-		return err
+		return s.skipNumber()
 	case c == 't':
 		return s.literal("true")
 	case c == 'f':
@@ -265,6 +264,53 @@ func (s *Scanner) number() (n num, err error) {
 	}
 	s.pos = i
 	return n, nil
+}
+
+// skipNumber consumes a number token, checking only its syntax: number
+// without the digits' value, which Skip would throw away. It fails at the
+// same offsets, with the same words.
+func (s *Scanner) skipNumber() error {
+	d, i := s.data, s.pos
+	if d[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(d) && d[i] == '0':
+		i++
+	case i < len(d) && '1' <= d[i] && d[i] <= '9':
+		i = skipDigits(d, i+1)
+	default:
+		s.pos = i
+		return s.syntax("in numeric literal")
+	}
+	if i < len(d) && d[i] == '.' {
+		start := i + 1
+		if i = skipDigits(d, start); i == start {
+			s.pos = i
+			return s.syntax("after decimal point in numeric literal")
+		}
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		start := i + 1
+		if start < len(d) && (d[start] == '-' || d[start] == '+') {
+			start++
+		}
+		if i = skipDigits(d, start); i == start {
+			s.pos = i
+			return s.syntax("in exponent of numeric literal")
+		}
+	}
+	s.pos = i
+	return nil
+}
+
+// skipDigits returns the offset of the first byte at or after i that is not
+// a decimal digit.
+func skipDigits(d []byte, i int) int {
+	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // float64 returns the number's value when it can be had exactly from the

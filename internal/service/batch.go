@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"net/http"
+	"sync"
+	"sync/atomic"
 
 	"rsgen/internal/dag"
 	"rsgen/internal/eval"
@@ -27,7 +29,7 @@ type BatchRequest struct {
 	Options *SpecOptions `json:"options,omitempty"`
 }
 
-// BatchMember is one DAG — its "dag" member, which decodeBatch locates in the
+// BatchMember is one DAG — its "dag" member, which walkBatch locates in the
 // body rather than copying through this struct — plus (optionally) its own
 // option overrides.
 type BatchMember struct {
@@ -44,11 +46,13 @@ type memberDag struct {
 	repeated bool
 }
 
-// decodeBatch reads a /v1/spec/batch body: the typed request and, member by
-// member, where each DAG lies in body. No DAG is decoded here — the handler
-// groups byte-identical members on the raw values first and decodes one per
-// group. It is a pure []byte → value function for the fuzz target.
-func decodeBatch(body []byte) (*BatchRequest, []memberDag, error) {
+// walkBatch reads a /v1/spec/batch body: the typed request and, member by
+// member, where each DAG lies in body. No DAG is decoded here. Each extent
+// goes to onDag, when set, as soon as its syntax has been checked — in member
+// order, every "dag" value once (a repeated one too) — so the caller can
+// decode while the walk reads on; the rest of the body may still fail. It is
+// a pure []byte → value function for the fuzz target.
+func walkBatch(body []byte, onDag func(i int, raw []byte)) (*BatchRequest, []memberDag, error) {
 	var req BatchRequest
 	var dags []memberDag
 	err := decodeEnvelope(body, &req, "requests", func(i int, sc *dag.Scanner) error {
@@ -62,6 +66,9 @@ func decodeBatch(body []byte) (*BatchRequest, []memberDag, error) {
 		}
 		dags[i].repeated = dags[i].raw != nil
 		dags[i].raw = body[start:sc.Offset()]
+		if onDag != nil {
+			onDag(i, dags[i].raw)
+		}
 		return nil
 	})
 	if err != nil {
@@ -72,6 +79,99 @@ func decodeBatch(body []byte) (*BatchRequest, []memberDag, error) {
 		dags = append(dags, memberDag{})
 	}
 	return &req, dags, nil
+}
+
+// decoding is one distinct raw DAG of a batch. Every member with these bytes
+// shares it whatever its options: decoding reads no options, and a
+// *dag.DAG's lazy caches are safe to fill from concurrent resolves.
+type decoding struct {
+	raw  []byte
+	d    *dag.DAG
+	err  error
+	done sync.WaitGroup // Wait returns once d and err are set
+}
+
+// batchDecoder decodes a batch's DAGs beside the envelope walk. The walk is
+// the batch's serial critical path, so it only locates each member's DAG and
+// hands the extent over (add); workers goroutines, started once per batch,
+// decode meanwhile. With one worker the decode runs inline in add instead.
+type batchDecoder struct {
+	limit  int            // members from this index on are not decoded: the batch is refused
+	queue  chan *decoding // nil when decoding inline
+	wg     sync.WaitGroup // the decode goroutines
+	stop   atomic.Bool    // set by finish: queued decodes are skipped
+	seed   maphash.Seed
+	byRaw  map[uint64]*decoding // distinct raw bytes, on a hash confirmed by bytes.Equal
+	member []*decoding          // member index → the decode of its dag; nil when not handed out
+}
+
+func newBatchDecoder(workers, limit, bodyLen int) *batchDecoder {
+	p := &batchDecoder{limit: limit, seed: maphash.MakeSeed(), byRaw: make(map[uint64]*decoding)}
+	if workers <= 1 {
+		return p
+	}
+	// A member's dag takes at least the 9 bytes of {"dag":0}, so the body
+	// bounds how much the walk hands over: the queue never blocks it.
+	p.queue = make(chan *decoding, min(limit, bodyLen/9+1))
+	p.wg.Add(workers)
+	for range workers {
+		go p.run()
+	}
+	return p
+}
+
+// run is one decode goroutine.
+func (p *batchDecoder) run() {
+	defer p.wg.Done()
+	for job := range p.queue {
+		if !p.stop.Load() {
+			job.d, job.err = dag.DecodeBytes(job.raw)
+		}
+		job.done.Done()
+	}
+}
+
+// add is the walk's onDag: it starts decoding member i's dag unless the same
+// bytes already are. A member's repeated dag is not handed out — the member
+// fails before its decode is read.
+func (p *batchDecoder) add(i int, raw []byte) {
+	if i >= p.limit {
+		return
+	}
+	for len(p.member) <= i {
+		p.member = append(p.member, nil)
+	}
+	if p.member[i] != nil {
+		return
+	}
+	sum := maphash.Bytes(p.seed, raw)
+	job, ok := p.byRaw[sum]
+	if !ok || !bytes.Equal(job.raw, raw) {
+		// A 64-bit collision merely decodes the second bytes on their own.
+		job = &decoding{raw: raw}
+		if !ok {
+			p.byRaw[sum] = job
+		}
+		if p.queue == nil {
+			job.d, job.err = dag.DecodeBytes(raw)
+		} else {
+			job.done.Add(1)
+			p.queue <- job
+		}
+	}
+	p.member[i] = job
+}
+
+// finish skips the decodes still queued and returns once every decode
+// goroutine has exited; after it nothing reads the body. Any decode a member
+// was waiting on must have been waited for first.
+func (p *batchDecoder) finish() {
+	if p.queue == nil {
+		return
+	}
+	p.stop.Store(true)
+	close(p.queue)
+	p.wg.Wait()
 }
 
 // BatchSnapshot records what every member of the batch was evaluated
@@ -117,11 +217,12 @@ type BatchResponse struct {
 	Results   []BatchResult `json:"results"`
 }
 
-// handleSpecBatch is POST /v1/spec/batch: decode and validate every member
-// up front, pin the snapshot, then fan the members over the evaluation
-// worker budget through the same resolveSpec path as single requests — so a
-// batch gets the full benefit of the response cache, shape coalescing, and
-// in-flight dedup, within itself and against concurrent traffic.
+// handleSpecBatch is POST /v1/spec/batch: walk the body while decoding its
+// members beside the walk, pin the snapshot, then — only once the whole body
+// is known to be valid — fan the members over the evaluation worker budget
+// through the same resolveSpec path as single requests, so a batch gets the
+// full benefit of the response cache, shape coalescing, and in-flight dedup,
+// within itself and against concurrent traffic.
 func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	// One concurrency slot covers the whole batch: the batch is the unit of
 	// admission, and its members are bounded by the eval worker budget
@@ -141,10 +242,13 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 		decSpan.EndErr(errUnreadableBody)
 		return
 	}
-	// The members' raw DAGs are views into the body: it goes back to the pool
-	// only once the last leader has been decoded.
+	// The members' raw DAGs are views into the body, and the decoders read
+	// them: the body goes back to the pool only after the decoders are
+	// joined (defers run last in, first out).
 	defer s.releaseBody(body)
-	req, dags, err := decodeBatch(body.Bytes())
+	dec := newBatchDecoder(s.effectiveWorkers(), s.cfg.MaxBatchMembers, body.Len())
+	defer dec.finish()
+	req, dags, err := walkBatch(body.Bytes(), dec.add)
 	if err != nil {
 		decSpan.EndErr(err)
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -161,18 +265,17 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Decode and validate every member before any evaluation starts, so
-	// malformed members surface as per-member 400s regardless of worker
-	// scheduling order. Byte-identical members (same raw dag bytes, same
-	// effective options) are grouped before the dag is even decoded — on a
-	// hash of the options key and the raw bytes, confirmed by comparing both:
-	// one leader per group decodes and resolves, and its followers copy the
-	// leader's result afterwards. Decoding dominates the per-member cost of
-	// a cache-friendly batch, so duplicate-heavy workloads skip it entirely.
-	// (Two different members colliding on the 64-bit hash would merely go
-	// unmerged: the second stays its own, unregistered leader.)
+	// Group the members while their DAGs decode. A member without a dag, with
+	// a repeated one or with invalid options gets its per-member 400 here; an
+	// invalid dag gets its own in the fan, from the decode. Byte-identical members (same raw dag bytes, same effective options) are
+	// grouped on a hash of the options key and the raw bytes, confirmed by
+	// comparing both: one leader per group resolves, and its followers copy
+	// the leader's result afterwards. (Two different members colliding on the
+	// 64-bit hash would merely go unmerged: the second stays its own,
+	// unregistered leader.) A leader's decode — shared with every member of
+	// the same bytes, whatever its options — is waited for in the fan.
 	type member struct {
-		d    *dag.DAG
+		dec  *decoding
 		opts SpecOptions
 		okey string // optsKey(opts), rendered once per distinct option block
 	}
@@ -227,15 +330,10 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 		if !grouped {
 			groups[sum] = i
 		}
-		d, err := dag.DecodeBytes(raw)
-		if err != nil {
-			fail("invalid dag: %v", err)
-			continue
-		}
-		members[i].d = d
+		members[i].dec = dec.member[i]
 		todo = append(todo, i)
 	}
-	decSpan.SetDetail("members=%d valid=%d groups=%d", len(req.Requests), len(todo), len(groups))
+	decSpan.SetDetail("members=%d leaders=%d decodes=%d", len(req.Requests), len(todo), len(dec.byRaw))
 	decSpan.End()
 
 	g := s.cfg.Generator
@@ -256,7 +354,14 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	_, runSpan := obs.StartSpan(r.Context(), "members")
 	eval.Fan(len(todo), s.effectiveWorkers(), func(k int) {
 		i := todo[k]
-		out, source, err := s.resolveSpec(mctx, members[i].d, members[i].opts, members[i].okey)
+		job := members[i].dec
+		job.done.Wait()
+		if job.err != nil {
+			results[i].Status = http.StatusBadRequest
+			results[i].Error = fmt.Sprintf("invalid dag: %v", job.err)
+			return
+		}
+		out, source, err := s.resolveSpec(mctx, job.d, members[i].opts, members[i].okey)
 		if err != nil {
 			status := specErrStatus(err)
 			if errors.Is(err, errAbandoned) {

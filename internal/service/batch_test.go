@@ -6,8 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"rsgen/internal/dag"
+	"rsgen/internal/xrand"
 )
 
 // isoDAGJSON is testDAGJSON relabeled: task IDs permuted (old→new:
@@ -15,6 +20,9 @@ import (
 // different bytes and different exact fingerprint.
 const isoDAGJSON = `{"tasks":[{"id":0,"name":"b","cost":12},{"id":1,"name":"d","cost":9},{"id":2,"name":"a","cost":10},{"id":3,"name":"c","cost":8}],
 "edges":[{"from":3,"to":1,"cost":1},{"from":2,"to":0,"cost":2},{"from":0,"to":1,"cost":1},{"from":2,"to":3,"cost":2}]}`
+
+// decodeBatch is walkBatch without a consumer for the located extents.
+func decodeBatch(body []byte) (*BatchRequest, []memberDag, error) { return walkBatch(body, nil) }
 
 func postBatch(s http.Handler, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, "/v1/spec/batch", strings.NewReader(body))
@@ -243,5 +251,82 @@ func TestBatchDefaultOptions(t *testing.T) {
 		// Options differ, so keys must differ: a cache hit would mean the
 		// override leaked into the key of member 0 or vice versa.
 		t.Errorf("member with overriding options hit member 0's cache entry")
+	}
+}
+
+// TestBatchWalkFailureResolvesNothing: a body whose walk fails after 20
+// valid members — their decodes already under way beside the walk — answers
+// the same 400 as ever, resolves no member (the cache and its counters are
+// untouched), and leaves no decode goroutine behind.
+func TestBatchWalkFailureResolvesNothing(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Workers = 2 })
+	rng := xrand.New(9)
+	var b strings.Builder
+	b.WriteString(`{"requests": [`)
+	for i := 0; i < 20; i++ {
+		d, err := dag.Generate(dag.GenSpec{Size: 40, CCR: 0.5, Parallelism: 0.5, Density: 0.5, Regularity: 0.5, MeanCost: 40}, rng.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, `{"dag": %s}, `, raw)
+	}
+	b.WriteString(`{"dag": {"tasks": [}}]}`)
+
+	hits, misses, cached := s.metrics.cacheHits.Load(), s.metrics.cacheMisses.Load(), s.cache.Len()
+	w := postBatch(s, b.String())
+	const want = `{"error":"malformed request JSON: invalid character '}' looking for beginning of value"}` + "\n"
+	if w.Code != http.StatusBadRequest || w.Body.String() != want {
+		t.Fatalf("%d %q, want 400 %q", w.Code, w.Body.String(), want)
+	}
+	if s.metrics.cacheHits.Load() != hits || s.metrics.cacheMisses.Load() != misses || s.cache.Len() != cached {
+		t.Errorf("a refused batch reached the cache: hits %d→%d, misses %d→%d, entries %d→%d",
+			hits, s.metrics.cacheHits.Load(), misses, s.metrics.cacheMisses.Load(), cached, s.cache.Len())
+	}
+	// The handler joined its decoders before returning; a goroutine may
+	// still be on its way out of run.
+	stacks := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := runtime.Stack(stacks, true)
+		if !bytes.Contains(stacks[:n], []byte("(*batchDecoder).run")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a decode goroutine outlived its batch:\n%s", stacks[:n])
+		}
+	}
+}
+
+// TestBatchSharedDecodeAcrossOptions: one raw DAG under two option blocks,
+// each byte-duplicated, decodes once and is resolved concurrently under both;
+// every member must carry the bytes of its own single-request response.
+func TestBatchSharedDecodeAcrossOptions(t *testing.T) {
+	const fcfs = `{"heuristic": "FCFS"}`
+	s := newTestServer(t, func(c *Config) { c.Workers = 4 })
+	body := fmt.Sprintf(`{"requests": [{"dag": %[1]s}, {"dag": %[1]s, "options": %[2]s}, {"dag": %[1]s}, {"dag": %[1]s, "options": %[2]s}]}`, testDAGJSON, fcfs)
+	w := postBatch(s, body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: %d: %s", w.Code, w.Body.String())
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newTestServer(t, nil)
+	plain := bytes.TrimSuffix(post(fresh, specBody("")).Body.Bytes(), []byte("\n"))
+	withOpts := bytes.TrimSuffix(post(fresh, specBody(fcfs)).Body.Bytes(), []byte("\n"))
+	if bytes.Equal(plain, withOpts) {
+		t.Fatal("the two option blocks render the same spec; the test cannot tell them apart")
+	}
+	for i, want := range [][]byte{plain, withOpts, plain, withOpts} {
+		if r := resp.Results[i]; r.Status != http.StatusOK || !bytes.Equal(r.Spec, want) {
+			t.Errorf("member %d (status %d, source %q):\n%s\nwant\n%s", i, r.Status, r.Source, r.Spec, want)
+		}
+	}
+	if resp.Coalesced != 2 {
+		t.Errorf("coalesced = %d, want the 2 byte duplicates", resp.Coalesced)
 	}
 }

@@ -101,10 +101,12 @@ func FuzzAdviseRequest(f *testing.F) {
 	})
 }
 
-// FuzzBatchRequest drives a /v1/spec/batch body through decodeEnvelope: any
-// bytes must yield an error or one located DAG per member — each a view of
-// valid JSON that the DAG decoder, in turn, answers with a DAG or an error,
-// never both — and never a panic.
+// FuzzBatchRequest drives a /v1/spec/batch body through walkBatch with a
+// consumer, as the handler does: any bytes must yield an error or one located
+// DAG per member — each a view of valid JSON that the DAG decoder, in turn,
+// answers with a DAG or an error, never both — and never a panic. The
+// consumer must be handed exactly the located extents, in member order, each
+// once: a member's last extent is the one it keeps.
 func FuzzBatchRequest(f *testing.F) {
 	member := `{"dag": ` + testDAGJSON + `}`
 	f.Add([]byte(`{"requests": [` + member + `]}`))
@@ -123,7 +125,17 @@ func FuzzBatchRequest(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, dags, err := decodeBatch(data)
+		type handed struct {
+			i   int
+			raw []byte
+		}
+		var got []handed
+		req, dags, err := walkBatch(data, func(i int, raw []byte) {
+			if n := len(got); n > 0 && i < got[n-1].i {
+				t.Fatalf("member %d handed over after member %d", i, got[n-1].i)
+			}
+			got = append(got, handed{i, raw})
+		})
 		if err != nil {
 			if req != nil || dags != nil {
 				t.Fatalf("error %v with non-nil results", err)
@@ -132,6 +144,23 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 		if req == nil || len(dags) != len(req.Requests) {
 			t.Fatalf("%d located dags for %d members", len(dags), len(req.Requests))
+		}
+		calls := make([]int, len(dags))
+		for k, h := range got {
+			if h.i >= len(dags) {
+				t.Fatalf("member %d handed over of %d", h.i, len(dags))
+			}
+			calls[h.i]++
+			m := dags[h.i]
+			last := k+1 == len(got) || got[k+1].i != h.i
+			if last && (len(h.raw) == 0 || len(h.raw) != len(m.raw) || &h.raw[0] != &m.raw[0]) {
+				t.Fatalf("member %d: handed %q last, located %q", h.i, h.raw, m.raw)
+			}
+		}
+		for i, m := range dags {
+			if (m.raw == nil) != (calls[i] == 0) || m.repeated != (calls[i] > 1) {
+				t.Fatalf("member %d (located %q, repeated %v) handed over %d times", i, m.raw, m.repeated, calls[i])
+			}
 		}
 		// encoding/json, reading the whole body, finds the same members with
 		// the same options and the same raw DAGs.
