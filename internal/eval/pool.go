@@ -109,8 +109,10 @@ func (pl *Pool) evalOne(ctx context.Context, p Point) (Result, error) {
 // (workers <= 0 uses GOMAXPROCS) and returns when all calls have finished.
 // Indexes are issued in order, results land wherever fn writes them, and fn
 // handles its own errors — the generic skeleton of EvaluateAll, exported so
-// other fan-out consumers (the serving layer's batch endpoint) share the
-// evaluation engine's worker discipline instead of growing their own.
+// the serving layer's batch endpoint resolves its members under the
+// evaluation engine's worker discipline. (That endpoint's DAG decodes run
+// on goroutines of their own, because they start while the envelope walk is
+// still finding members, before the member count is known.)
 func Fan(n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -85,21 +85,19 @@ func walkBatch(body []byte, onDag func(i int, raw []byte)) (*BatchRequest, []mem
 // shares it whatever its options: decoding reads no options, and a
 // *dag.DAG's lazy caches are safe to fill from concurrent resolves.
 type decoding struct {
-	raw  []byte
-	d    *dag.DAG
-	err  error
-	done sync.WaitGroup // Wait returns once d and err are set
+	raw []byte
+	d   *dag.DAG
+	err error
 }
 
 // batchDecoder decodes a batch's DAGs beside the envelope walk. The walk is
 // the batch's serial critical path, so it only locates each member's DAG and
-// hands the extent over (add); workers goroutines, started once per batch,
-// decode meanwhile. With one worker the decode runs inline in add instead.
+// hands the extent over (add) to decode goroutines started once per batch.
 type batchDecoder struct {
 	limit  int            // members from this index on are not decoded: the batch is refused
-	queue  chan *decoding // nil when decoding inline
+	queue  chan *decoding // nil once joined
 	wg     sync.WaitGroup // the decode goroutines
-	stop   atomic.Bool    // set by finish: queued decodes are skipped
+	skip   atomic.Bool    // set by a refusing join: queued decodes are skipped
 	seed   maphash.Seed
 	byRaw  map[uint64]*decoding // distinct raw bytes, on a hash confirmed by bytes.Equal
 	member []*decoding          // member index → the decode of its dag; nil when not handed out
@@ -107,33 +105,30 @@ type batchDecoder struct {
 
 func newBatchDecoder(workers, limit, bodyLen int) *batchDecoder {
 	p := &batchDecoder{limit: limit, seed: maphash.MakeSeed(), byRaw: make(map[uint64]*decoding)}
-	if workers <= 1 {
-		return p
-	}
 	// A member's dag takes at least the 9 bytes of {"dag":0}, so the body
 	// bounds how much the walk hands over: the queue never blocks it.
 	p.queue = make(chan *decoding, min(limit, bodyLen/9+1))
+	workers = max(workers, 1)
 	p.wg.Add(workers)
 	for range workers {
-		go p.run()
+		go p.run(p.queue)
 	}
 	return p
 }
 
-// run is one decode goroutine.
-func (p *batchDecoder) run() {
+// run is one decode goroutine; join clears p.queue, so it takes the channel.
+func (p *batchDecoder) run(queue <-chan *decoding) {
 	defer p.wg.Done()
-	for job := range p.queue {
-		if !p.stop.Load() {
+	for job := range queue {
+		if !p.skip.Load() {
 			job.d, job.err = dag.DecodeBytes(job.raw)
 		}
-		job.done.Done()
 	}
 }
 
-// add is the walk's onDag: it starts decoding member i's dag unless the same
-// bytes already are. A member's repeated dag is not handed out — the member
-// fails before its decode is read.
+// add is the walk's onDag: it queues member i's dag for decoding unless the
+// same bytes already are. A member's repeated dag is not handed out — the
+// member fails without its decode being read.
 func (p *batchDecoder) add(i int, raw []byte) {
 	if i >= p.limit {
 		return
@@ -152,25 +147,21 @@ func (p *batchDecoder) add(i int, raw []byte) {
 		if !ok {
 			p.byRaw[sum] = job
 		}
-		if p.queue == nil {
-			job.d, job.err = dag.DecodeBytes(raw)
-		} else {
-			job.done.Add(1)
-			p.queue <- job
-		}
+		p.queue <- job
 	}
 	p.member[i] = job
 }
 
-// finish skips the decodes still queued and returns once every decode
-// goroutine has exited; after it nothing reads the body. Any decode a member
-// was waiting on must have been waited for first.
-func (p *batchDecoder) finish() {
+// join returns once every decode goroutine has exited: after it nothing reads
+// the body, and every decode handed out is done — or, when refuse is set,
+// those still queued are skipped. Only the first call does anything.
+func (p *batchDecoder) join(refuse bool) {
 	if p.queue == nil {
 		return
 	}
-	p.stop.Store(true)
+	p.skip.Store(refuse)
 	close(p.queue)
+	p.queue = nil
 	p.wg.Wait()
 }
 
@@ -244,10 +235,11 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The members' raw DAGs are views into the body, and the decoders read
 	// them: the body goes back to the pool only after the decoders are
-	// joined (defers run last in, first out).
+	// joined (defers run last in, first out). A refused batch skips the
+	// decodes still queued.
 	defer s.releaseBody(body)
 	dec := newBatchDecoder(s.effectiveWorkers(), s.cfg.MaxBatchMembers, body.Len())
-	defer dec.finish()
+	defer dec.join(true)
 	req, dags, err := walkBatch(body.Bytes(), dec.add)
 	if err != nil {
 		decSpan.EndErr(err)
@@ -264,18 +256,20 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch has %d members, limit is %d", n, s.cfg.MaxBatchMembers)
 		return
 	}
+	dec.join(false)
 
-	// Group the members while their DAGs decode. A member without a dag, with
-	// a repeated one or with invalid options gets its per-member 400 here; an
-	// invalid dag gets its own in the fan, from the decode. Byte-identical members (same raw dag bytes, same effective options) are
+	// Every member's DAG has been decoded beside the walk, and no member is
+	// evaluated before the whole body has proved valid, so malformed members
+	// surface as per-member 400s regardless of worker scheduling order.
+	// Byte-identical members (same raw dag bytes, same effective options) are
 	// grouped on a hash of the options key and the raw bytes, confirmed by
 	// comparing both: one leader per group resolves, and its followers copy
 	// the leader's result afterwards. (Two different members colliding on the
 	// 64-bit hash would merely go unmerged: the second stays its own,
-	// unregistered leader.) A leader's decode — shared with every member of
-	// the same bytes, whatever its options — is waited for in the fan.
+	// unregistered leader.) Members with the same raw bytes share one decode
+	// whatever their options.
 	type member struct {
-		dec  *decoding
+		d    *dag.DAG
 		opts SpecOptions
 		okey string // optsKey(opts), rendered once per distinct option block
 	}
@@ -330,10 +324,14 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 		if !grouped {
 			groups[sum] = i
 		}
-		members[i].dec = dec.member[i]
+		if err := dec.member[i].err; err != nil {
+			fail("invalid dag: %v", err)
+			continue
+		}
+		members[i].d = dec.member[i].d
 		todo = append(todo, i)
 	}
-	decSpan.SetDetail("members=%d leaders=%d decodes=%d", len(req.Requests), len(todo), len(dec.byRaw))
+	decSpan.SetDetail("members=%d valid=%d groups=%d", len(req.Requests), len(todo), len(groups))
 	decSpan.End()
 
 	g := s.cfg.Generator
@@ -354,14 +352,7 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	_, runSpan := obs.StartSpan(r.Context(), "members")
 	eval.Fan(len(todo), s.effectiveWorkers(), func(k int) {
 		i := todo[k]
-		job := members[i].dec
-		job.done.Wait()
-		if job.err != nil {
-			results[i].Status = http.StatusBadRequest
-			results[i].Error = fmt.Sprintf("invalid dag: %v", job.err)
-			return
-		}
-		out, source, err := s.resolveSpec(mctx, job.d, members[i].opts, members[i].okey)
+		out, source, err := s.resolveSpec(mctx, members[i].d, members[i].opts, members[i].okey)
 		if err != nil {
 			status := specErrStatus(err)
 			if errors.Is(err, errAbandoned) {

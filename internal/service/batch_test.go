@@ -257,9 +257,9 @@ func TestBatchDefaultOptions(t *testing.T) {
 // TestBatchWalkFailureResolvesNothing: a body whose walk fails after 20
 // valid members — their decodes already under way beside the walk — answers
 // the same 400 as ever, resolves no member (the cache and its counters are
-// untouched), and leaves no decode goroutine behind.
+// untouched), and leaves no decode goroutine behind, with one decode
+// goroutine as with two.
 func TestBatchWalkFailureResolvesNothing(t *testing.T) {
-	s := newTestServer(t, func(c *Config) { c.Workers = 2 })
 	rng := xrand.New(9)
 	var b strings.Builder
 	b.WriteString(`{"requests": [`)
@@ -276,26 +276,29 @@ func TestBatchWalkFailureResolvesNothing(t *testing.T) {
 	}
 	b.WriteString(`{"dag": {"tasks": [}}]}`)
 
-	hits, misses, cached := s.metrics.cacheHits.Load(), s.metrics.cacheMisses.Load(), s.cache.Len()
-	w := postBatch(s, b.String())
-	const want = `{"error":"malformed request JSON: invalid character '}' looking for beginning of value"}` + "\n"
-	if w.Code != http.StatusBadRequest || w.Body.String() != want {
-		t.Fatalf("%d %q, want 400 %q", w.Code, w.Body.String(), want)
-	}
-	if s.metrics.cacheHits.Load() != hits || s.metrics.cacheMisses.Load() != misses || s.cache.Len() != cached {
-		t.Errorf("a refused batch reached the cache: hits %d→%d, misses %d→%d, entries %d→%d",
-			hits, s.metrics.cacheHits.Load(), misses, s.metrics.cacheMisses.Load(), cached, s.cache.Len())
-	}
-	// The handler joined its decoders before returning; a goroutine may
-	// still be on its way out of run.
-	stacks := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		n := runtime.Stack(stacks, true)
-		if !bytes.Contains(stacks[:n], []byte("(*batchDecoder).run")) {
-			break
+	for _, workers := range []int{1, 2} {
+		s := newTestServer(t, func(c *Config) { c.Workers = workers })
+		hits, misses, cached := s.metrics.cacheHits.Load(), s.metrics.cacheMisses.Load(), s.cache.Len()
+		w := postBatch(s, b.String())
+		const want = `{"error":"malformed request JSON: invalid character '}' looking for beginning of value"}` + "\n"
+		if w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Fatalf("workers %d: %d %q, want 400 %q", workers, w.Code, w.Body.String(), want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("a decode goroutine outlived its batch:\n%s", stacks[:n])
+		if s.metrics.cacheHits.Load() != hits || s.metrics.cacheMisses.Load() != misses || s.cache.Len() != cached {
+			t.Errorf("workers %d: a refused batch reached the cache: hits %d→%d, misses %d→%d, entries %d→%d", workers,
+				hits, s.metrics.cacheHits.Load(), misses, s.metrics.cacheMisses.Load(), cached, s.cache.Len())
+		}
+		// The handler joined its decoders before returning; a goroutine may
+		// still be on its way out of run.
+		stacks := make([]byte, 1<<20)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			n := runtime.Stack(stacks, true)
+			if !bytes.Contains(stacks[:n], []byte("(*batchDecoder).run")) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("workers %d: a decode goroutine outlived its batch:\n%s", workers, stacks[:n])
+			}
 		}
 	}
 }
