@@ -47,11 +47,14 @@ bench-check:
 # whole pass shrinking mutations of it. `Scanner.Skip`, which checks the
 # syntax of every value the envelope walk passes over, is held to
 # encoding/json's Valid the same way. The vgDL finder's target is
-# differential too (run-table finder vs the per-host oracle), and so is the
-# scheduler's dense-table target (link- and speed-class tables vs
-# TransferTime and a division per host). The last target is not a parser: it
-# draws whole moga searches and requires Workers 1 and 2 to return the same
-# result, since scoring runs concurrently with breeding.
+# differential too (run-table finder vs the per-host oracle), and so are the
+# platform's widest-path target (the union-find table vs a Dijkstra row per
+# cluster, on drawn topologies with links deleted and odd speeds) and the
+# scheduler's dense-table target (link- and speed-class tables and the
+# grouped path's bandwidth table vs TransferTime and a division per host).
+# The last target is not a parser: it draws whole moga searches and requires
+# Workers 1 and 2 to return the same result, since scoring runs concurrently
+# with breeding.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/vgdl
 	$(GO) test -run xxx -fuzz 'FuzzFindDifferential$$' -fuzztime $(FUZZTIME) ./internal/vgdl
@@ -64,5 +67,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzAdviseRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/broker/durable
+	$(GO) test -run xxx -fuzz 'FuzzWidest$$' -fuzztime $(FUZZTIME) ./internal/platform
 	$(GO) test -run xxx -fuzz 'FuzzDenseTable$$' -fuzztime $(FUZZTIME) ./internal/sched
 	$(GO) test -run xxx -fuzz 'FuzzSearchWorkers$$' -fuzztime $(FUZZTIME) ./internal/moga

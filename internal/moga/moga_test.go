@@ -466,3 +466,39 @@ func FuzzSearchWorkers(f *testing.F) {
 		}
 	})
 }
+
+// On an inventory of the largest size PUT /v1/platform accepts, 10 000
+// clusters, a default search allocates a bounded amount and leaves nothing
+// behind: the platform's bandwidths come from one widest-path table built
+// at the first search, not from per-cluster rows cached as the searches
+// visit clusters. Each search has its own seed, so each visits other
+// collections.
+func TestSearchAtInventoryScale(t *testing.T) {
+	p := platform.MustGenerate(platform.GenSpec{Clusters: 10_000, Year: 2007}, xrand.New(1))
+	d := dag.MustGenerate(dag.GenSpec{
+		Size: 64, CCR: 0.5, Parallelism: 0.5, Density: 0.5, Regularity: 0.5, MeanCost: 40,
+	}, xrand.New(1))
+	pr := Problem{Platform: p, Spec: &spec.Specification{Heuristic: "MCP", RCSize: 22}, Dag: d}
+	var heap []uint64
+	for i := range 4 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Search(context.Background(), pr, Config{Seed: uint64(i + 1), Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap = append(heap, after.HeapAlloc)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("search %d: %.1f MB allocated, %.1f MB heap after GC", i, mb, float64(after.HeapAlloc)/(1<<20))
+		if mb > 32 {
+			t.Errorf("search %d allocated %.1f MB, want ≤ 32", i, mb)
+		}
+	}
+	for i, h := range heap[1:] {
+		if h > heap[0]+1<<20 {
+			t.Errorf("heap after search %d is %.1f MB, after the first %.1f MB", i+1, float64(h)/(1<<20), float64(heap[0])/(1<<20))
+		}
+	}
+}

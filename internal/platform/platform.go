@@ -74,23 +74,23 @@ type Cluster struct {
 // topology connecting the clusters.
 //
 // Concurrency: once built (generated or decoded) a Platform is read-only
-// apart from its lazily built caches, and one *Platform is shared by every
-// request the service handles. Every method is safe for concurrent use; the
-// exported fields must not be modified after the first call. A Platform
-// must not be copied by value once in use (it carries atomics).
+// apart from its derived tables — the widest-path, run, link-speed and
+// speed-class tables — each built on first use and published once, and one
+// *Platform is shared by every request the service handles. Every method is
+// safe for concurrent use; the exported fields must not be modified after
+// the first call. A Platform must not be copied by value once in use (it
+// carries atomics).
 type Platform struct {
 	Hosts    []Host
 	Clusters []Cluster
 	Topo     *Topology
 
-	// interBW caches widest-path bandwidth between cluster pairs, one
-	// row per source cluster, computed on first use. Both levels are
-	// published with atomic pointers, so a hit is two loads and no lock;
-	// racing misses compute identical rows and either may win.
-	interBW atomic.Pointer[[]atomic.Pointer[[]float64]]
+	// widestPaths caches the widest-path table (widest.go), built on first
+	// use and published with an atomic pointer: racing builders compute
+	// identical tables and either may win.
+	widestPaths atomic.Pointer[widestTable]
 
-	// runs caches the run table (Runs), built on first use and published
-	// the same way: racing builders compute identical tables.
+	// runs caches the run table (Runs), published the same way.
 	runs atomic.Pointer[RunTable]
 
 	// speeds caches the link-speed table (LinkSpeeds), published the same
@@ -170,50 +170,17 @@ func (p *Platform) Bandwidth(a, b HostID) float64 {
 	if a == b {
 		return ReferenceBandwidthMbps
 	}
-	ca, cb := p.Hosts[a].Cluster, p.Hosts[b].Cluster
+	return p.clusterBandwidth(p.Hosts[a].Cluster, p.Hosts[b].Cluster)
+}
+
+// clusterBandwidth returns Bandwidth between distinct hosts of clusters ca
+// and cb.
+func (p *Platform) clusterBandwidth(ca, cb int) float64 {
 	if ca == cb {
 		return p.Clusters[ca].IntraMbps
 	}
-	return p.interClusterBandwidth(ca, cb)
-}
-
-// interClusterBandwidth returns the bottleneck bandwidth between two
-// clusters.
-func (p *Platform) interClusterBandwidth(ca, cb int) float64 {
-	return p.interClusterRow(ca)[cb]
-}
-
-// interClusterRow returns (computing and caching on first use) the
-// bottleneck bandwidth from cluster ca to every cluster. The row is shared
-// and read-only.
-func (p *Platform) interClusterRow(ca int) []float64 {
-	rows := p.interBW.Load()
-	if rows == nil {
-		fresh := make([]atomic.Pointer[[]float64], len(p.Clusters))
-		p.interBW.CompareAndSwap(nil, &fresh) // losing the race is fine: use the winner's
-		rows = p.interBW.Load()
-	}
-	row := (*rows)[ca].Load()
-	if row == nil {
-		r := p.Topo.WidestPaths(ca)
-		// Bottleneck through both uplinks.
-		for j := range r {
-			r[j] = min3(r[j], p.Clusters[ca].UplinkMbps, p.Clusters[j].UplinkMbps)
-		}
-		row = &r
-		(*rows)[ca].Store(row)
-	}
-	return *row
-}
-
-func min3(a, b, c float64) float64 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+	w := p.widest()
+	return min(w.mbps[w.level(ca, cb)], p.Clusters[ca].UplinkMbps, p.Clusters[cb].UplinkMbps)
 }
 
 // TransferTime converts a DAG edge cost (seconds at the reference bandwidth)

@@ -98,8 +98,9 @@ func TestWidestPathsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := topo.WidestPaths(0)
-	for i, v := range w {
+	p := topoPlatform(topo)
+	for i := 1; i < topo.N; i++ {
+		v := p.Bandwidth(0, HostID(i))
 		if v <= 0 {
 			t.Fatalf("node %d unreachable (width %v)", i, v)
 		}
@@ -112,17 +113,19 @@ func TestWidestPathsMonotone(t *testing.T) {
 func TestWidestPathTriangle(t *testing.T) {
 	// Hand-built: 0—1 at 100, 1—2 at 1000, 0—2 at 155.
 	// Widest 0→2 = max(min(100,1000), 155) = 155.
-	topo := &Topology{N: 3, Links: []Link{
+	p := topoPlatform(&Topology{N: 3, Links: []Link{
 		{A: 0, B: 1, Mbps: 100},
 		{A: 1, B: 2, Mbps: 1000},
 		{A: 0, B: 2, Mbps: 155},
-	}}
-	w := topo.WidestPaths(0)
-	if w[2] != 155 {
-		t.Errorf("widest(0,2) = %v, want 155", w[2])
+	}})
+	if w := p.Bandwidth(0, 2); w != 155 {
+		t.Errorf("widest(0,2) = %v, want 155", w)
 	}
-	if w[1] != 155 { // via node 2: min(155,1000)=155 beats direct 100
-		t.Errorf("widest(0,1) = %v, want 155", w[1])
+	if w := p.Bandwidth(0, 1); w != 155 { // via node 2: min(155,1000)=155 beats direct 100
+		t.Errorf("widest(0,1) = %v, want 155", w)
+	}
+	if w := p.Bandwidth(1, 2); w != 1000 {
+		t.Errorf("widest(1,2) = %v, want 1000", w)
 	}
 }
 
@@ -137,9 +140,9 @@ func TestTopologyConnected(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := topo.WidestPaths(0)
-		for _, v := range w {
-			if v <= 0 {
+		p := topoPlatform(topo)
+		for i := 1; i < n; i++ {
+			if p.Bandwidth(0, HostID(i)) <= 0 {
 				return false
 			}
 		}
@@ -230,30 +233,6 @@ func TestUniverseAndSubsetRC(t *testing.T) {
 	want := p.TransferTime(3, a, b)
 	if got := sub.Net.TransferTime(3, 0, 1); math.Abs(got-want) > 1e-9 {
 		t.Errorf("subset transfer = %v, want %v", got, want)
-	}
-}
-
-func TestTightBagRC(t *testing.T) {
-	p := MustGenerate(GenSpec{Clusters: 100, Year: 2006}, xrand.New(7))
-	rc := TightBagRC(p, 1, 200, 2.0, 155)
-	if rc == nil {
-		t.Fatal("TightBag unsatisfiable on a 100-cluster platform")
-	}
-	if rc.Size() > 200 {
-		t.Fatalf("TightBag size %d > max 200", rc.Size())
-	}
-	for _, h := range rc.Hosts {
-		if h.ClockGHz < 2.0 {
-			t.Fatalf("TightBag host clock %v < 2.0", h.ClockGHz)
-		}
-	}
-	// Unsatisfiable constraint returns nil.
-	if rc := TightBagRC(p, 1, 10, 99.0, 155); rc != nil {
-		t.Fatal("expected nil for impossible clock constraint")
-	}
-	// min larger than available also nil.
-	if rc := TightBagRC(p, p.NumHosts()+1, p.NumHosts()+2, 0.1, 155); rc != nil {
-		t.Fatal("expected nil when min exceeds platform size")
 	}
 }
 

@@ -2,7 +2,8 @@ package platform
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"rsgen/internal/xrand"
 )
@@ -151,37 +152,30 @@ func (n platformNet) TransferTime(edgeCost float64, a, b int) float64 {
 	return n.p.TransferTime(edgeCost, n.hosts[a].ID, n.hosts[b].ID)
 }
 
-// ClusterNetwork is implemented by networks whose transfer time between two
-// distinct hosts depends only on the clusters the hosts belong to. Schedulers
-// exploit this to evaluate one candidate per cluster instead of every host
-// (see internal/sched's grouped host selection); the results are required to
-// be identical to per-host TransferTime evaluation.
+// ClusterNetwork is implemented by networks whose bandwidth between two
+// distinct hosts depends only on the clusters the hosts belong to.
+// Schedulers exploit this to evaluate one candidate per cluster instead of
+// every host (see internal/sched's grouped host selection); the results are
+// required to be identical to per-host TransferTime evaluation, which for
+// distinct hosts of clusters ca and cb and every edgeCost ≠ 0 is, bit for
+// bit,
+//
+//	edgeCost * ReferenceBandwidthMbps / ClusterBandwidth(ca, cb)
 type ClusterNetwork interface {
 	Network
 	// HostCluster returns the cluster of RC host i.
 	HostCluster(i int) int
-	// ClusterTransferTime returns TransferTime between any two distinct
+	// ClusterBandwidth returns the bandwidth between any two distinct
 	// hosts of clusters ca and cb (which may be equal: intra-cluster
 	// transfers between distinct hosts pay the LAN bandwidth).
-	ClusterTransferTime(edgeCost float64, ca, cb int) float64
+	ClusterBandwidth(ca, cb int) float64
 }
 
 // HostCluster implements ClusterNetwork.
 func (n platformNet) HostCluster(i int) int { return n.hosts[i].Cluster }
 
-// ClusterTransferTime implements ClusterNetwork.
-func (n platformNet) ClusterTransferTime(edgeCost float64, ca, cb int) float64 {
-	if edgeCost == 0 {
-		return 0
-	}
-	var bw float64
-	if ca == cb {
-		bw = n.p.Clusters[ca].IntraMbps
-	} else {
-		bw = n.p.interClusterBandwidth(ca, cb)
-	}
-	return edgeCost * ReferenceBandwidthMbps / bw
-}
+// ClusterBandwidth implements ClusterNetwork.
+func (n platformNet) ClusterBandwidth(ca, cb int) float64 { return n.p.clusterBandwidth(ca, cb) }
 
 // PairBandwidthNetwork is implemented by networks that can tabulate the
 // bandwidth between every pair of RC hosts as a link class, so a scheduler
@@ -202,32 +196,69 @@ type PairBandwidthNetwork interface {
 	PairBandwidths(cls []uint8) (s *LinkSpeeds)
 }
 
-// PairBandwidths implements PairBandwidthNetwork in one pass over the pairs,
-// reading Platform.Bandwidth's three cases from the platform's speed table,
-// each source cluster's class row fetched once per source host.
+// PairBandwidths implements PairBandwidthNetwork. The hosts are visited in
+// the order of their clusters' widest-path ranks, where each cluster's hosts
+// are adjacent and the widest path between two hosts is the narrowest one
+// between rank-adjacent hosts in between. So one level lookup per adjacent
+// pair and one running minimum per source host fill the upper triangle of
+// that order, which is mirrored into the lower one. Classes ascend with
+// speed, so the minimum of classes is the class of Platform.Bandwidth's
+// minimum of speeds.
 func (n platformNet) PairBandwidths(cls []uint8) *LinkSpeeds {
 	p := n.p
 	t := p.LinkSpeeds()
 	if t == nil {
 		return nil
 	}
+	w := p.widest()
 	m := len(n.hosts)
-	for a, ha := range n.hosts {
-		row := cls[a*m : (a+1)*m]
-		ca := p.Hosts[ha.ID].Cluster
-		intra := t.intra[ca]
-		var inter []uint8
-		for b, hb := range n.hosts {
-			switch cb := p.Hosts[hb.ID].Cluster; {
-			case ha.ID == hb.ID:
-				row[b] = 0
-			case ca == cb:
-				row[b] = intra
-			default:
-				if inter == nil {
-					inter = t.interRow(ca)
+	// Per position in rank order: the sort key (rank, then RC index) and
+	// the host's cluster, uplink class and class to the next position
+	// (MaxUint8, no bound for a running minimum, within a cluster). A
+	// collection of up to 32 hosts keeps them on the stack.
+	var keyBuf [32]uint64
+	var clBuf [32]int32
+	var upBuf, nextBuf [32]uint8
+	keys, cl, up, next := keyBuf[:], clBuf[:], upBuf[:], nextBuf[:]
+	if m > len(keyBuf) {
+		keys, cl, up, next = make([]uint64, m), make([]int32, m), make([]uint8, m), make([]uint8, m)
+	}
+	keys = keys[:m]
+	for i, h := range n.hosts {
+		keys[i] = uint64(w.rank[p.Hosts[h.ID].Cluster])<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	for k, key := range keys {
+		c := p.Hosts[n.hosts[uint32(key)].ID].Cluster
+		cl[k], up[k], next[k] = int32(c), t.up[c], math.MaxUint8
+		if k > 0 && int(cl[k-1]) != c {
+			next[k-1] = t.level[w.level(int(cl[k-1]), c)]
+		}
+	}
+	for a := 0; a < m; {
+		end := a + 1 // hosts a..end-1 share a cluster
+		for end < m && cl[end] == cl[a] {
+			end++
+		}
+		intra := t.intra[cl[a]]
+		for ; a < end; a++ {
+			ia := int(uint32(keys[a]))
+			row := cls[ia*m : (ia+1)*m]
+			row[ia] = 0
+			for b := a + 1; b < end; b++ {
+				ib := int(uint32(keys[b]))
+				c := intra
+				if n.hosts[ia].ID == n.hosts[ib].ID {
+					c = 0
 				}
-				row[b] = inter[cb]
+				row[ib], cls[ib*m+ia] = c, c
+			}
+			run := up[a]
+			for b := end; b < m; b++ {
+				ib := int(uint32(keys[b]))
+				run = min(run, next[b-1])
+				c := min(run, up[b])
+				row[ib], cls[ib*m+ia] = c, c
 			}
 		}
 	}
@@ -253,63 +284,4 @@ func (n platformNet) SpeedClasses() *SpeedClasses { return n.p.SpeedClasses() }
 // an RC over the platform network.
 func TopHostsRC(p *Platform, k int) *ResourceCollection {
 	return SubsetRC(p, p.FastestHosts(k))
-}
-
-// TightBagRC approximates the vgES TightBag abstraction (§IV.2.4.2): up to
-// max hosts with clock ≥ minClockGHz whose pairwise bandwidth is ≥ bwMbps,
-// grown greedily from the cluster with the most qualifying hosts (clusters
-// are internally well-connected; additional clusters are admitted only if
-// their inter-cluster bottleneck to every admitted cluster meets the
-// threshold). Returns at least min hosts or nil if unsatisfiable.
-func TightBagRC(p *Platform, min, max int, minClockGHz, bwMbps float64) *ResourceCollection {
-	type cand struct {
-		cluster int
-		hosts   []Host
-	}
-	var cands []cand
-	for _, c := range p.Clusters {
-		if c.ClockGHz < minClockGHz || c.IntraMbps < bwMbps {
-			continue
-		}
-		var hs []Host
-		for i := 0; i < c.NumHosts; i++ {
-			hs = append(hs, p.Hosts[int(c.FirstHost)+i])
-		}
-		cands = append(cands, cand{cluster: c.ID, hosts: hs})
-	}
-	// Biggest qualifying clusters first.
-	sort.Slice(cands, func(i, j int) bool {
-		if len(cands[i].hosts) != len(cands[j].hosts) {
-			return len(cands[i].hosts) > len(cands[j].hosts)
-		}
-		return cands[i].cluster < cands[j].cluster
-	})
-	var picked []Host
-	var pickedClusters []int
-	for _, c := range cands {
-		if len(picked) >= max {
-			break
-		}
-		ok := true
-		for _, pc := range pickedClusters {
-			if p.interClusterBandwidth(pc, c.cluster) < bwMbps {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		need := max - len(picked)
-		take := c.hosts
-		if len(take) > need {
-			take = take[:need]
-		}
-		picked = append(picked, take...)
-		pickedClusters = append(pickedClusters, c.cluster)
-	}
-	if len(picked) < min {
-		return nil
-	}
-	return SubsetRC(p, picked)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // MaxLinkSpeeds is the most distinct link speeds a LinkSpeeds table holds:
@@ -15,8 +14,10 @@ const MaxLinkSpeeds = math.MaxUint8
 // hosts can see, numbered as a small class, so a scheduler can divide each
 // edge cost once per class instead of once per host pair. The generated
 // platforms have the five BRITE capacity classes (§III.2.2), while an RC's
-// host pairs run to hundreds. A table is immutable once published, apart
-// from its per-cluster class rows, which are built on first use.
+// host pairs run to hundreds. Classes ascend with speed, so the class of a
+// minimum of speeds is the minimum of their classes: an inter-cluster pair's
+// class is the least of its widest-path level's class and its two uplinks'.
+// A table is immutable once published.
 type LinkSpeeds struct {
 	// Mbps[k] is the bandwidth of class k ≥ 1; classes 1..len(Mbps)-1 are
 	// the distinct speeds in ascending order. Class 0 is the free pair (one
@@ -24,24 +25,21 @@ type LinkSpeeds struct {
 	// Mbps[0] holds +Inf only to keep the indices aligned.
 	Mbps []float64
 
-	p     *Platform
 	bits  []uint64 // Mbps[1:] as bit patterns, ascending
+	level []uint8  // per widest-path level: the class of its width
 	intra []uint8  // per cluster: the class of its IntraMbps
-	// inter[ca] is cluster ca's row of inter-cluster classes, built from
-	// its widest-path row on first use and published like interBW rows.
-	inter []atomic.Pointer[[]uint8]
+	up    []uint8  // per cluster: the class of its UplinkMbps
 }
 
 // LinkSpeeds returns (building and caching on first use) the platform's
 // link-speed table, or nil when the platform declines one because more than
 // MaxLinkSpeeds distinct speeds are possible.
 //
-// The speeds are found without a widest-path search: a widest path's
-// bottleneck is one of its links' capacities, the source's cap (the largest
-// link class) or 0 when no path exists, and Bandwidth then takes the minimum
-// of it and two uplinks. So the table lists every speed a pair can have,
-// possibly with some that no pair has, and each cluster's row of classes
-// costs one widest-path row, only when first asked for.
+// The speeds are listed without consulting the widest paths: a widest
+// path's bottleneck is one of its links' capacities, the source's cap (the
+// largest link class) or 0 when no path exists, and Bandwidth then takes the
+// minimum of it and two uplinks. So the table lists every speed a pair can
+// have, possibly with some that no pair has.
 func (p *Platform) LinkSpeeds() *LinkSpeeds {
 	t := p.speeds.Load()
 	if t == nil {
@@ -54,8 +52,8 @@ func (p *Platform) LinkSpeeds() *LinkSpeeds {
 	return t
 }
 
-// buildLinkSpeeds collects the possible speeds and the intra-cluster
-// classes. Speeds are kept as bit patterns, so "distinct" means
+// buildLinkSpeeds collects the possible speeds and the per-cluster and
+// per-level classes. Speeds are kept as bit patterns, so "distinct" means
 // bit-distinct (a non-negative float's bits also sort as its value). A
 // declined table is published as one with no Mbps.
 func buildLinkSpeeds(p *Platform) *LinkSpeeds {
@@ -66,21 +64,15 @@ func buildLinkSpeeds(p *Platform) *LinkSpeeds {
 			bits = slices.Insert(bits, k, b)
 		}
 	}
+	add(0)
+	add(LinkClassesMbps[len(LinkClassesMbps)-1])
 	for _, c := range p.Clusters {
 		add(c.IntraMbps)
+		add(c.UplinkMbps)
 	}
-	// A one-cluster platform has no inter-cluster pair (and may have no
-	// topology).
-	if len(p.Clusters) > 1 {
-		add(0)
-		add(LinkClassesMbps[len(LinkClassesMbps)-1])
-		for _, c := range p.Clusters {
-			add(c.UplinkMbps)
-		}
-		if p.Topo != nil {
-			for _, l := range p.Topo.Links {
-				add(l.Mbps)
-			}
+	if p.Topo != nil { // a one-cluster platform may have none
+		for _, l := range p.Topo.Links {
+			add(l.Mbps)
 		}
 	}
 	if len(bits) > MaxLinkSpeeds {
@@ -88,17 +80,19 @@ func buildLinkSpeeds(p *Platform) *LinkSpeeds {
 	}
 	t := &LinkSpeeds{
 		Mbps:  make([]float64, 1+len(bits)),
-		p:     p,
 		bits:  bits,
 		intra: make([]uint8, len(p.Clusters)),
-		inter: make([]atomic.Pointer[[]uint8], len(p.Clusters)),
+		up:    make([]uint8, len(p.Clusters)),
 	}
 	t.Mbps[0] = math.Inf(1)
 	for k, b := range bits {
 		t.Mbps[k+1] = math.Float64frombits(b)
 	}
 	for c, cl := range p.Clusters {
-		t.intra[c] = t.class(cl.IntraMbps)
+		t.intra[c], t.up[c] = t.class(cl.IntraMbps), t.class(cl.UplinkMbps)
+	}
+	for _, bw := range p.widest().mbps {
+		t.level = append(t.level, t.class(bw))
 	}
 	return t
 }
@@ -111,23 +105,6 @@ func (t *LinkSpeeds) class(bw float64) uint8 {
 		panic(fmt.Sprintf("platform: link speed %v missing from the speed table", bw))
 	}
 	return uint8(k + 1)
-}
-
-// interRow returns cluster ca's inter-cluster classes, indexed by the other
-// cluster (the entry for ca itself is unused).
-func (t *LinkSpeeds) interRow(ca int) []uint8 {
-	if row := t.inter[ca].Load(); row != nil {
-		return *row
-	}
-	bw := t.p.interClusterRow(ca)
-	row := make([]uint8, len(t.intra))
-	for cb := range row {
-		if cb != ca {
-			row[cb] = t.class(bw[cb])
-		}
-	}
-	t.inter[ca].Store(&row) // racing builders compute identical rows
-	return row
 }
 
 // MaxSpeedClasses is the most distinct host clocks a SpeedClasses table

@@ -1,10 +1,8 @@
 package platform
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"sync"
 
 	"rsgen/internal/xrand"
 )
@@ -20,16 +18,6 @@ type Link struct {
 type Topology struct {
 	N     int
 	Links []Link
-
-	// adj is the adjacency form of Links, built once on first use (a
-	// decoded topology arrives without it) and read-only afterwards.
-	adjOnce sync.Once
-	adj     [][]linkTo
-}
-
-type linkTo struct {
-	to   int
-	mbps float64
 }
 
 // LinkClassesMbps are the BRITE-style discrete link-capacity classes used by
@@ -90,7 +78,6 @@ func GenerateTopology(spec TopoSpec, rng *xrand.RNG) (*Topology, error) {
 		t.addBackbone(rng)
 	}
 	t.ensureConnected(rng)
-	t.adjOnce.Do(t.buildAdj)
 	return t, nil
 }
 
@@ -209,89 +196,21 @@ func (t *Topology) addBackbone(rng *xrand.RNG) {
 // ensureConnected links disconnected components with 1 Gb bridges so every
 // cluster can reach every other (the dissertation's platforms are connected).
 func (t *Topology) ensureConnected(rng *xrand.RNG) {
-	parent := make([]int, t.N)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
+	u := newUnionFind(t.N)
 	for _, l := range t.Links {
-		union(l.A, l.B)
+		u.union(l.A, l.B)
 	}
-	root := find(0)
+	root := u.find(0)
 	for v := 1; v < t.N; v++ {
-		if find(v) != root {
+		if u.find(v) != root {
 			// Bridge to a random node of the root component.
-			u := rng.Intn(v)
-			for find(u) != root {
-				u = rng.Intn(t.N)
+			r := rng.Intn(v)
+			for u.find(r) != root {
+				r = rng.Intn(t.N)
 			}
-			t.Links = append(t.Links, Link{A: u, B: v, Mbps: LinkClassesMbps[2]})
-			union(v, root)
-			root = find(0)
+			t.Links = append(t.Links, Link{A: r, B: v, Mbps: LinkClassesMbps[2]})
+			u.union(v, root)
+			root = u.find(0)
 		}
 	}
-}
-
-func (t *Topology) buildAdj() {
-	t.adj = make([][]linkTo, t.N)
-	for _, l := range t.Links {
-		t.adj[l.A] = append(t.adj[l.A], linkTo{to: l.B, mbps: l.Mbps})
-		t.adj[l.B] = append(t.adj[l.B], linkTo{to: l.A, mbps: l.Mbps})
-	}
-}
-
-// WidestPaths returns, for every node, the maximum-bottleneck bandwidth of
-// any path from src (the "widest path" problem, solved with a max-heap
-// Dijkstra variant). WidestPaths(src)[src] is +Inf conceptually; it is
-// reported as the largest link class so intra-node transfers never
-// bottleneck below a real link.
-func (t *Topology) WidestPaths(src int) []float64 {
-	t.adjOnce.Do(t.buildAdj)
-	width := make([]float64, t.N)
-	width[src] = LinkClassesMbps[len(LinkClassesMbps)-1]
-	pq := &widthHeap{{node: src, width: width[src]}}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(widthItem)
-		if cur.width < width[cur.node] {
-			continue
-		}
-		for _, l := range t.adj[cur.node] {
-			w := cur.width
-			if l.mbps < w {
-				w = l.mbps
-			}
-			if w > width[l.to] {
-				width[l.to] = w
-				heap.Push(pq, widthItem{node: l.to, width: w})
-			}
-		}
-	}
-	return width
-}
-
-type widthItem struct {
-	node  int
-	width float64
-}
-
-type widthHeap []widthItem
-
-func (h widthHeap) Len() int            { return len(h) }
-func (h widthHeap) Less(i, j int) bool  { return h[i].width > h[j].width }
-func (h widthHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *widthHeap) Push(x interface{}) { *h = append(*h, x.(widthItem)) }
-func (h *widthHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

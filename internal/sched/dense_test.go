@@ -10,9 +10,11 @@ import (
 	"rsgen/internal/xrand"
 )
 
-// clusterOnlyNet hides a platform network's PairBandwidths, which forces the
-// per-(parent, host) TransferTime interface path on the same hosts.
-type clusterOnlyNet struct{ platform.ClusterNetwork }
+// transferOnlyNet hides every table a platform network offers (pair link
+// classes, cluster bandwidths and speed classes), which forces the
+// per-(parent, host) TransferTime interface path on the same hosts at every
+// collection size.
+type transferOnlyNet struct{ platform.Network }
 
 // starPlatform is a hub cluster linked to leaves one-host clusters by links
 // of distinct speeds: leaves distinct inter-cluster speeds, so leaves >
@@ -39,16 +41,17 @@ var fuzzPlatform = sync.OnceValue(func() *platform.Platform {
 
 // FuzzDenseTable is the differential check of TestDenseTableMatchesInterfacePath
 // over generated inputs. The seed draws a DAG of 2–81 tasks, with free edges
-// and (when mix&1) overflowing ones mixed in, and a collection of 1–40 hosts
-// that (when mix&2) lists one host twice. When mix&4 the platform's host
-// clocks are redrawn first: either per host from 300 distinct values, so the
-// speed-class table declines, or per cluster from three, so clusters share
-// a class. mix>>3 picks the heuristic. The table paths and the hidden-table
-// interface path must agree on the schedule hash, and the one-shot and
-// compiled TurnAround on its bits.
+// and (when mix&1) overflowing ones mixed in, and a collection of 1–256
+// hosts (from 128 on, the grouped path's sizes) that (when mix&2) lists one
+// host twice. When mix&4 the platform's host clocks are redrawn first:
+// either per host from 300 distinct values, so the speed-class table
+// declines, or per cluster from three, so clusters share a class. mix>>3
+// picks the heuristic. The table paths and the hidden-table interface path
+// must agree on the schedule hash, and the one-shot and compiled TurnAround
+// on its bits.
 func FuzzDenseTable(f *testing.F) {
-	for i, seed := range []uint64{1, 2, 3, 91, 1 << 40, 7, 8} {
-		f.Add(seed, uint8(5+8*i), uint8(40+i), uint8(i<<3|3|(i&1)<<2))
+	for i, seed := range []uint64{1, 2, 3, 91, 1 << 40, 7, 8, 9, 10} {
+		f.Add(seed, uint8(5+8*i+100*(i/7)), uint8(40+i), uint8(i<<3|3|(i&1)<<2))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, k, size, mix uint8) {
 		p := fuzzPlatform()
@@ -72,7 +75,7 @@ func FuzzDenseTable(f *testing.F) {
 			}
 		}
 		d = dag.MustNew(d.Tasks(), edges)
-		m := 1 + int(k)%40
+		m := 1 + int(k)
 		hosts := make([]platform.Host, m)
 		for i, id := range rng.Sample(p.NumHosts(), m) {
 			hosts[i] = p.Hosts[id]
@@ -86,7 +89,7 @@ func FuzzDenseTable(f *testing.F) {
 		table := platform.SubsetRC(p, hosts)
 		hidden := &platform.ResourceCollection{
 			Hosts: table.Hosts,
-			Net:   clusterOnlyNet{table.Net.(platform.ClusterNetwork)},
+			Net:   transferOnlyNet{table.Net},
 		}
 		want, err := h.Schedule(d, hidden)
 		if err != nil {
@@ -176,7 +179,7 @@ func TestSpeedTableUse(t *testing.T) {
 
 		foreign := platform.SubsetRC(p, hosts)
 		foreign.Hosts[m-1].ClockGHz = 1.2345
-		hidden := &platform.ResourceCollection{Hosts: hosts, Net: clusterOnlyNet{rc.Net.(platform.ClusterNetwork)}}
+		hidden := &platform.ResourceCollection{Hosts: hosts, Net: transferOnlyNet{rc.Net}}
 		for _, rc := range []*platform.ResourceCollection{foreign, hidden} {
 			s, _ = newState(d, rc)
 			s.plan = plan
@@ -198,7 +201,9 @@ func TestSpeedTableUse(t *testing.T) {
 // the collections cover the moga sizes, the largest size below the real
 // gate, a one-cluster RC, a repeated host (a free pair off the diagonal), an
 // RC with more hosts than the DAG has edges, and a platform with too many
-// link speeds (both tables declined).
+// link speeds (both tables declined). Collections of 128 hosts and more
+// then take the grouped path at the real gate and are held to the same
+// per-host schedules.
 func TestDenseTableMatchesInterfacePath(t *testing.T) {
 	old := indexMinHosts
 	defer func() { indexMinHosts = old }()
@@ -254,7 +259,7 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 			table := platform.SubsetRC(p, rr.hosts)
 			hidden := &platform.ResourceCollection{
 				Hosts: table.Hosts,
-				Net:   clusterOnlyNet{table.Net.(platform.ClusterNetwork)},
+				Net:   transferOnlyNet{table.Net},
 			}
 			for _, rc := range []*platform.ResourceCollection{table, hidden} {
 				s, err := newState(d, rc)
@@ -332,7 +337,7 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 		table := platform.SubsetRC(c.p, c.hosts)
 		hidden := &platform.ResourceCollection{
 			Hosts: table.Hosts,
-			Net:   clusterOnlyNet{table.Net.(platform.ClusterNetwork)},
+			Net:   transferOnlyNet{table.Net},
 		}
 		for _, d := range []*dag.DAG{golden[1].d, zeroCostEdges(golden[1].d, 3), zeroCostEdges(golden[1].d, 1)} {
 			s, err := newState(d, table)
@@ -361,6 +366,54 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 				}
 				if math.Float64bits(pta) != math.Float64bits(want.TurnAround(1)) {
 					t.Errorf("%s %s: Plan.TurnAround = %v, want %v", h.Name(), c.name, pta, want.TurnAround(1))
+				}
+			}
+		}
+	}
+
+	// At and above the real gate a cluster network takes the grouped path,
+	// whose group bandwidth table must give the per-host schedule. A
+	// collection listing a host twice is scanned instead.
+	indexMinHosts = old
+	twice := sample(160, 102)
+	twice[150] = twice[3]
+	for _, rr := range []struct {
+		name    string
+		hosts   []platform.Host
+		grouped bool
+	}{
+		{"k150", sample(150, 100), true},
+		{"repeated-k160", twice, false},
+	} {
+		table := platform.SubsetRC(p, rr.hosts)
+		hidden := &platform.ResourceCollection{Hosts: table.Hosts, Net: transferOnlyNet{table.Net}}
+		for _, d := range []*dag.DAG{overflowingEdge(golden[1].d), zeroCostEdges(golden[1].d, 3)} {
+			s, err := newState(d, table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.groupsOK(); got != rr.grouped {
+				t.Fatalf("%s: groupsOK() = %v, want %v", rr.name, got, rr.grouped)
+			}
+			s.release()
+			for _, h := range append(All(), Baselines()...) {
+				want, err := h.Schedule(d, hidden)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := h.Schedule(d, table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gh, wh := scheduleHash(got), scheduleHash(want); gh != wh {
+					t.Errorf("%s rc=%s n=%d: grouped path %016x != interface path %016x", h.Name(), rr.name, d.Size(), gh, wh)
+				}
+				pta, err := Compile(h, d).TurnAround(table, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(pta) != math.Float64bits(want.TurnAround(1)) {
+					t.Errorf("%s rc=%s: Plan.TurnAround = %v, want %v", h.Name(), rr.name, pta, want.TurnAround(1))
 				}
 			}
 		}

@@ -31,6 +31,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,12 +222,14 @@ type state struct {
 	// Cluster-network fast path (rc.Net is a platform.ClusterNetwork, e.g.
 	// the universe RC): transfer time between distinct hosts depends only
 	// on the cluster pair, so per-task data-ready times collapse to one
-	// value per cluster. grpState tracks the lazily built group index:
+	// value per cluster. grpState tracks the lazily built group tables:
 	// 0 = not attempted this call, 1 = usable, 2 = unusable.
 	cnet     platform.ClusterNetwork
 	grpState int8
-	hostCl   []int32 // per RC host: platform cluster
-	grpCl    []int32 // per group (grpIdx order): platform cluster
+	hostCl   []int32   // per RC host: platform cluster
+	hostGrp  []int32   // per RC host: group
+	grpCl    []int32   // per group (grpIdx order): platform cluster
+	grpBW    []float64 // row-major k×k bandwidths between the k groups
 	rdBuf    []float64
 	grpIdx   hostIndex
 
@@ -353,38 +356,61 @@ func newState(d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
 	return s, nil
 }
 
-// groupsOK lazily builds the cluster-group index on first use, returning
-// whether the grouped fast path applies: every cluster must be internally
-// clock-uniform (true for generated platforms), so that minimizing start
-// time within a group also minimizes finish time.
+// groupsOK lazily builds the cluster-group index and the groups' bandwidth
+// table on first use, returning whether the grouped fast path applies:
+// every cluster must be internally clock-uniform (true for generated
+// platforms), so that minimizing start time within a group also minimizes
+// finish time.
 func (s *state) groupsOK() bool {
 	if s.grpState != 0 {
 		return s.grpState == 1
 	}
-	m := len(s.rc.Hosts)
+	hosts := s.rc.Hosts
+	m := len(hosts)
+	// A host listed twice gets its twin's parent data for free, which no
+	// group's data-ready time describes: such a collection is scanned.
+	// hostGrp holds the sorted host IDs until it is filled below.
+	s.hostGrp = growI32(s.hostGrp, m)
+	for i, h := range hosts {
+		s.hostGrp[i] = int32(h.ID)
+	}
+	slices.Sort(s.hostGrp)
+	if len(slices.Compact(s.hostGrp)) < m {
+		s.grpState = 2
+		return false
+	}
 	s.hostCl = growI32(s.hostCl, m)
 	for i := 0; i < m; i++ {
 		s.hostCl[i] = int32(s.cnet.HostCluster(i))
 	}
 	s.grpIdx.buildGroups(s.hostCl, s.free)
 	s.grpCl = s.grpCl[:0]
-	hosts := s.rc.Hosts
 	lo := 0
-	for _, end := range s.grpIdx.classEnd {
+	for g, end := range s.grpIdx.classEnd {
 		hi := int(end)
 		h0 := int(s.grpIdx.perm[lo])
 		clk := hosts[h0].ClockGHz
-		for p := lo + 1; p < hi; p++ {
-			if hosts[s.grpIdx.perm[p]].ClockGHz != clk {
+		for p := lo; p < hi; p++ {
+			h := s.grpIdx.perm[p]
+			if hosts[h].ClockGHz != clk {
 				s.grpState = 2
 				s.grpIdx.built = false
 				return false
 			}
+			s.hostGrp[h] = int32(g)
 		}
 		s.grpCl = append(s.grpCl, s.hostCl[h0])
 		lo = hi
 	}
-	s.rdBuf = growF64(s.rdBuf, len(s.grpCl))
+	k := len(s.grpCl)
+	s.rdBuf = growF64(s.rdBuf, k)
+	s.grpBW = growF64(s.grpBW, k*k)
+	for a, ca := range s.grpCl {
+		for b := a; b < k; b++ {
+			s.grpBW[a*k+b] = s.cnet.ClusterBandwidth(int(ca), int(s.grpCl[b]))
+			s.grpBW[b*k+a] = s.grpBW[a*k+b]
+		}
+	}
 	s.grpState = 1
 	return true
 }
@@ -392,30 +418,25 @@ func (s *state) groupsOK() bool {
 // groupReadyTimes fills rdBuf with, per cluster group, the data-ready time
 // shared by every host of the group that holds none of v's parents (a host
 // holding a parent gets that edge for free and is evaluated exactly by the
-// caller instead).
+// caller instead), each transfer by TransferTime's own division.
 func (s *state) groupReadyTimes(v dag.TaskID) []float64 {
-	rd := s.rdBuf[:len(s.grpCl)]
-	for g := range rd {
-		rd[g] = 0
-	}
+	k := len(s.grpCl)
+	rd := s.rdBuf[:k]
+	clear(rd)
 	host := s.host
 	fin := s.fin
 	for _, p := range s.d.Pred(v) {
 		pf := fin[p.Task]
 		if p.Cost == 0 {
 			for g := range rd {
-				if pf > rd[g] {
-					rd[g] = pf
-				}
+				rd[g] = max(rd[g], pf)
 			}
 			continue
 		}
-		pcl := int(s.hostCl[host[p.Task]])
-		for g := range rd {
-			t := pf + s.cnet.ClusterTransferTime(p.Cost, pcl, int(s.grpCl[g]))
-			if t > rd[g] {
-				rd[g] = t
-			}
+		c := p.Cost * platform.ReferenceBandwidthMbps
+		pg := int(s.hostGrp[host[p.Task]])
+		for g, bw := range s.grpBW[pg*k : (pg+1)*k] {
+			rd[g] = max(rd[g], pf+c/bw)
 		}
 	}
 	return rd
