@@ -52,9 +52,12 @@ bench-check:
 # cluster, on drawn topologies with links deleted and odd speeds) and the
 # scheduler's dense-table target (link- and speed-class tables and the
 # grouped path's bandwidth table vs TransferTime and a division per host).
-# The last target is not a parser: it draws whole moga searches and requires
+# The events body and the observations query string are fuzzed through
+# their handlers, which must answer 2xx or a 4xx JSON error. The last two
+# targets are not parsers: they draw whole moga searches and require
 # Workers 1 and 2 to return the same result, since scoring runs concurrently
-# with breeding.
+# with breeding, and the search memo to hit exactly when every input the
+# result depends on is equal.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/vgdl
 	$(GO) test -run xxx -fuzz 'FuzzFindDifferential$$' -fuzztime $(FUZZTIME) ./internal/vgdl
@@ -66,7 +69,10 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzSelectRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzAdviseRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run xxx -fuzz 'FuzzEventsBody$$' -fuzztime $(FUZZTIME) ./internal/service
+	$(GO) test -run xxx -fuzz 'FuzzObservationsQuery$$' -fuzztime $(FUZZTIME) ./internal/service
 	$(GO) test -run xxx -fuzz 'FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/broker/durable
 	$(GO) test -run xxx -fuzz 'FuzzWidest$$' -fuzztime $(FUZZTIME) ./internal/platform
 	$(GO) test -run xxx -fuzz 'FuzzDenseTable$$' -fuzztime $(FUZZTIME) ./internal/sched
 	$(GO) test -run xxx -fuzz 'FuzzSearchWorkers$$' -fuzztime $(FUZZTIME) ./internal/moga
+	$(GO) test -run xxx -fuzz 'FuzzSearchMemo$$' -fuzztime $(FUZZTIME) ./internal/moga

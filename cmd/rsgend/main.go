@@ -178,8 +178,10 @@ func run(args []string) int {
 	}
 	// One moga.Config (and one Stats) is shared by the broker's selector and
 	// the service's /v1/advise handler, so backend=moga selections and
-	// advisories count into the same rsgend_moga_* families and score their
-	// generations across the same -j workers.
+	// advisories count into the same rsgend_moga_* families, score their
+	// generations across the same -j workers, and search under the same
+	// default budget, which lets a select reuse the search of the advise
+	// before it.
 	var mogaCfg *moga.Config
 	if *mogaOn {
 		mogaCfg = &moga.Config{Stats: &moga.Stats{}, Workers: *workers}

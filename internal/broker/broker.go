@@ -744,8 +744,8 @@ func (b *Broker) tryRung(ctx context.Context, inv *inventory, req *Request, repl
 		}
 		excluded := b.mask(own.Hosts, stalled)
 		_, selSpan := obs.StartSpan(ctx, "select")
-		selSpan.SetDetail("rung=%d backend=%s rank=%d%s", rung, sel.Name(), rank, rebindTag)
-		rc, err := walk.pick(ctx, req.Dag, sp, excluded)
+		rc, hit, err := walk.pick(ctx, req.Dag, sp, excluded)
+		selSpan.SetDetail("rung=%d backend=%s rank=%d%s%s", rung, sel.Name(), rank, rebindTag, memoTag(hit))
 		selSpan.EndErr(err)
 		if err != nil {
 			att.Stage, att.Err = StageSelect, err.Error()

@@ -3,7 +3,10 @@ package broker
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"rsgen/internal/bind"
@@ -120,8 +123,8 @@ func (s *fakeFrontSelector) Select(*spec.Specification, map[platform.HostID]bool
 	return s.front[0], nil
 }
 
-func (s *fakeFrontSelector) SelectFront(context.Context, *dag.DAG, *spec.Specification, map[platform.HostID]bool) ([]*platform.ResourceCollection, error) {
-	return s.front, nil
+func (s *fakeFrontSelector) SelectFront(context.Context, *dag.DAG, *spec.Specification, map[platform.HostID]bool) ([]*platform.ResourceCollection, bool, error) {
+	return s.front, false, nil
 }
 
 func clusterRC(p *platform.Platform, cluster, n int) *platform.ResourceCollection {
@@ -206,7 +209,7 @@ type maskBlindMoga struct{ *mogaSelector }
 
 func (s maskBlindMoga) Name() string { return "blind" }
 
-func (s maskBlindMoga) SelectFront(ctx context.Context, d *dag.DAG, sp *spec.Specification, _ map[platform.HostID]bool) ([]*platform.ResourceCollection, error) {
+func (s maskBlindMoga) SelectFront(ctx context.Context, d *dag.DAG, sp *spec.Specification, _ map[platform.HostID]bool) ([]*platform.ResourceCollection, bool, error) {
 	return s.mogaSelector.SelectFront(ctx, d, sp, nil)
 }
 
@@ -295,7 +298,7 @@ search:
 			t.Fatalf("bound hosts %v, want rank %d of an independent search %v", out.RC.Hosts, target, res.Front[target].Hosts)
 		}
 	}
-	front, err := real.SelectFront(context.Background(), req.Dag, ladder[0], nil)
+	front, _, err := real.SelectFront(context.Background(), req.Dag, ladder[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,5 +308,71 @@ search:
 				t.Fatalf("SelectFront rank %d = %v, search rank %d = %v", r, rc.Hosts, r, res.Front[r].Hosts)
 			}
 		}
+	}
+}
+
+// Advice and backend=moga selections share one search entry point and one
+// memo per inventory. Two goroutines interleave them on one broker: every
+// answer over an empty mask is the independent search's, every selection
+// binds that search's knee point, and each call is either one search or
+// one memo hit. Run under -race (make check does), this also checks the
+// memo's locking.
+func TestAdviseAndSelectInterleaved(t *testing.T) {
+	stats := &moga.Stats{}
+	cfg := moga.Config{PopSize: 16, Generations: 6, Seed: 11, Stats: stats}
+	b, p, _ := newTestBroker(t, func(c *Config) { c.Moga = &cfg })
+	sp, err := b.cfg.Generator.Generate(testDAG(t), spec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := moga.Search(context.Background(), moga.Problem{Platform: p, Spec: sp, Dag: testDAG(t)}, moga.Config{PopSize: 16, Generations: 6, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*rounds)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for range rounds {
+			excluded := b.SelectionMask()
+			res, _, err := b.Advise(context.Background(), testDAG(t), sp, excluded, cfg)
+			switch {
+			case err != nil:
+				errs <- fmt.Errorf("Advise: %w", err)
+			case len(excluded) == 0 && !reflect.DeepEqual(res, want):
+				errs <- fmt.Errorf("advice over an empty mask differs from the independent search")
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for range rounds {
+			out, err := b.Select(context.Background(), Request{Dag: testDAG(t), Backends: []string{"moga"}})
+			if err != nil {
+				errs <- fmt.Errorf("Select: %w", err)
+				continue
+			}
+			for i, h := range out.RC.Hosts {
+				if h.ID != want.Front[0].Hosts[i] {
+					errs <- fmt.Errorf("selection bound %v, the knee point is %v", out.RC.Hosts, want.Front[0].Hosts)
+					break
+				}
+			}
+			b.Release(out.Lease.ID)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := stats.Searches() + stats.MemoHits(); n != 2*rounds {
+		t.Errorf("%d searches + %d memo hits for %d calls", stats.Searches(), stats.MemoHits(), 2*rounds)
+	}
+	if stats.MemoHits() == 0 {
+		t.Error("no call was answered from the memo")
 	}
 }

@@ -6,7 +6,9 @@
 // draw, and lease fragmentation (clusters spanned) — and returns a ranked
 // Pareto front. The broker binds the knee point and walks the remaining
 // rungs of the front on rebind; /v1/advise returns the whole front as a
-// what-if answer without taking a lease.
+// what-if answer without taking a lease. A Memo keeps the last few completed
+// searches, so the selection that follows an advise binds the advised front
+// without searching again.
 //
 // The search is deterministic under a fixed Config.Seed: population
 // initialization, tournament selection, crossover and mutation all draw from
@@ -183,11 +185,13 @@ type Result struct {
 
 // Search runs one NSGA-II search and returns the knee-ranked Pareto front.
 func Search(ctx context.Context, pr Problem, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	e, err := newEngine(pr, cfg)
-	if err != nil {
-		return nil, err
-	}
+	res, _, err := (*Memo)(nil).Search(ctx, pr, cfg)
+	return res, err
+}
+
+// search runs one search over the eligible hosts; cfg has its defaults.
+func search(ctx context.Context, pr Problem, cfg Config, elig hostSet) (*Result, error) {
+	e := newEngine(pr, cfg, elig)
 	defer e.stop()
 	pop := e.initialPopulation()
 	gens := 0
@@ -297,26 +301,48 @@ type scoreJob struct {
 // before its random fill.
 const corners = 4
 
-func newEngine(pr Problem, cfg Config) (*engine, error) {
+// hostSet is a set of hosts as a bitset over Platform.Hosts indices.
+type hostSet []uint64
+
+func (s hostSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+
+// eligible is the set of hosts a search may draw from: every host the
+// exclusion mask leaves and the memory floor admits. It is the search's
+// whole dependence on the mask and the floor, so the memo keys on it.
+func eligible(pr Problem) (hostSet, error) {
 	sp := pr.Spec
 	if sp == nil {
 		return nil, errors.New("moga: nil specification")
 	}
-	p := pr.Platform
-	elig := make([]platform.HostID, 0, len(p.Hosts))
-	for _, h := range p.Hosts {
+	hosts := pr.Platform.Hosts
+	set := make(hostSet, (len(hosts)+63)/64)
+	found := false
+	for i, h := range hosts {
 		if pr.Excluded[h.ID] {
 			continue
 		}
 		if sp.MinMemoryMB > 0 && h.MemoryMB < sp.MinMemoryMB {
 			continue
 		}
-		elig = append(elig, h.ID)
+		set[i>>6] |= 1 << (i & 63)
+		found = true
 	}
-	n := len(elig)
-	if n == 0 {
+	if !found {
 		return nil, ErrNoEligibleHosts
 	}
+	return set, nil
+}
+
+func newEngine(pr Problem, cfg Config, set hostSet) *engine {
+	sp := pr.Spec
+	p := pr.Platform
+	elig := make([]platform.HostID, 0, len(p.Hosts))
+	for i, h := range p.Hosts {
+		if set.has(i) {
+			elig = append(elig, h.ID)
+		}
+	}
+	n := len(elig)
 	k := sp.RCSize
 	if k < 1 {
 		k = 1
@@ -353,7 +379,7 @@ func newEngine(pr Problem, cfg Config) (*engine, error) {
 	workers := min(cfg.Workers, cfg.PopSize)
 	if workers <= 1 {
 		e.sc = e.newScorer()
-		return e, nil
+		return e
 	}
 	// Room for a generation's every job: queue never blocks breeding.
 	e.jobs = make(chan scoreJob, len(e.objs))
@@ -361,7 +387,7 @@ func newEngine(pr Problem, cfg Config) (*engine, error) {
 	for range workers {
 		go e.scoreJobs(e.newScorer())
 	}
-	return e, nil
+	return e
 }
 
 func (e *engine) newScorer() *scorer {

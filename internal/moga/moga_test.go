@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +38,16 @@ func testProblem(t *testing.T) Problem {
 		Spec:     &spec.Specification{Heuristic: "MCP", RCSize: 8, MinMemoryMB: 512},
 		Dag:      d,
 	}
+}
+
+// testEngine builds the engine Search would run for pr under cfg, which
+// must already have its defaults.
+func testEngine(pr Problem, cfg Config) (*engine, error) {
+	elig, err := eligible(pr)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(pr, cfg, elig), nil
 }
 
 func mustSearch(t *testing.T, pr Problem, cfg Config) *Result {
@@ -397,7 +409,7 @@ func TestCarriedRankingIsFresh(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := c.cfg.withDefaults()
-		e, err := newEngine(c.pr, cfg)
+		e, err := testEngine(c.pr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,40 +435,14 @@ func TestCarriedRankingIsFresh(t *testing.T) {
 	}
 }
 
-// FuzzSearchWorkers draws a search from its seed — platform size and year,
-// DAG, RCSize, heuristic, population, generation and evaluation budgets,
-// exclusion density — and requires Workers 1 and 2 to return the same
-// Result, field for field.
+// FuzzSearchWorkers draws a search from its seed (drawProblem) and requires
+// Workers 1 and 2 to return the same Result, field for field.
 func FuzzSearchWorkers(f *testing.F) {
 	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
 		f.Add(seed)
 	}
-	heuristics := []string{"MCP", "Greedy", "FCA", "FCFS", "DLS", "Random", "RoundRobin", "MinMin"}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		rng := xrand.New(seed)
-		p := platform.MustGenerate(platform.GenSpec{
-			Clusters: 1 + rng.Intn(16), Year: 2004 + rng.Intn(5), MeanClusterSize: rng.Uniform(2, 24),
-		}, rng.Split())
-		pr := Problem{Platform: p, Spec: &spec.Specification{
-			Heuristic: heuristics[rng.Intn(len(heuristics))], RCSize: 1 + rng.Intn(24),
-		}}
-		if rng.Intn(4) != 0 {
-			pr.Dag = dag.MustGenerate(dag.GenSpec{
-				Size: 2 + rng.Intn(40), CCR: rng.Uniform(0, 3), Parallelism: rng.Uniform(0.2, 0.9),
-				Density: rng.Uniform(0.1, 1), Regularity: rng.Uniform(0, 1), MeanCost: rng.Uniform(1, 60),
-			}, rng.Split())
-		}
-		density := rng.Float64()
-		pr.Excluded = map[platform.HostID]bool{}
-		for _, h := range p.Hosts {
-			if rng.Float64() < density {
-				pr.Excluded[h.ID] = true
-			}
-		}
-		cfg := Config{
-			PopSize: 1 + rng.Intn(24), Generations: 1 + rng.Intn(8),
-			MaxEvaluations: rng.Intn(160), Seed: rng.Uint64(),
-		}
+		pr, cfg := drawProblem(xrand.New(seed))
 		serial, wide := cfg, cfg
 		serial.Workers, wide.Workers = 1, 2
 		a, errA := Search(context.Background(), pr, serial)
@@ -501,4 +487,143 @@ func TestSearchAtInventoryScale(t *testing.T) {
 			t.Errorf("heap after search %d is %.1f MB, after the first %.1f MB", i+1, float64(h)/(1<<20), float64(heap[0])/(1<<20))
 		}
 	}
+}
+
+// drawProblem draws a search from rng: platform size and year, DAG (nil one
+// time in four), RCSize, heuristic, population, generation and evaluation
+// budgets, exclusion density.
+func drawProblem(rng *xrand.RNG) (Problem, Config) {
+	heuristics := []string{"MCP", "Greedy", "FCA", "FCFS", "DLS", "Random", "RoundRobin", "MinMin"}
+	p := platform.MustGenerate(platform.GenSpec{
+		Clusters: 1 + rng.Intn(16), Year: 2004 + rng.Intn(5), MeanClusterSize: rng.Uniform(2, 24),
+	}, rng.Split())
+	pr := Problem{Platform: p, Spec: &spec.Specification{
+		Heuristic: heuristics[rng.Intn(len(heuristics))], RCSize: 1 + rng.Intn(24),
+	}}
+	if rng.Intn(4) != 0 {
+		pr.Dag = dag.MustGenerate(dag.GenSpec{
+			Size: 2 + rng.Intn(40), CCR: rng.Uniform(0, 3), Parallelism: rng.Uniform(0.2, 0.9),
+			Density: rng.Uniform(0.1, 1), Regularity: rng.Uniform(0, 1), MeanCost: rng.Uniform(1, 60),
+		}, rng.Split())
+	}
+	density := rng.Float64()
+	pr.Excluded = map[platform.HostID]bool{}
+	for _, h := range p.Hosts {
+		if rng.Float64() < density {
+			pr.Excluded[h.ID] = true
+		}
+	}
+	cfg := Config{
+		PopSize: 1 + rng.Intn(24), Generations: 1 + rng.Intn(8),
+		MaxEvaluations: rng.Intn(160), Seed: rng.Uint64(),
+	}
+	return pr, cfg
+}
+
+// FuzzSearchMemo draws a search (drawProblem) and holds a Memo to
+// exactness. The same inputs, passed as copies (a rebuilt DAG, a copied mask
+// and spec) with another worker count, hit and return a Result DeepEqual to
+// a fresh Search. Changing any one input the Result depends on misses: one
+// eligible host masked or one masked host unmasked, a memory floor that
+// drops an eligible host, RCSize, the heuristic, the seed, the population,
+// generation or evaluation budget, one task cost or one edge cost. A
+// cancelled search's error is never served: the next search runs.
+func FuzzSearchMemo(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := xrand.New(seed)
+		pr, cfg := drawProblem(rng)
+		ctx := context.Background()
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+
+		m := &Memo{}
+		if _, hit, err := m.Search(cancelled, pr, cfg); hit || (err != context.Canceled && err != ErrNoEligibleHosts) {
+			t.Fatalf("search on a cancelled context = hit %v, %v", hit, err)
+		}
+		want, wantErr := Search(ctx, pr, cfg)
+		got, hit, err := m.Search(ctx, pr, cfg)
+		if hit || err != wantErr || !reflect.DeepEqual(got, want) {
+			t.Fatalf("first search after a cancelled one: hit %v, %+v (%v), want a miss %+v (%v)", hit, got, err, want, wantErr)
+		}
+		if wantErr != nil {
+			return // nothing eligible: nothing to remember
+		}
+
+		// withSpec copies pr with a copy of its spec, edited.
+		withSpec := func(edit func(*spec.Specification)) Problem {
+			v := pr
+			v.Spec = new(spec.Specification)
+			*v.Spec = *pr.Spec
+			edit(v.Spec)
+			return v
+		}
+		same := withSpec(func(*spec.Specification) {})
+		same.Excluded = maps.Clone(pr.Excluded)
+		if pr.Dag != nil {
+			same.Dag = dag.MustNew(pr.Dag.Tasks(), pr.Dag.Edges())
+		}
+		wide := cfg
+		wide.Workers = 2
+		if got, hit, err := m.Search(ctx, same, wide); !hit || err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("equal inputs: hit %v, %+v (%v), want a hit %+v", hit, got, err, want)
+		}
+		if _, hit, err := m.Search(cancelled, same, cfg); hit || err != context.Canceled {
+			t.Fatalf("hit on a cancelled context = hit %v, %v, want the context's error", hit, err)
+		}
+
+		// Each variant is looked up in a memo holding only the base search,
+		// so two variants that happen to be equal cannot mask each other.
+		elig, _ := eligible(pr)
+		base := newMemoKey(pr, cfg.withDefaults(), elig)
+		misses := func(name string, v Problem, c Config) {
+			t.Helper()
+			vm := &Memo{}
+			vm.store(&base, want)
+			if _, hit, _ := vm.Search(ctx, v, c); hit {
+				t.Errorf("%s: memo hit", name)
+			}
+		}
+		def := cfg.withDefaults()
+		var floor int
+		for i, h := range pr.Platform.Hosts {
+			if elig.has(i) && (floor == 0 || h.MemoryMB+1 < floor) {
+				floor = h.MemoryMB + 1
+			}
+		}
+		misses("memory floor", withSpec(func(s *spec.Specification) { s.MinMemoryMB = floor }), cfg)
+		misses("rc size", withSpec(func(s *spec.Specification) { s.RCSize++ }), cfg)
+		misses("heuristic", withSpec(func(s *spec.Specification) { s.Heuristic += "x" }), cfg)
+		for name, edit := range map[string]func(*Config){
+			"seed":            func(c *Config) { c.Seed = def.Seed + 1 },
+			"population":      func(c *Config) { c.PopSize = def.PopSize + 1 },
+			"generations":     func(c *Config) { c.Generations = def.Generations + 1 },
+			"max evaluations": func(c *Config) { c.MaxEvaluations = def.MaxEvaluations + 1 },
+		} {
+			c := cfg
+			edit(&c)
+			misses(name, pr, c)
+		}
+		h := platform.HostID(rng.Intn(len(pr.Platform.Hosts)))
+		toggled := pr
+		toggled.Excluded = maps.Clone(pr.Excluded)
+		toggled.Excluded[h] = !pr.Excluded[h]
+		misses(fmt.Sprintf("host %d (masked %v) toggled", h, pr.Excluded[h]), toggled, cfg)
+		if pr.Dag != nil {
+			tasks, edges := slices.Clone(pr.Dag.Tasks()), slices.Clone(pr.Dag.Edges())
+			i := rng.Intn(len(tasks))
+			tasks[i].Cost = math.Nextafter(tasks[i].Cost, math.Inf(1))
+			v := pr
+			v.Dag = dag.MustNew(tasks, pr.Dag.Edges())
+			misses(fmt.Sprintf("task %d cost", i), v, cfg)
+			if len(edges) > 0 {
+				j := rng.Intn(len(edges))
+				edges[j].Cost = math.Nextafter(edges[j].Cost, math.Inf(1))
+				v.Dag = dag.MustNew(pr.Dag.Tasks(), edges)
+				misses(fmt.Sprintf("edge %d cost", j), v, cfg)
+			}
+		}
+	})
 }

@@ -44,7 +44,7 @@ func TestObjectivesInvariantWithinRuns(t *testing.T) {
 	for _, h := range []string{"MCP", "Greedy", "FCA", "FCFS", "DLS", "Random", "RoundRobin", "MinMin"} {
 		for _, k := range []int{5, 12, 22} {
 			pr := Problem{Platform: p, Spec: &spec.Specification{Heuristic: h, RCSize: k}, Dag: d, Excluded: excluded}
-			e, err := newEngine(pr, Config{Workers: 1}.withDefaults())
+			e, err := testEngine(pr, Config{Workers: 1}.withDefaults())
 			if err != nil {
 				t.Fatal(err)
 			}

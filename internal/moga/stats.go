@@ -10,6 +10,13 @@ type Stats struct {
 	evaluations atomic.Int64
 	generations atomic.Int64
 	frontSize   atomic.Int64 // size of the most recent front
+	memoHits    atomic.Int64
+}
+
+// hit records a search a Memo answered with r.
+func (s *Stats) hit(r *Result) {
+	s.memoHits.Add(1)
+	s.frontSize.Store(int64(len(r.Front)))
 }
 
 func (s *Stats) record(r *Result) {
@@ -19,7 +26,8 @@ func (s *Stats) record(r *Result) {
 	s.frontSize.Store(int64(len(r.Front)))
 }
 
-// Searches returns the number of completed searches.
+// Searches returns the number of completed searches run; a search answered
+// by a Memo counts as a memo hit instead.
 func (s *Stats) Searches() int64 { return s.searches.Load() }
 
 // Evaluations returns the total unique objective evaluations spent.
@@ -28,5 +36,9 @@ func (s *Stats) Evaluations() int64 { return s.evaluations.Load() }
 // Generations returns the total generations run.
 func (s *Stats) Generations() int64 { return s.generations.Load() }
 
-// LastFrontSize returns the size of the most recently returned front.
+// MemoHits returns the number of searches a Memo answered without running.
+func (s *Stats) MemoHits() int64 { return s.memoHits.Load() }
+
+// LastFrontSize returns the size of the most recently returned front, memo
+// hits included.
 func (s *Stats) LastFrontSize() int64 { return s.frontSize.Load() }

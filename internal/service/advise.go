@@ -2,10 +2,11 @@
 //
 // The endpoint answers "what could I get, and at what cost?" without taking
 // a lease: it generates the specification for the posted DAG, runs the moga
-// Pareto search against the registered inventory under the same exclusion
-// mask a real selection would see (leased hosts plus reconciler exclusions),
-// and returns the full knee-ranked front — per-solution hosts and objective
-// vectors — as JSON. It mounts only when Config.Moga enables the backend.
+// Pareto search through the broker (Broker.Advise) against the registered
+// inventory under the same exclusion mask a real selection would see (leased
+// hosts plus reconciler exclusions), and returns the full knee-ranked front
+// — per-solution hosts and objective vectors — as JSON. It mounts only when
+// Config.Moga enables the backend.
 package service
 
 import (
@@ -15,6 +16,7 @@ import (
 	"net/http"
 	"time"
 
+	"rsgen/internal/broker"
 	"rsgen/internal/moga"
 	"rsgen/internal/obs"
 	"rsgen/internal/spec"
@@ -61,7 +63,11 @@ type AdviseResponse struct {
 	Evaluations int    `json:"evaluations"`
 	Generations int    `json:"generations"`
 	// Front is the knee-ranked Pareto front: Front[0] is the knee point a
-	// backend=moga select would bind right now.
+	// backend=moga select would bind right now. The two share one search:
+	// a select with the same body and the server's default search budget,
+	// made before any lease, exclusion or inventory changes, is answered
+	// from the inventory's memo of this search and binds Front[0] (unless
+	// the bind itself fails and the broker walks the front).
 	Front []moga.Solution `json:"front"`
 }
 
@@ -108,12 +114,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	decSpan.End()
 
-	p, _ := s.brk.Inventory()
-	if p == nil {
-		writeError(w, http.StatusPreconditionFailed, "no inventory registered (PUT /v1/platform first)")
-		return
-	}
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	o := req.Options
@@ -154,19 +154,20 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	_, searchSpan := obs.StartSpan(ctx, "advise")
-	res, err := moga.Search(ctx, moga.Problem{
-		Platform: p,
-		Spec:     sp,
-		Dag:      d,
-		Excluded: excluded,
-	}, cfg)
+	res, hit, err := s.brk.Advise(ctx, d, sp, excluded, cfg)
 	if err == nil {
-		searchSpan.SetDetail("front=%d evals=%d", len(res.Front), res.Evaluations)
+		memo := ""
+		if hit {
+			memo = " memo=hit"
+		}
+		searchSpan.SetDetail("front=%d evals=%d%s", len(res.Front), res.Evaluations, memo)
 	}
 	searchSpan.EndErr(err)
 	s.metrics.adviseLatency.Observe(time.Since(start))
 	if err != nil {
 		switch {
+		case errors.Is(err, broker.ErrNoInventory):
+			writeError(w, http.StatusPreconditionFailed, "no inventory registered (PUT /v1/platform first)")
 		case errors.Is(err, moga.ErrNoEligibleHosts):
 			writeError(w, http.StatusConflict, "advise: %v (every eligible host is leased or excluded)", err)
 		case errors.Is(err, context.DeadlineExceeded):

@@ -227,3 +227,117 @@ func TestAdviseMetrics(t *testing.T) {
 		}
 	}
 }
+
+// advise posts an advise body and decodes the answer.
+func advise(t *testing.T, s *Server, body string) AdviseResponse {
+	t.Helper()
+	w := do(s, http.MethodPost, "/v1/advise", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST /v1/advise = %d: %s", w.Code, w.Body.String())
+	}
+	var resp AdviseResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("decoding advise response: %v", err)
+	}
+	return resp
+}
+
+// selectHosts posts a select body and returns the bound hosts.
+func selectHosts(t *testing.T, s *Server, body string) []int64 {
+	t.Helper()
+	w := do(s, http.MethodPost, "/v1/select", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST /v1/select = %d: %s", w.Code, w.Body.String())
+	}
+	var sel SelectResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &sel); err != nil {
+		t.Fatalf("decoding select response: %v", err)
+	}
+	hosts := make([]int64, len(sel.Hosts))
+	for i, h := range sel.Hosts {
+		hosts[i] = int64(h)
+	}
+	return hosts
+}
+
+// spanDetail returns the detail of the named span in the newest trace.
+func spanDetail(s *Server, name string) string {
+	for _, sp := range s.ring.Recent(1)[0].Spans {
+		if sp.Name == name {
+			return sp.Detail
+		}
+	}
+	return ""
+}
+
+// An advise followed by a backend=moga select of the same body is one
+// search: the select is answered from the inventory's memo and binds exactly
+// the advised knee point.
+func TestAdviseThenSelectSearchesOnce(t *testing.T) {
+	s := mogaTestServer(t)
+	registerPlatform(t, s, `{"generate": {"clusters": 16, "year": 2006, "seed": 3}}`)
+	st := s.cfg.Moga.Stats
+
+	adv := advise(t, s, adviseBody("", ""))
+	if d := spanDetail(s, "advise"); strings.Contains(d, "memo=hit") {
+		t.Errorf("first advise span detail %q claims a memo hit", d)
+	}
+	hosts := selectHosts(t, s, selectBody("", `"backends": ["moga"]`))
+	if d := spanDetail(s, "select"); !strings.Contains(d, "memo=hit") {
+		t.Errorf("select span detail %q, want memo=hit", d)
+	}
+	if got, want := fmt.Sprint(hosts), fmt.Sprint(adv.Front[0].Hosts); got != want {
+		t.Errorf("select bound %s, advise front[0] is %s", got, want)
+	}
+	if st.Searches() != 1 || st.MemoHits() != 1 {
+		t.Errorf("advise + select ran %d searches with %d memo hits, want 1 and 1", st.Searches(), st.MemoHits())
+	}
+	body := do(s, http.MethodGet, "/metrics", "").Body.String()
+	for _, want := range []string{"rsgend_moga_searches_total 1\n", "rsgend_moga_memo_hits_total 1\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics exposition missing %q", want)
+		}
+	}
+}
+
+// Whatever changes the search's inputs between an advise and a select forces
+// the select to search again: a lease taken in between, an advise that
+// ignored the held leases, an advise with its own seed, and a new inventory.
+func TestAdviseThenSelectSearchesAgain(t *testing.T) {
+	const platformBody = `{"generate": {"clusters": 16, "year": 2006, "seed": 3}}`
+	lease := func(t *testing.T, s *Server) {
+		selectHosts(t, s, selectBody("", `"backends": ["vgdl"]`))
+	}
+	cases := []struct {
+		name   string
+		before func(t *testing.T, s *Server) // before the advise
+		advise string
+		after  func(t *testing.T, s *Server) // between advise and select
+	}{
+		{"lease in between", nil, adviseBody("", ""), lease},
+		{"include_leased", lease, adviseBody("", `"include_leased": true`), nil},
+		{"advise seed", nil, adviseBody("", `"search": {"seed": 9}`), nil},
+		{"platform put", nil, adviseBody("", ""), func(t *testing.T, s *Server) { registerPlatform(t, s, platformBody) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mogaTestServer(t)
+			registerPlatform(t, s, platformBody)
+			st := s.cfg.Moga.Stats
+			if tc.before != nil {
+				tc.before(t, s)
+			}
+			advise(t, s, tc.advise)
+			if tc.after != nil {
+				tc.after(t, s)
+			}
+			selectHosts(t, s, selectBody("", `"backends": ["moga"]`))
+			if d := spanDetail(s, "select"); strings.Contains(d, "memo=hit") {
+				t.Errorf("select span detail %q claims a memo hit", d)
+			}
+			if st.Searches() != 2 || st.MemoHits() != 0 {
+				t.Errorf("advise + select ran %d searches with %d memo hits, want 2 and 0", st.Searches(), st.MemoHits())
+			}
+		})
+	}
+}

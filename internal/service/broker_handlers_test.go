@@ -16,7 +16,7 @@ func do(s http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	return w
 }
 
-func registerPlatform(t *testing.T, s http.Handler, body string) {
+func registerPlatform(t testing.TB, s http.Handler, body string) {
 	t.Helper()
 	w := do(s, http.MethodPut, "/v1/platform", body)
 	if w.Code != http.StatusOK {

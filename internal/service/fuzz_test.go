@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -196,6 +198,81 @@ func FuzzBatchRequest(f *testing.F) {
 			if (d == nil) == (err == nil) {
 				t.Fatalf("member %d: DecodeBytes = %v, %v", i, d, err)
 			}
+		}
+	})
+}
+
+// checkAnswer fails unless a handler answered 2xx, or 4xx with a JSON
+// {"error": …} body.
+func checkAnswer(t *testing.T, w *httptest.ResponseRecorder) {
+	t.Helper()
+	switch {
+	case w.Code >= 200 && w.Code < 300:
+	case w.Code >= 400 && w.Code < 500:
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error == "" {
+			t.Fatalf("%d without a JSON error (%v): %q", w.Code, err, w.Body.String())
+		}
+	default:
+		t.Fatalf("status %d: %q", w.Code, w.Body.String())
+	}
+}
+
+// FuzzEventsBody posts arbitrary bytes to POST /v1/platform/events on a
+// server with a reconciler and an inventory: whatever the body, the handler
+// must not panic and must answer 2xx, or 4xx with a JSON error.
+func FuzzEventsBody(f *testing.F) {
+	f.Add([]byte(`{"events": [{"type": "leave", "host": 0}, {"type": "load", "host": 1, "load": 0.8}]}`))
+	f.Add([]byte(`{"events": [{"type": "clock", "host": 3, "clock_ghz": 1.2}, {"type": "cluster_join", "cluster": 1}]}`))
+	f.Add([]byte(`{"events": [{"type": "cluster_leave", "cluster": -1}]}`))
+	f.Add([]byte(`{"events": [{"type": "leave", "host": 1e30}]}`))
+	f.Add([]byte(`{"events": []}`))
+	f.Add([]byte(`{"events": null}`))
+	f.Add([]byte(`{"events": [{}]}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(``))
+	s, _ := newReconcileServer(f)
+	registerPlatform(f, s, `{"generate": {"clusters": 4, "year": 2006, "seed": 3}}`)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkAnswer(t, do(s, http.MethodPost, "/v1/platform/events", string(body)))
+	})
+}
+
+// FuzzObservationsQuery sends arbitrary query strings to GET
+// /v1/observations over a ring holding a few observations: the handler must
+// not panic, must answer 2xx or 4xx with a JSON error, and a 200 page must
+// be consistent with itself.
+func FuzzObservationsQuery(f *testing.F) {
+	for _, q := range []string{
+		"", "limit=1", "offset=1&limit=1", "limit=100000", "offset=99999999999999999999",
+		"since=2020-01-01T00:00:00Z", "since=yesterday", "backend=vgdl&fingerprint=0123456789abcdef",
+		"limit=-1", "limit=1&limit=2", "%zz", "offset=-0",
+	} {
+		f.Add(q)
+	}
+	s := newObsServer(f)
+	registerPlatform(f, s, `{"generate": {"clusters": 8, "year": 2006, "seed": 3}}`)
+	for _, observed := range []float64{10, 20, 30} {
+		bindAndRelease(f, s, observed)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		r := httptest.NewRequest(http.MethodGet, "/v1/observations", nil)
+		r.URL.RawQuery = query
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		checkAnswer(t, w)
+		if w.Code != http.StatusOK {
+			return
+		}
+		var page ObservationsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &page); err != nil {
+			t.Fatalf("200 body is not a page: %v", err)
+		}
+		if page.Count != len(page.Observations) || page.Count > maxObservationsLimit ||
+			page.Offset < 0 || page.Count > max(0, page.Matched-page.Offset) {
+			t.Fatalf("inconsistent page: %+v", page)
 		}
 	})
 }

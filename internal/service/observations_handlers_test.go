@@ -12,7 +12,7 @@ import (
 
 // newObsServer is newTestServer with a flight recorder wired in, which
 // mounts GET /v1/observations and the accuracy families.
-func newObsServer(t *testing.T) *Server {
+func newObsServer(t testing.TB) *Server {
 	t.Helper()
 	return newTestServer(t, func(c *Config) {
 		c.Recorder = obs.NewFlightRecorder(0, nil, nil)
@@ -21,7 +21,7 @@ func newObsServer(t *testing.T) *Server {
 
 // bindAndRelease walks one full lease lifecycle over HTTP and returns the
 // select response; observedSeconds < 0 skips the release.
-func bindAndRelease(t *testing.T, s *Server, observedSeconds float64) SelectResponse {
+func bindAndRelease(t testing.TB, s *Server, observedSeconds float64) SelectResponse {
 	t.Helper()
 	w := do(s, http.MethodPost, "/v1/select",
 		selectBody(`{"clock_ghz": 2.0}`, `"ttl_seconds": 300`))

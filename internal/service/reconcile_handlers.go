@@ -20,6 +20,12 @@ type EventsRequest struct {
 	Events []reconcile.Event `json:"events"`
 }
 
+// maxEventsPerBody caps the events one POST /v1/platform/events body may
+// carry. MaxBodyBytes alone admits ≈ 20k events per body; the cap keeps one
+// client body to a sixteenth of the reconciler's default 65 536-event
+// pending queue, so a single request cannot crowd out everyone's churn.
+const maxEventsPerBody = 4096
+
 // handlePlatformEvents is POST /v1/platform/events: validate the batch
 // against the registered platform and queue it for the next cycle.
 func (s *Server) handlePlatformEvents(w http.ResponseWriter, r *http.Request) {
@@ -40,6 +46,10 @@ func (s *Server) handlePlatformEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Events) == 0 {
 		writeError(w, http.StatusBadRequest, "request has no events")
+		return
+	}
+	if len(req.Events) > maxEventsPerBody {
+		writeError(w, http.StatusBadRequest, "request has %d events, over the cap of %d per body", len(req.Events), maxEventsPerBody)
 		return
 	}
 	for i, e := range req.Events {

@@ -15,7 +15,7 @@ import (
 // newReconcileServer wires a broker and a reconciler over it into a test
 // server, the way rsgend does with -reconcile-interval > 0. The reconciler is
 // not Start()ed: tests drive Cycle explicitly for determinism.
-func newReconcileServer(t *testing.T) (*Server, *reconcile.Reconciler) {
+func newReconcileServer(t testing.TB) (*Server, *reconcile.Reconciler) {
 	t.Helper()
 	gen, err := testGenerator()
 	if err != nil {
@@ -73,6 +73,35 @@ func TestPlatformEventsValidation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// One body carries at most maxEventsPerBody events; one more is a 400 that
+// names the count and the cap, and queues nothing.
+func TestPlatformEventsCap(t *testing.T) {
+	s, rec := newReconcileServer(t)
+	registerPlatform(t, s, `{"generate": {"clusters": 4, "year": 2006, "seed": 3}}`)
+	body := func(n int) string {
+		return `{"events": [` + strings.TrimSuffix(strings.Repeat(`{"type": "load", "host": 0, "load": 0.5},`, n), ",") + `]}`
+	}
+	w := do(s, http.MethodPost, "/v1/platform/events", body(maxEventsPerBody+1))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("%d events = %d, want 400; body: %s", maxEventsPerBody+1, w.Code, w.Body.String())
+	}
+	for _, want := range []string{fmt.Sprint(maxEventsPerBody + 1), fmt.Sprint(maxEventsPerBody)} {
+		if !strings.Contains(w.Body.String(), want) {
+			t.Errorf("400 body %q does not name %s", w.Body.String(), want)
+		}
+	}
+	if st := rec.Cycle(context.Background()); st.Events != 0 {
+		t.Errorf("a refused body queued %d events", st.Events)
+	}
+	w = do(s, http.MethodPost, "/v1/platform/events", body(maxEventsPerBody))
+	var resp struct {
+		Ingested int `json:"ingested"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil || resp.Ingested != maxEventsPerBody {
+		t.Fatalf("%d events = %d, ingested %d (err %v), want 200 and all ingested", maxEventsPerBody, w.Code, resp.Ingested, err)
 	}
 }
 

@@ -106,8 +106,10 @@ type Config struct {
 	// internally built broker registers it as backend=moga, POST /v1/advise
 	// is mounted, and the rsgend_moga_* metric families are registered. A
 	// caller passing its own Broker must ALSO set broker.Config.Moga there —
-	// this field then only governs the /v1/advise mount and metrics, and the
-	// two configs should share one Stats so the counters agree.
+	// advice runs through the broker's moga backend — and should pass the
+	// same Config: this field then supplies the /v1/advise default budget
+	// and the metrics' Stats, and an advise hands its search to the select
+	// that follows only when the two budgets agree.
 	Moga *moga.Config
 	// Logger receives the service's structured logs (request logs at debug,
 	// slow-request warnings); nil discards them.
@@ -238,6 +240,7 @@ func New(cfg Config) (*Server, error) {
 		// reconciler families.
 		st := cfg.Moga.Stats
 		reg.CounterFunc("rsgend_moga_searches_total", func() uint64 { return uint64(st.Searches()) })
+		reg.CounterFunc("rsgend_moga_memo_hits_total", func() uint64 { return uint64(st.MemoHits()) })
 		reg.CounterFunc("rsgend_moga_evaluations_total", func() uint64 { return uint64(st.Evaluations()) })
 		reg.CounterFunc("rsgend_moga_generations_total", func() uint64 { return uint64(st.Generations()) })
 		reg.IntGaugeFunc("rsgend_moga_front_size", st.LastFrontSize)

@@ -49,7 +49,7 @@ var testGenerator = sync.OnceValues(func() (*spec.Generator, error) {
 	return &spec.Generator{Size: size, Heur: heur}, nil
 })
 
-func newTestServer(t *testing.T, mutate func(*Config)) *Server {
+func newTestServer(t testing.TB, mutate func(*Config)) *Server {
 	t.Helper()
 	gen, err := testGenerator()
 	if err != nil {
