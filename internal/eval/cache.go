@@ -3,6 +3,8 @@ package eval
 import (
 	"math"
 	"sync"
+
+	"rsgen/internal/sched"
 )
 
 // Key identifies a memoizable evaluation point: the combined fingerprint of
@@ -11,8 +13,8 @@ import (
 type Key struct {
 	Dags          uint64
 	Size          int
-	Heuristic     string
-	ClockGHz      uint64 // float bits
+	Heuristic     sched.Heuristic // the value: Random{Seed: 1} and {Seed: 2} differ
+	ClockGHz      uint64          // float bits
 	Heterogeneity uint64
 	BandwidthMbps uint64
 	SCR           uint64
@@ -35,7 +37,7 @@ func keyOf(p Point) (Key, bool) {
 	return Key{
 		Dags:          h,
 		Size:          p.Size,
-		Heuristic:     p.Heuristic.Name(),
+		Heuristic:     p.Heuristic,
 		ClockGHz:      math.Float64bits(p.ClockGHz),
 		Heterogeneity: math.Float64bits(p.Heterogeneity),
 		BandwidthMbps: math.Float64bits(p.BandwidthMbps),
@@ -127,8 +129,11 @@ func NewCache(max int) *Cache {
 func (c *Cache) shardOf(key Key) *cacheShard {
 	h := mix64(uint64(fnvOffset), key.Dags)
 	h = mix64(h, uint64(key.Size))
-	for i := 0; i < len(key.Heuristic); i++ {
-		h = (h ^ uint64(key.Heuristic[i])) * fnvPrime
+	if key.Heuristic != nil {
+		name := key.Heuristic.Name()
+		for i := 0; i < len(name); i++ {
+			h = (h ^ uint64(name[i])) * fnvPrime
+		}
 	}
 	h = mix64(h, key.ClockGHz)
 	h = mix64(h, key.Heterogeneity)

@@ -17,6 +17,9 @@
 //     rates from an xrand stream derived only from (Seed, size), never
 //     from evaluation order, so parallel and serial runs see identical
 //     platforms.
+//   - Shared plans: one EvaluateAll call compiles each distinct (DAG,
+//     heuristic) pair once into a sched.Plan its points share, and a plan
+//     schedules exactly as a fresh one would.
 //   - Memoization: a cache keyed by (DAG fingerprints, RC size,
 //     heterogeneity, heuristic, clock, bandwidth, SCR, seed) lets repeated
 //     evaluations — the knee sweep's revisited sizes, the threshold
@@ -129,6 +132,34 @@ type Result struct {
 // The context is checked between DAG schedules; a cancelled context aborts
 // with its error.
 func Evaluate(ctx context.Context, p Point) (Result, error) {
+	return evaluate(ctx, p, nil)
+}
+
+// planKey identifies a compiled plan: a DAG and a heuristic value (every
+// sched.Heuristic is comparable, and equal values schedule identically).
+type planKey struct {
+	d *dag.DAG
+	h sched.Heuristic
+}
+
+// compilePlans compiles each distinct (DAG, heuristic) pair of points once.
+// The map is complete before any point reads it, so it needs no lock.
+func compilePlans(points []Point) map[planKey]*sched.Plan {
+	plans := make(map[planKey]*sched.Plan)
+	for _, p := range points {
+		h := p.withDefaults().Heuristic
+		for _, d := range p.Dags {
+			if k := (planKey{d, h}); plans[k] == nil {
+				plans[k] = sched.Compile(h, d)
+			}
+		}
+	}
+	return plans
+}
+
+// evaluate is Evaluate with the plans of an EvaluateAll call; a DAG without
+// one there gets a plan of its own.
+func evaluate(ctx context.Context, p Point, plans map[planKey]*sched.Plan) (Result, error) {
 	p = p.withDefaults()
 	if len(p.Dags) == 0 {
 		return Result{}, errors.New("eval: point has no DAGs")
@@ -149,7 +180,11 @@ func Evaluate(ctx context.Context, p Point) (Result, error) {
 			return Result{}, fmt.Errorf("eval: aborted: %w", err)
 		}
 		t1 := time.Now()
-		s, err := p.Heuristic.Schedule(d, rc)
+		plan := plans[planKey{d, p.Heuristic}]
+		if plan == nil {
+			plan = sched.Compile(p.Heuristic, d)
+		}
+		s, err := plan.Schedule(rc)
 		recordSchedule(time.Since(t1))
 		if err != nil {
 			return Result{}, err

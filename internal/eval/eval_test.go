@@ -192,6 +192,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	variants := map[string]Point{
 		"size":          {Dags: dags, Size: 5},
 		"heuristic":     {Dags: dags, Size: 4, Heuristic: sched.FCFS{}},
+		"mcp-prefix":    {Dags: dags, Size: 4, Heuristic: sched.MCP{Prefix: -1}},
 		"clock":         {Dags: dags, Size: 4, ClockGHz: 3.0},
 		"heterogeneity": {Dags: dags, Size: 4, Heterogeneity: 0.2},
 		"bandwidth":     {Dags: dags, Size: 4, BandwidthMbps: 1000},
@@ -207,6 +208,12 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		if k == k0 {
 			t.Errorf("changing %s did not change the cache key", name)
 		}
+	}
+	// Two values of one heuristic that schedule differently share a name.
+	k1, _ := keyOf(Point{Dags: dags, Size: 4, Heuristic: sched.Random{Seed: 1}})
+	k2, _ := keyOf(Point{Dags: dags, Size: 4, Heuristic: sched.Random{Seed: 2}})
+	if k1 == k2 {
+		t.Error("Random{Seed: 1} and Random{Seed: 2} share a cache key")
 	}
 	if _, ok := keyOf(Point{Dags: dags, RC: testRC()}); ok {
 		t.Error("explicit-RC point must not be cacheable")
@@ -260,7 +267,7 @@ func TestCacheShardedConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				k := Key{Dags: uint64(w), Size: i, Heuristic: "MCP", Seed: uint64(i)}
+				k := Key{Dags: uint64(w), Size: i, Heuristic: sched.MCP{}, Seed: uint64(i)}
 				c.Put(k, Result{Size: i, Makespan: float64(w)})
 				got, ok := c.Get(k)
 				if !ok || got.Size != i || got.Makespan != float64(w) {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rsgen/internal/sched"
 )
 
 // Pool evaluates points across a bounded set of worker goroutines. The zero
@@ -54,10 +56,10 @@ func (pl *Pool) workers(n int) int {
 // Evaluate computes a single point through the pool's cache and deadline
 // (no fan-out).
 func (pl *Pool) Evaluate(p Point) (Result, error) {
-	return pl.evalOne(pl.ctx(), p)
+	return pl.evalOne(pl.ctx(), p, nil)
 }
 
-func (pl *Pool) evalOne(ctx context.Context, p Point) (Result, error) {
+func (pl *Pool) evalOne(ctx context.Context, p Point, plans map[planKey]*sched.Plan) (Result, error) {
 	if pl.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, pl.Timeout)
@@ -68,7 +70,7 @@ func (pl *Pool) evalOne(ctx context.Context, p Point) (Result, error) {
 		key, cacheable = keyOf(p)
 	}
 	if !cacheable {
-		return Evaluate(ctx, p)
+		return evaluate(ctx, p, plans)
 	}
 	if r, hit := pl.Cache.Get(key); hit {
 		recordHit()
@@ -81,7 +83,7 @@ func (pl *Pool) evalOne(ctx context.Context, p Point) (Result, error) {
 	f, leader := pl.Cache.flight.Join(key)
 	if leader {
 		recordMiss()
-		r, err := Evaluate(ctx, p)
+		r, err := evaluate(ctx, p, plans)
 		if err == nil {
 			pl.Cache.Put(key, r)
 		}
@@ -98,7 +100,7 @@ func (pl *Pool) evalOne(ctx context.Context, p Point) (Result, error) {
 	// The leader failed; evaluate independently so this caller reports its
 	// own error (the leader's context may have differed).
 	recordMiss()
-	r, err := Evaluate(ctx, p)
+	r, err := evaluate(ctx, p, plans)
 	if err == nil {
 		pl.Cache.Put(key, r)
 	}
@@ -145,7 +147,8 @@ func Fan(n, workers int, fn func(i int)) {
 }
 
 // EvaluateAll evaluates every point and returns results indexed by input
-// position. On error it returns the lowest-index failure, matching what a
+// position, compiling each distinct (DAG, heuristic) pair once for the
+// call. On error it returns the lowest-index failure, matching what a
 // serial loop over the points would report; once a failure is observed no
 // further points are started, though already-started points run to
 // completion.
@@ -156,9 +159,10 @@ func (pl *Pool) EvaluateAll(points []Point) ([]Result, error) {
 		return results, nil
 	}
 	ctx := pl.ctx()
+	plans := compilePlans(points)
 	if pl.workers(n) == 1 {
 		for i, p := range points {
-			r, err := pl.evalOne(ctx, p)
+			r, err := pl.evalOne(ctx, p, plans)
 			if err != nil {
 				return nil, err
 			}
@@ -184,7 +188,7 @@ func (pl *Pool) EvaluateAll(points []Point) ([]Result, error) {
 				if i >= n {
 					return
 				}
-				r, err := pl.evalOne(ctx, points[i])
+				r, err := pl.evalOne(ctx, points[i], plans)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)

@@ -2,10 +2,15 @@ package expt
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick/*.txt from the current implementation")
 
 func TestRegistryComplete(t *testing.T) {
 	// Every experiment id from the DESIGN.md index must be registered.
@@ -205,7 +210,10 @@ func TestFigVII3SpecificationsFulfillable(t *testing.T) {
 
 func TestEveryExperimentRuns(t *testing.T) {
 	// Execute every registered primary experiment once at quick scale:
-	// each must produce at least one non-empty table without error.
+	// each must produce at least one non-empty table without error, and
+	// its rendered text must equal testdata/quick/<id>.txt byte for byte.
+	// A deliberate change of output regenerates the files with
+	//   go test ./internal/expt -run TestEveryExperimentRuns -update-golden
 	// Aliases share runners with their primaries and are skipped.
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
@@ -241,6 +249,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if len(tabs) == 0 {
 				t.Fatalf("%s produced no tables", id)
 			}
+			var text bytes.Buffer
 			for _, tab := range tabs {
 				if len(tab.Header) == 0 || len(tab.Rows) == 0 {
 					t.Errorf("%s: table %s empty", id, tab.ID)
@@ -251,7 +260,44 @@ func TestEveryExperimentRuns(t *testing.T) {
 				if buf.Len() == 0 {
 					t.Errorf("%s: table %s rendered nothing", id, tab.ID)
 				}
+				tab.Render(&text)
 			}
+			checkGolden(t, filepath.Join("testdata", "quick", id+".txt"), text.Bytes())
 		})
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update-golden. A mismatch names the first line that differs.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update-golden to create): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(g), len(w)) {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("output differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl, wl)
+		}
 	}
 }

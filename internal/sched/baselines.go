@@ -33,7 +33,7 @@ func (Random) Name() string { return "Random" }
 
 // Schedule implements Heuristic.
 func (r Random) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(r, d, rc)
+	return Compile(r, d).Schedule(rc)
 }
 
 func (Random) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
@@ -62,7 +62,7 @@ func (RoundRobin) Name() string { return "RoundRobin" }
 
 // Schedule implements Heuristic.
 func (RoundRobin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(RoundRobin{}, d, rc)
+	return Compile(RoundRobin{}, d).Schedule(rc)
 }
 
 func (RoundRobin) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
@@ -94,7 +94,7 @@ func (MinMin) Name() string { return "MinMin" }
 
 // Schedule implements Heuristic.
 func (MinMin) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(MinMin{}, d, rc)
+	return Compile(MinMin{}, d).Schedule(rc)
 }
 
 func (MinMin) compile(*dag.DAG, *order, *orderScratch) {}

@@ -69,11 +69,12 @@ func BenchmarkTurnAroundSmallRC(b *testing.B) {
 }
 
 // BenchmarkPlanTurnAround compares the moga objective's compiled path (one
-// Plan) with the one-shot TurnAround, which compiles the order on every
-// call, at the small, median and large RCSize moga_front hands out. The
-// compiled and one-shot cases score one fixed collection, so the branch
-// predictor learns its every decision; the varied case cycles the plan
-// through 800 distinct random collections, as a search does.
+// Plan) with TurnAround, a single-use plan that compiles the order and fills
+// the plan's tables on every call, at the small, median and large RCSize
+// moga_front hands out. The compiled and single-use cases score one fixed
+// collection, so the branch predictor learns its every decision; the varied
+// case cycles the plan through 800 distinct random collections, as a search
+// does.
 func BenchmarkPlanTurnAround(b *testing.B) {
 	for _, k := range []int{5, 12, 22} {
 		d, rcs := smallRCs(k, 800)
@@ -102,7 +103,7 @@ func BenchmarkPlanTurnAround(b *testing.B) {
 				benchSinkTA = ta
 			}
 		})
-		b.Run(fmt.Sprintf("rc%d/one-shot", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("rc%d/single-use", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ta, err := TurnAround(MCP{}, d, rc, 1)

@@ -47,8 +47,8 @@ var fuzzPlatform = sync.OnceValue(func() *platform.Platform {
 // either per host from 300 distinct values, so the speed-class table
 // declines, or per cluster from three, so clusters share a class. mix>>3
 // picks the heuristic. The table paths and the hidden-table interface path
-// must agree on the schedule hash, and the one-shot and compiled TurnAround
-// on its bits.
+// must agree on the schedule hash, and TurnAround (a single-use plan) and a
+// compiled plan's TurnAround on its bits.
 func FuzzDenseTable(f *testing.F) {
 	for i, seed := range []uint64{1, 2, 3, 91, 1 << 40, 7, 8, 9, 10} {
 		f.Add(seed, uint8(5+8*i+100*(i/7)), uint8(40+i), uint8(i<<3|3|(i&1)<<2))
@@ -145,11 +145,11 @@ func redrawClocks(p *platform.Platform, distinct bool, rng *xrand.RNG) *platform
 	return q
 }
 
-// The speed-class table is used where it pays: a Plan fills its task ×
-// class table on the first collection and reads it on every later one, and
-// a one-shot call fills scratch only when the platform has fewer classes
-// than the collection has hosts. A collection holding a host whose clock
-// the platform does not list, or a network that hides the table, divides.
+// The speed-class table is used wherever the collection's platform lists
+// every host's clock: a Plan fills its task × class table on the first
+// collection and reads it on every later one. A collection holding a host
+// whose clock the platform does not list, or a network that hides the
+// table, divides.
 func TestSpeedTableUse(t *testing.T) {
 	p := fuzzPlatform()
 	classes := len(p.SpeedClasses().Speedup)
@@ -160,18 +160,11 @@ func TestSpeedTableUse(t *testing.T) {
 			hosts[i] = p.Hosts[id]
 		}
 		rc := platform.SubsetRC(p, hosts)
-		s, err := newState(d, rc)
+		plan := Compile(MCP{}, d)
+		s, err := newState(plan, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s.speedTable(), classes < m; got != want {
-			t.Errorf("one-shot m=%d, %d classes: speedTable() = %v, want %v", m, classes, got, want)
-		}
-		s.release()
-
-		plan := Compile(MCP{}, d)
-		s, _ = newState(d, rc)
-		s.plan = plan
 		if !s.speedTable() || plan.exec.Load() == nil {
 			t.Errorf("plan m=%d: no speed-class table", m)
 		}
@@ -181,8 +174,7 @@ func TestSpeedTableUse(t *testing.T) {
 		foreign.Hosts[m-1].ClockGHz = 1.2345
 		hidden := &platform.ResourceCollection{Hosts: hosts, Net: transferOnlyNet{rc.Net}}
 		for _, rc := range []*platform.ResourceCollection{foreign, hidden} {
-			s, _ = newState(d, rc)
-			s.plan = plan
+			s, _ = newState(plan, rc)
 			if s.speedTable() {
 				t.Errorf("m=%d: speed-class table used for a collection it does not describe", m)
 			}
@@ -195,8 +187,8 @@ func TestSpeedTableUse(t *testing.T) {
 // dense path: on cluster-network collections, every heuristic must produce
 // bit-identical schedules and turn-arounds whether data-ready times come
 // from the link-class and transfer-time tables (scan forced at every size)
-// or from TransferTime (table hidden), one-shot and through one Plan per
-// heuristic reused across every collection. The corpus DAGs are the golden
+// or from TransferTime (table hidden), through a fresh plan per call and
+// through one Plan per heuristic reused across every collection. The corpus DAGs are the golden
 // corpus's, plus one with an overflowing edge cost and one with free edges;
 // the collections cover the moga sizes, the largest size below the real
 // gate, a one-cluster RC, a repeated host (a free pair off the diagonal), an
@@ -262,7 +254,7 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 				Net:   transferOnlyNet{table.Net},
 			}
 			for _, rc := range []*platform.ResourceCollection{table, hidden} {
-				s, err := newState(d, rc)
+				s, err := newState(Compile(MCP{}, d), rc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -340,7 +332,7 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 			Net:   transferOnlyNet{table.Net},
 		}
 		for _, d := range []*dag.DAG{golden[1].d, zeroCostEdges(golden[1].d, 3), zeroCostEdges(golden[1].d, 1)} {
-			s, err := newState(d, table)
+			s, err := newState(Compile(MCP{}, d), table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -388,7 +380,7 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 		table := platform.SubsetRC(p, rr.hosts)
 		hidden := &platform.ResourceCollection{Hosts: table.Hosts, Net: transferOnlyNet{table.Net}}
 		for _, d := range []*dag.DAG{overflowingEdge(golden[1].d), zeroCostEdges(golden[1].d, 3)} {
-			s, err := newState(d, table)
+			s, err := newState(Compile(MCP{}, d), table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +416,7 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 		Size: 6, CCR: 0.5, Parallelism: 0.5, Density: 0.5, Regularity: 0.5, MeanCost: 10,
 	}, xrand.New(97))
 	wide := platform.SubsetRC(p, sample(chain.NumEdges()+1, 98))
-	s, err := newState(chain, wide)
+	s, err := newState(Compile(MCP{}, chain), wide)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func (mc MCP) prefixLen() int {
 
 // Schedule implements Heuristic.
 func (mc MCP) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(mc, d, rc)
+	return Compile(mc, d).Schedule(rc)
 }
 
 func (mc MCP) compile(d *dag.DAG, o *order, sc *orderScratch) {
@@ -146,7 +146,7 @@ func (Greedy) Name() string { return "Greedy" }
 
 // Schedule implements Heuristic.
 func (Greedy) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(Greedy{}, d, rc)
+	return Compile(Greedy{}, d).Schedule(rc)
 }
 
 func (Greedy) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
@@ -163,7 +163,7 @@ func (FCFS) Name() string { return "FCFS" }
 
 // Schedule implements Heuristic.
 func (FCFS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(FCFS{}, d, rc)
+	return Compile(FCFS{}, d).Schedule(rc)
 }
 
 func (FCFS) compile(d *dag.DAG, o *order, sc *orderScratch) { sc.arrival(d, o) }
@@ -203,7 +203,7 @@ func (FCA) Name() string { return "FCA" }
 
 // Schedule implements Heuristic.
 func (FCA) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(FCA{}, d, rc)
+	return Compile(FCA{}, d).Schedule(rc)
 }
 
 func (FCA) compile(d *dag.DAG, o *order, sc *orderScratch) {
@@ -277,7 +277,7 @@ type dlsCand struct {
 
 // Schedule implements Heuristic.
 func (DLS) Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	return schedule(DLS{}, d, rc)
+	return Compile(DLS{}, d).Schedule(rc)
 }
 
 func (DLS) compile(*dag.DAG, *order, *orderScratch) {}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"rsgen/internal/dag"
@@ -42,46 +43,57 @@ type orderScratch struct {
 }
 
 // Plan is a heuristic compiled for one DAG: the placement order and its
-// DAG-only ops, computed once, so that scoring many collections — the moga
-// objective scores hundreds per search — pays only for the host choices.
-// The first small collection scored also leaves the DAG's edge × link-class
-// transfer times (see quotients) and task × speed-class execution times (see
-// execTimes) with the plan, so later ones divide nothing; the tables live
-// exactly as long as the plan. A Plan is safe for concurrent use: the tables
-// are published atomically, and everything else is read-only after Compile.
+// DAG-only ops, computed once, so that scoring many collections pays only
+// for the host choices. Every schedule runs from a Plan; Heuristic.Schedule
+// and TurnAround compile a single-use one. The first small collection scored
+// also leaves the DAG's edge × link-class transfer times (see pairTable) and
+// task × speed-class execution times (see speedTable) with the plan, so
+// later ones on the same platform divide nothing; the tables live exactly as
+// long as the plan. A Plan is safe for concurrent use: the tables are
+// published atomically, and everything else is read-only after Compile.
 type Plan struct {
 	h    Heuristic
 	d    *dag.DAG
-	r    runner // nil when h is not one of this package's heuristics
 	o    order
 	quot atomic.Pointer[planTable[platform.LinkSpeeds]]
 	exec atomic.Pointer[planTable[platform.SpeedClasses]]
 }
 
+// orderScratchPool lends Compile its working storage, so a single-use plan
+// allocates only the order it keeps.
+var orderScratchPool = sync.Pool{New: func() any { return new(orderScratch) }}
+
 // Compile prepares h for repeated scheduling of d.
 func Compile(h Heuristic, d *dag.DAG) *Plan {
 	p := &Plan{h: h, d: d}
-	if r, ok := h.(runner); ok {
-		p.r = r
-		r.compile(d, &p.o, new(orderScratch))
-	}
+	sc := orderScratchPool.Get().(*orderScratch)
+	h.compile(d, &p.o, sc)
+	orderScratchPool.Put(sc)
 	return p
 }
 
-// TurnAround returns exactly TurnAround(h, d, rc, scr) for the plan's
-// heuristic and DAG. For MCP, Greedy, Random and RoundRobin it allocates
-// nothing in steady state (FCA's class index, FCFS's host queue and DLS's
-// and MinMin's ready sets are built per call).
-func (p *Plan) TurnAround(rc *platform.ResourceCollection, scr float64) (float64, error) {
-	if p.r == nil {
-		return TurnAround(p.h, p.d, rc, scr)
+// Schedule places every task of the plan's DAG on rc: exactly what
+// h.Schedule(d, rc) returns, for a plan reused across collections as for a
+// fresh one.
+func (p *Plan) Schedule(rc *platform.ResourceCollection) (*Schedule, error) {
+	s, err := newState(p, rc)
+	if err != nil {
+		return nil, err
 	}
-	s, err := newState(p.d, rc)
+	p.h.run(s, &p.o)
+	return s.finish(), nil
+}
+
+// TurnAround returns exactly Schedule(rc).TurnAround(scr) without
+// materializing the Schedule. For MCP, Greedy, Random and RoundRobin it
+// allocates nothing in steady state (FCA's class index, FCFS's host queue
+// and DLS's and MinMin's ready sets are built per call).
+func (p *Plan) TurnAround(rc *platform.ResourceCollection, scr float64) (float64, error) {
+	s, err := newState(p, rc)
 	if err != nil {
 		return 0, err
 	}
-	s.plan = p
-	p.r.run(s, &p.o)
+	p.h.run(s, &p.o)
 	return s.turnAround(scr), nil
 }
 

@@ -11,19 +11,6 @@ import (
 	"rsgen/internal/xrand"
 )
 
-// planSchedule runs a compiled plan on rc and reads the whole Schedule out,
-// so a test can compare Host, Start, Finish and Ops, not just the scalar
-// Plan.TurnAround returns.
-func planSchedule(t *testing.T, p *Plan, rc *platform.ResourceCollection) *Schedule {
-	t.Helper()
-	s, err := newState(p.d, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.r.run(s, &p.o)
-	return s.finish()
-}
-
 // planDAGs is the differential corpus: the golden corpus's two DAGs, the
 // 64-task shape moga scores, a one-task DAG, and two edits of the 64-task
 // DAG — every third edge free, and overflowingEdge.
@@ -83,9 +70,9 @@ func planRCs() map[string]*platform.ResourceCollection {
 }
 
 // TestPlanMatchesSchedule is the differential proof for "order once, place
-// many": for every heuristic, a compiled plan run on a collection yields the
-// same schedule — Host, Start, Finish and Ops, hashed bit for bit — and the
-// same turn-around bits as the one-shot Schedule.
+// many": for every heuristic, one plan reused across every collection yields
+// the same schedule — Host, Start, Finish and Ops, hashed bit for bit — and
+// the same turn-around bits as Schedule, which runs a fresh plan per call.
 func TestPlanMatchesSchedule(t *testing.T) {
 	dags := planDAGs()
 	rcs := planRCs()
@@ -98,7 +85,11 @@ func TestPlanMatchesSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := planSchedule(t, p, rc); scheduleHash(got) != scheduleHash(want) {
+				got, err := p.Schedule(rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scheduleHash(got) != scheduleHash(want) {
 					t.Errorf("%s/%s/%s: plan schedule %016x (ops %v) != Schedule %016x (ops %v)",
 						h.Name(), rn, dn, scheduleHash(got), got.Ops, scheduleHash(want), want.Ops)
 				}
@@ -116,9 +107,11 @@ func TestPlanMatchesSchedule(t *testing.T) {
 }
 
 // TestPlanReuse runs one plan per heuristic over 60 collections, first
-// serially against the one-shot TurnAround and then from 8 goroutines
-// sharing fresh plans (under -race this is the proof that sharing a Plan,
-// whose quotient table the first small collection builds, is race-free).
+// serially against TurnAround, which compiles a fresh plan per call, then
+// alternating with the same hosts on a second platform, and then from 8
+// goroutines sharing fresh plans (under -race this is the proof that sharing
+// a Plan, whose quotient table the first small collection builds, is
+// race-free).
 func TestPlanReuse(t *testing.T) {
 	p := platform.MustGenerate(platform.GenSpec{Clusters: 200, Year: 2007}, xrand.New(3))
 	d := planDAGs()["moga64"]
@@ -153,6 +146,43 @@ func TestPlanReuse(t *testing.T) {
 				t.Fatalf("%s m=%d: Plan.TurnAround = %v, TurnAround = %v", h.Name(), rc.Size(), got, w)
 			}
 			want[i] = append(want[i], w)
+		}
+	}
+
+	// One plan scored on collections of two platforms in turn: p and a copy
+	// whose clocks are redrawn per cluster. Their link-speed and speed-class
+	// tables are distinct, so every switch re-keys both of the plan's
+	// tables, and every schedule must still be a fresh plan's bit for bit.
+	q := redrawClocks(p, false, xrand.New(5))
+	for _, h := range hs {
+		plan := Compile(h, d)
+		for _, rc := range rcs {
+			hosts := make([]platform.Host, rc.Size())
+			for j, host := range rc.Hosts {
+				hosts[j] = q.Hosts[host.ID]
+			}
+			for _, c := range []struct {
+				p  *platform.Platform
+				rc *platform.ResourceCollection
+			}{{p, rc}, {q, platform.SubsetRC(q, hosts)}} {
+				want, err := h.Schedule(d, c.rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := plan.Schedule(c.rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scheduleHash(got) != scheduleHash(want) {
+					t.Fatalf("%s m=%d: schedule %016x after a platform switch, fresh plan %016x",
+						h.Name(), rc.Size(), scheduleHash(got), scheduleHash(want))
+				}
+				if _, ok := h.(MCP); ok && rc.Size() < indexMinHosts {
+					if plan.quot.Load().key != c.p.LinkSpeeds() || plan.exec.Load().key != c.p.SpeedClasses() {
+						t.Fatalf("MCP m=%d: the plan's tables were not re-keyed to the collection's platform", rc.Size())
+					}
+				}
+			}
 		}
 	}
 

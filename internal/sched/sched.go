@@ -93,69 +93,31 @@ func (s *Schedule) TurnAround(scr float64) float64 {
 	return SchedulingTime(s.Ops, scr) + s.Makespan
 }
 
-// Heuristic is a DAG scheduling algorithm.
+// Heuristic is a DAG scheduling algorithm. The interface is sealed: every
+// heuristic is this package's, written in two halves (see plan.go). compile
+// derives the placement order from the DAG alone, and run places every task
+// of a prepared state by replaying it; DLS and MinMin pick each next task by
+// the collection's free times, so their compile leaves o alone and their run
+// ignores it. Heuristic values are comparable.
 type Heuristic interface {
 	// Name returns the canonical short name (MCP, Greedy, DLS, FCA, FCFS).
 	Name() string
 	// Schedule maps every task of d onto rc. It panics only on programmer
 	// error (nil inputs); an empty RC returns an error.
 	Schedule(d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error)
-}
 
-// runner is the body of a heuristic in this package, in two halves (see
-// plan.go): compile derives the placement order from the DAG alone, and run
-// places every task of a prepared state by replaying it. DLS and MinMin pick
-// each next task by the collection's free times, so their compile leaves o
-// alone and their run ignores it.
-type runner interface {
 	compile(d *dag.DAG, o *order, sc *orderScratch)
 	run(s *state, o *order)
 }
 
-// runOnce prepares a state and places every task, compiling r's order into
-// the state's pooled scratch. Schedule and TurnAround differ only in what
-// they read out of the state afterwards.
-func runOnce(r runner, d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
-	s, err := newState(d, rc)
-	if err != nil {
-		return nil, err
-	}
-	r.compile(d, &s.ord, &s.orderScratch)
-	r.run(s, &s.ord)
-	return s, nil
-}
-
-func schedule(r runner, d *dag.DAG, rc *platform.ResourceCollection) (*Schedule, error) {
-	s, err := runOnce(r, d, rc)
-	if err != nil {
-		return nil, err
-	}
-	return s.finish(), nil
-}
-
 // TurnAround returns exactly h.Schedule(d, rc).TurnAround(scr) — the
-// §III.2.3 objective — without materializing the Schedule: for this
-// package's heuristics the Host/Start/Finish slices stay with the pooled
-// state, so an MCP call allocates only the closure its ready order compiles
-// with, and Greedy, Random and RoundRobin calls allocate nothing. It is the
-// one turn-around predictor of the serving path: the broker's bind-time
-// promise calls it, and the moga objective calls it through a Plan compiled
-// once per search, so the accuracy series scores the estimate selection
-// optimized.
+// §III.2.3 objective — from a single-use Plan, without materializing the
+// Schedule. It is the one turn-around predictor of the serving path: the
+// broker's bind-time promise calls it, and the moga objective calls the same
+// Plan.TurnAround on a plan compiled once per search, so the accuracy series
+// scores the estimate selection optimized.
 func TurnAround(h Heuristic, d *dag.DAG, rc *platform.ResourceCollection, scr float64) (float64, error) {
-	r, ok := h.(runner)
-	if !ok {
-		s, err := h.Schedule(d, rc)
-		if err != nil {
-			return 0, err
-		}
-		return s.TurnAround(scr), nil
-	}
-	s, err := runOnce(r, d, rc)
-	if err != nil {
-		return 0, err
-	}
-	return s.turnAround(scr), nil
+	return Compile(h, d).TurnAround(rc, scr)
 }
 
 // ByName returns the heuristic with the given (case-sensitive) name.
@@ -186,12 +148,13 @@ func All() []Heuristic {
 	return []Heuristic{FCFS{}, FCA{}, Greedy{}, MCP{}, DLS{}}
 }
 
-// state is the shared bookkeeping for all list-scheduling heuristics. States
-// are pooled: everything except the returned Host/Start/Finish slices is
-// scratch reused across Schedule calls, so the steady-state inner loop
-// allocates nothing. TurnAround does not hand those three slices out, so
-// they stay with the state.
+// state is the shared bookkeeping for all list-scheduling heuristics: one
+// Plan placing its DAG on one collection. States are pooled: everything
+// except the returned Host/Start/Finish slices is scratch reused across
+// calls, so the steady-state inner loop allocates nothing. Plan.TurnAround
+// does not hand those three slices out, so they stay with the state.
 type state struct {
+	plan  *Plan
 	d     *dag.DAG
 	rc    *platform.ResourceCollection
 	free  []float64 // per-host earliest idle time (pooled)
@@ -206,15 +169,14 @@ type state struct {
 
 	// Speed classes (rc.Net is a platform.SpeedClassNetwork whose platform
 	// lists every RC host's clock): hostSpd[h] is host h's class and exec
-	// the DAG's task × class execution times, nSpd per task (see
-	// execTimes), so minFinishHost's scan reads an execution time instead
+	// the plan's task × class execution times, nSpd per task (see
+	// speedTable), so minFinishHost's scan reads an execution time instead
 	// of dividing. spdState follows pairState: 0 = not attempted this
 	// call, 1 = hostSpd and exec are filled, 2 = unusable.
 	spdState int8
 	hostSpd  []uint8
 	exec     []float64
 	nSpd     int
-	execBuf  []float64 // the one-shot calls' exec (pooled)
 
 	uniform       bool // rc.Net is a UniformNetwork: locality-only transfer costs
 	uniformFactor float64
@@ -236,22 +198,17 @@ type state struct {
 	// Small-RC dense path (rc.Net is a platform.PairBandwidthNetwork and
 	// the RC is below indexMinHosts, where the heuristics scan every host
 	// per task): the m×m pair link classes are tabulated once per call and
-	// each edge's transfer time to every class once per plan (or per
-	// one-shot call), so the scan's per-(parent, host) transfer time is two
-	// table reads instead of an interface call chain and a division (see
-	// readyAll). pairState follows grpState: 0 = not attempted this call,
-	// 1 = pairCls and quot are filled, 2 = unusable.
+	// each edge's transfer time to every class once per plan, so the scan's
+	// per-(parent, host) transfer time is two table reads instead of an
+	// interface call chain and a division (see readyAll). pairState follows
+	// grpState: 0 = not attempted this call, 1 = pairCls and quot are
+	// filled, 2 = unusable.
 	pnet      platform.PairBandwidthNetwork
 	pairState int8
 	pairCls   []uint8   // row-major m×m link classes (pooled)
-	quot      []float64 // edge × class transfer times, nCls per edge (see quotients)
+	quot      []float64 // the plan's edge × class transfer times, nCls per edge (see pairTable)
 	nCls      int
-	quotBuf   []float64 // the one-shot calls' quot (pooled)
 	hostRd    []float64 // readyAll's result (pooled)
-
-	// plan is the Plan running on this state (nil for a one-shot call): its
-	// quotient table outlives the call, the state's does not.
-	plan *Plan
 
 	// Shared per-host scratch for the uniform-network fast path: the
 	// per-host max parent finish of the task currently being evaluated,
@@ -274,10 +231,7 @@ type state struct {
 	idIdx    hostIndex
 	classIdx hostIndex
 
-	// The one-shot paths (Schedule, TurnAround) compile the heuristic's
-	// order into ord with the embedded compiler scratch, which DLS's ready
-	// loop also uses; a Plan brings its own order.
-	ord order
+	// DLS's ready loop runs on an order compiler's scratch.
 	orderScratch
 }
 
@@ -304,14 +258,17 @@ var statePool = sync.Pool{New: func() interface{} {
 	return new(state)
 }}
 
-func newState(d *dag.DAG, rc *platform.ResourceCollection) (*state, error) {
+// newState prepares a pooled state for placing p's DAG on rc.
+func newState(p *Plan, rc *platform.ResourceCollection) (*state, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
+	d := p.d
 	n := d.Size()
 	m := rc.Size()
 	stateGets.Add(1)
 	s := statePool.Get().(*state)
+	s.plan = p
 	s.d = d
 	s.rc = rc
 	s.ops = 0
@@ -700,7 +657,7 @@ func (s *state) pairTable() bool {
 		if s.pnet != nil && m < indexMinHosts && s.d.NumEdges() >= m {
 			s.pairCls = growU8(s.pairCls, m*m)
 			if ls := s.pnet.PairBandwidths(s.pairCls); ls != nil {
-				s.quot = s.quotients(ls)
+				s.quot = planned(&s.plan.quot, ls, func() []float64 { return fillQuotients(s.d, ls.Mbps) })
 				s.nCls = len(ls.Mbps)
 				s.pairState = 1
 			}
@@ -709,19 +666,10 @@ func (s *state) pairTable() bool {
 	return s.pairState == 1
 }
 
-// quotients returns the transfer times of s's DAG under ls: the plan's
-// table, built on the plan's first call on ls's platform, or for a one-shot
-// call the state's pooled scratch filled afresh.
-func (s *state) quotients(ls *platform.LinkSpeeds) []float64 {
-	if s.plan == nil {
-		s.quotBuf = fillQuotients(s.quotBuf, s.d, ls.Mbps)
-		return s.quotBuf
-	}
-	return planned(&s.plan.quot, ls, func() []float64 { return fillQuotients(nil, s.d, ls.Mbps) })
-}
-
 // planTable is a table a Plan keeps and the platform table it was built
-// from.
+// from: the DAG's transfer times under one platform's link classes, or its
+// execution times under one platform's speed classes. A plan scored on
+// another platform's collection rebuilds it.
 type planTable[K any] struct {
 	key  *K
 	vals []float64
@@ -744,15 +692,14 @@ func planned[K any](slot *atomic.Pointer[planTable[K]], key *K, fill func() []fl
 // edgeCost * ReferenceBandwidthMbps / bandwidth, so a cost whose product
 // overflows gets +Inf there, as TransferTime does; a zero cost gets 0
 // everywhere, as TransferTime returns without dividing.
-func fillQuotients(q []float64, d *dag.DAG, mbps []float64) []float64 {
+func fillQuotients(d *dag.DAG, mbps []float64) []float64 {
 	k := len(mbps)
-	q = growF64(q, d.NumEdges()*k)
+	q := make([]float64, d.NumEdges()*k)
 	e := 0
 	for v := range d.Size() {
 		for _, p := range d.Pred(dag.TaskID(v)) {
 			row := q[e*k : (e+1)*k]
 			e++
-			clear(row)
 			if p.Cost == 0 {
 				continue
 			}
@@ -768,10 +715,8 @@ func fillQuotients(q []float64, d *dag.DAG, mbps []float64) []float64 {
 // speedTable reports whether this call's minFinishHost scan reads execution
 // times from the speed-class tables, filling them on first use: every RC
 // host's class, found by its clock in the platform's table, and the DAG's
-// task × class execution times (see execTimes). A Plan keeps the latter for
-// its later calls; a one-shot call fills pooled scratch, and only when the
-// platform has fewer classes than the RC has hosts, so that it never
-// divides more often than the m divisions per task the scan would.
+// task × class execution times (see fillExecTimes), which the plan keeps
+// for its later calls on the same platform.
 func (s *state) speedTable() bool {
 	if s.spdState == 0 {
 		s.spdState = 2
@@ -781,7 +726,7 @@ func (s *state) speedTable() bool {
 		}
 		sc := sn.SpeedClasses()
 		m := len(s.rc.Hosts)
-		if sc == nil || (s.plan == nil && len(sc.Speedup) >= m) {
+		if sc == nil {
 			return false
 		}
 		s.hostSpd = growU8(s.hostSpd, m)
@@ -792,30 +737,20 @@ func (s *state) speedTable() bool {
 			}
 			s.hostSpd[h] = k
 		}
-		s.exec = s.execTimes(sc)
+		s.exec = planned(&s.plan.exec, sc, func() []float64 { return fillExecTimes(s.d, sc.Speedup) })
 		s.nSpd = len(sc.Speedup)
 		s.spdState = 1
 	}
 	return s.spdState == 1
 }
 
-// execTimes returns the execution times of s's DAG under sc, as quotients
-// does the transfer times: the plan's table or the one-shot scratch.
-func (s *state) execTimes(sc *platform.SpeedClasses) []float64 {
-	if s.plan == nil {
-		s.execBuf = fillExecTimes(s.execBuf, s.d, sc.Speedup)
-		return s.execBuf
-	}
-	return planned(&s.plan.exec, sc, func() []float64 { return fillExecTimes(nil, s.d, sc.Speedup) })
-}
-
 // fillExecTimes writes, for every task of d, its execution time on each
 // speed class: len(speedup) entries per task, x[v*len(speedup)+k]. Each is
 // execTime's division over the same operands, since a host's class speedup
 // is its own Speedup() bit for bit.
-func fillExecTimes(x []float64, d *dag.DAG, speedup []float64) []float64 {
+func fillExecTimes(d *dag.DAG, speedup []float64) []float64 {
 	k := len(speedup)
-	x = growF64(x, d.Size()*k)
+	x := make([]float64, d.Size()*k)
 	for v := range d.Size() {
 		cost := d.Task(dag.TaskID(v)).Cost
 		for j, sp := range speedup {

@@ -85,7 +85,8 @@ type (
 // Scheduling types (dissertation §III.3, Ch. IV–V).
 type (
 	// Heuristic is a DAG scheduling algorithm; see Heuristics and
-	// HeuristicByName.
+	// HeuristicByName. The interface is sealed: only the scheduler's own
+	// heuristics implement it, and its values are comparable.
 	Heuristic = sched.Heuristic
 	// Schedule is a complete task→host mapping with timing and the
 	// abstract scheduling-operation count.
