@@ -51,7 +51,9 @@ bench-check:
 # platform's widest-path target (the union-find table vs a Dijkstra row per
 # cluster, on drawn topologies with links deleted and odd speeds) and the
 # scheduler's dense-table target (link- and speed-class tables and the
-# grouped path's bandwidth table vs TransferTime and a division per host).
+# grouped path's bandwidth table vs TransferTime and a division per host),
+# and so is its indexed-host target (the bucketed host search forced on vs
+# the scan forced, on 128–640-host collections with drawn clock classes).
 # The events body and the observations query string are fuzzed through
 # their handlers, which must answer 2xx or a 4xx JSON error. The last two
 # targets are not parsers: they draw whole moga searches and require
@@ -74,5 +76,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/broker/durable
 	$(GO) test -run xxx -fuzz 'FuzzWidest$$' -fuzztime $(FUZZTIME) ./internal/platform
 	$(GO) test -run xxx -fuzz 'FuzzDenseTable$$' -fuzztime $(FUZZTIME) ./internal/sched
+	$(GO) test -run xxx -fuzz 'FuzzIndexedHostSelection$$' -fuzztime $(FUZZTIME) ./internal/sched
 	$(GO) test -run xxx -fuzz 'FuzzSearchWorkers$$' -fuzztime $(FUZZTIME) ./internal/moga
 	$(GO) test -run xxx -fuzz 'FuzzSearchMemo$$' -fuzztime $(FUZZTIME) ./internal/moga

@@ -35,22 +35,14 @@ type Config struct {
 	// Generator is the trained specification generator (required): it
 	// renders the ladder of specs the broker walks.
 	Generator *spec.Generator
-	// SwordSeed seeds the synthetic SWORD directory built at inventory
-	// registration; 0 defaults to 1.
-	SwordSeed uint64
 	// LeaseTTL is the default host-lease lifetime; 0 defaults to 5m.
 	LeaseTTL time.Duration
 	// MaxBindWaitSeconds bounds the acceptable manager delay when binding;
 	// 0 defaults to 3600 (one hour of queue or reservation wait).
 	MaxBindWaitSeconds float64
-	// BindAttempts bounds bind retries per rung; 0 defaults to 3.
-	BindAttempts int
 	// BindBackoff is the first retry delay, doubling per attempt; 0
 	// defaults to 50ms.
 	BindBackoff time.Duration
-	// LeaseAttempts bounds re-selections after losing an acquisition race
-	// to a concurrent session; 0 defaults to 3.
-	LeaseAttempts int
 	// Workers bounds the evaluation pool used when computing alternative
 	// specifications; 0 uses all cores.
 	Workers int
@@ -68,24 +60,26 @@ type Config struct {
 	Store Store
 }
 
+const (
+	// swordSeed seeds the synthetic SWORD directory built at inventory
+	// registration.
+	swordSeed uint64 = 1
+	// bindAttempts bounds bind retries per rung.
+	bindAttempts = 3
+	// leaseAttempts bounds re-selections after losing an acquisition race
+	// to a concurrent session.
+	leaseAttempts = 3
+)
+
 func (c Config) withDefaults() Config {
-	if c.SwordSeed == 0 {
-		c.SwordSeed = 1
-	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 5 * time.Minute
 	}
 	if c.MaxBindWaitSeconds == 0 {
 		c.MaxBindWaitSeconds = 3600
 	}
-	if c.BindAttempts == 0 {
-		c.BindAttempts = 3
-	}
 	if c.BindBackoff == 0 {
 		c.BindBackoff = 50 * time.Millisecond
-	}
-	if c.LeaseAttempts == 0 {
-		c.LeaseAttempts = 3
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -168,7 +162,7 @@ func New(cfg Config) (*Broker, error) {
 		b.store = NewMemStore()
 	}
 	if rec := b.store.RecoveredInventory(); rec != nil {
-		inv, err := materialize(rec, b.cfg.SwordSeed, b.cfg.Moga)
+		inv, err := materialize(rec, swordSeed, b.cfg.Moga)
 		if err != nil {
 			return nil, fmt.Errorf("broker: recovered inventory: %w", err)
 		}
@@ -217,7 +211,7 @@ func (b *Broker) RegisterInventory(p *platform.Platform, grid *bind.Grid) error 
 	if grid.NumClusters() != len(p.Clusters) {
 		return fmt.Errorf("broker: grid manages %d clusters, platform has %d", grid.NumClusters(), len(p.Clusters))
 	}
-	inv := &inventory{p: p, grid: grid, selectors: newSelectors(p, b.cfg.SwordSeed, b.cfg.Moga)}
+	inv := &inventory{p: p, grid: grid, selectors: newSelectors(p, swordSeed, b.cfg.Moga)}
 	// Persist first: if the store cannot make the registration durable the
 	// broker keeps serving the previous inventory.
 	if _, err := b.store.RegisterInventory(NewInventoryRecord(p, grid), b.cfg.Now()); err != nil {
@@ -701,7 +695,7 @@ func (b *Broker) ladder(ctx context.Context, req Request) ([]*spec.Specification
 // tryRung attempts one (rung, backend) pair: select with leased and stalled
 // hosts masked, take the lease, bind with bounded retry. Three failures
 // restart the loop instead of abandoning the rung: losing the acquisition or
-// swap race to a concurrent session (bounded by LeaseAttempts), a bind
+// swap race to a concurrent session (bounded by leaseAttempts), a bind
 // refusal that stalls new clusters — the Chapter VII rebind loop, which
 // re-selects around the stalled clusters and is bounded because every
 // iteration must grow the mask — and, for RungSelectors (moga), a bind refusal
@@ -802,7 +796,7 @@ func (b *Broker) tryRung(ctx context.Context, inv *inventory, req *Request, repl
 				return nil, atts, err
 			}
 			commitMisses++
-			if commitMisses >= b.cfg.LeaseAttempts {
+			if commitMisses >= leaseAttempts {
 				return nil, atts, nil
 			}
 			walk.reselect()
@@ -832,12 +826,12 @@ func (b *Broker) tryRung(ctx context.Context, inv *inventory, req *Request, repl
 
 // bindWithRetry binds the collection with exponential backoff: manager
 // state can change between attempts (operators repoint managers at
-// runtime), so transient refusals get BindAttempts chances before the rung
+// runtime), so transient refusals get bindAttempts chances before the rung
 // is abandoned.
 func (b *Broker) bindWithRetry(ctx context.Context, grid *bind.Grid, rc *platform.ResourceCollection, maxWait float64) (*bind.Binding, error) {
 	backoff := b.cfg.BindBackoff
 	var lastErr error
-	for attempt := 0; attempt < b.cfg.BindAttempts; attempt++ {
+	for attempt := 0; attempt < bindAttempts; attempt++ {
 		if attempt > 0 {
 			t := time.NewTimer(backoff)
 			select {
@@ -854,7 +848,7 @@ func (b *Broker) bindWithRetry(ctx context.Context, grid *bind.Grid, rc *platfor
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("bind failed after %d attempts: %w", b.cfg.BindAttempts, lastErr)
+	return nil, fmt.Errorf("bind failed after %d attempts: %w", bindAttempts, lastErr)
 }
 
 // markStalled probes the failed collection's clusters and masks every host

@@ -145,7 +145,7 @@ func TestSelectRebindParity(t *testing.T) {
 		ranks:  []int{0, 0, 0, 0},
 	}, {
 		// A foreign session holds the proposed hosts: every commit loses
-		// the race until LeaseAttempts gives the rung up.
+		// the race until leaseAttempts gives the rung up.
 		name: "commit race lost to a concurrent holder",
 		req:  Request{Backends: []string{"fake"}},
 		setup: func(t *testing.T, b *Broker, p *platform.Platform, _ *bind.Grid, origin Lease) {

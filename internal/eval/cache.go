@@ -19,7 +19,6 @@ type Key struct {
 	BandwidthMbps uint64
 	SCR           uint64
 	Seed          uint64
-	Simulate      bool
 }
 
 // keyOf builds the cache key for a point; ok is false for uncacheable
@@ -43,7 +42,6 @@ func keyOf(p Point) (Key, bool) {
 		BandwidthMbps: math.Float64bits(p.BandwidthMbps),
 		SCR:           math.Float64bits(p.SCR),
 		Seed:          p.Seed,
-		Simulate:      p.Simulate,
 	}, true
 }
 
@@ -140,9 +138,6 @@ func (c *Cache) shardOf(key Key) *cacheShard {
 	h = mix64(h, key.BandwidthMbps)
 	h = mix64(h, key.SCR)
 	h = mix64(h, key.Seed)
-	if key.Simulate {
-		h = mix64(h, 1)
-	}
 	return &c.shards[h&c.mask]
 }
 

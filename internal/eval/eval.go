@@ -40,7 +40,6 @@ import (
 	"rsgen/internal/dag"
 	"rsgen/internal/platform"
 	"rsgen/internal/sched"
-	"rsgen/internal/sim"
 	"rsgen/internal/xrand"
 )
 
@@ -77,11 +76,6 @@ type Point struct {
 	SCR float64
 	// Seed derives the RNG stream for heterogeneous RC draws.
 	Seed uint64
-	// Simulate additionally replays each schedule through the independent
-	// executor (sim.Execute) as a cross-check; evaluation fails if the
-	// simulator rejects a schedule. Off by default — it does not change
-	// any reported metric, only validates.
-	Simulate bool
 }
 
 func (p Point) withDefaults() Point {
@@ -188,14 +182,6 @@ func evaluate(ctx context.Context, p Point, plans map[planKey]*sched.Plan) (Resu
 		recordSchedule(time.Since(t1))
 		if err != nil {
 			return Result{}, err
-		}
-		if p.Simulate {
-			t2 := time.Now()
-			_, simErr := sim.Execute(d, rc, s)
-			recordSimulate(time.Since(t2))
-			if simErr != nil {
-				return Result{}, fmt.Errorf("eval: simulator rejected %s schedule: %w", p.Heuristic.Name(), simErr)
-			}
 		}
 		st := sched.SchedulingTime(s.Ops, p.SCR)
 		ta := st + s.Makespan

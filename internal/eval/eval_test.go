@@ -68,21 +68,6 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
-func TestEvaluateSimulateCrossCheck(t *testing.T) {
-	dags := testDags(t, 1, 60)
-	plain, err := Evaluate(context.Background(), Point{Dags: dags, Size: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := Evaluate(context.Background(), Point{Dags: dags, Size: 8, Simulate: true})
-	if err != nil {
-		t.Fatalf("simulator rejected a heuristic schedule: %v", err)
-	}
-	if plain != checked {
-		t.Errorf("Simulate changed the result: %+v vs %+v", plain, checked)
-	}
-}
-
 // TestPoolOrderPreserving is the core determinism guarantee: any worker
 // count yields bit-identical results in input order.
 func TestPoolOrderPreserving(t *testing.T) {

@@ -27,13 +27,10 @@ type Pool struct {
 	Ctx context.Context
 	// Timeout, when positive, is a per-point deadline layered over Ctx.
 	Timeout time.Duration
-	// Cache memoizes results; nil means no memoization. Use DefaultPool
-	// (or set Cache = DefaultCache) for the shared process-wide cache.
+	// Cache memoizes results; nil means no memoization. Set Cache =
+	// DefaultCache for the shared process-wide cache.
 	Cache *Cache
 }
-
-// DefaultPool is a ready-to-use pool over all cores with the shared cache.
-var DefaultPool = &Pool{Cache: DefaultCache}
 
 func (pl *Pool) ctx() context.Context {
 	if pl.Ctx != nil {

@@ -15,7 +15,6 @@ var counters struct {
 	dedupWaits  atomic.Uint64
 	rcBuildNS   atomic.Int64
 	scheduleNS  atomic.Int64
-	simulateNS  atomic.Int64
 }
 
 func recordPoint()                   { counters.points.Add(1) }
@@ -24,7 +23,6 @@ func recordMiss()                    { counters.cacheMisses.Add(1) }
 func recordDedup()                   { counters.dedupWaits.Add(1) }
 func recordRCBuild(d time.Duration)  { counters.rcBuildNS.Add(int64(d)) }
 func recordSchedule(d time.Duration) { counters.scheduleNS.Add(int64(d)) }
-func recordSimulate(d time.Duration) { counters.simulateNS.Add(int64(d)) }
 
 // Stats is a snapshot of the engine's lightweight counters: points actually
 // evaluated, cache traffic, and cumulative wall time per evaluation stage
@@ -39,7 +37,6 @@ type Stats struct {
 	DedupWaits uint64
 	RCBuild    time.Duration
 	Schedule   time.Duration
-	Simulate   time.Duration
 }
 
 // Snapshot reads the current counter values.
@@ -51,7 +48,6 @@ func Snapshot() Stats {
 		DedupWaits:  counters.dedupWaits.Load(),
 		RCBuild:     time.Duration(counters.rcBuildNS.Load()),
 		Schedule:    time.Duration(counters.scheduleNS.Load()),
-		Simulate:    time.Duration(counters.simulateNS.Load()),
 	}
 }
 
@@ -63,7 +59,6 @@ func ResetStats() {
 	counters.dedupWaits.Store(0)
 	counters.rcBuildNS.Store(0)
 	counters.scheduleNS.Store(0)
-	counters.simulateNS.Store(0)
 }
 
 // Sub returns the counter deltas since an earlier snapshot.
@@ -75,7 +70,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		DedupWaits:  s.DedupWaits - prev.DedupWaits,
 		RCBuild:     s.RCBuild - prev.RCBuild,
 		Schedule:    s.Schedule - prev.Schedule,
-		Simulate:    s.Simulate - prev.Simulate,
 	}
 }
 

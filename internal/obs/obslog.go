@@ -24,10 +24,6 @@ type ObsLogOptions struct {
 	// MaxFiles caps how many rotated segments are kept beyond the active
 	// one (default 4); older segments are deleted.
 	MaxFiles int
-	// SyncEvery batches fsync: the file is synced once per this many
-	// appends (default 64). Every append is still flushed to the OS, so
-	// only a machine crash — not a process crash — can lose the tail.
-	SyncEvery int
 	// NoSync disables fsync entirely (tests).
 	NoSync bool
 }
@@ -39,11 +35,13 @@ func (o ObsLogOptions) withDefaults() ObsLogOptions {
 	if o.MaxFiles <= 0 {
 		o.MaxFiles = 4
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 64
-	}
 	return o
 }
+
+// syncEvery batches fsync: the file is synced once per this many appends.
+// Every append is still flushed to the OS, so only a machine crash — not a
+// process crash — can lose the tail.
+const syncEvery = 64
 
 // ObsLog appends observations as JSONL. Safe for concurrent use.
 type ObsLog struct {
@@ -93,7 +91,7 @@ func (l *ObsLog) Path() string { return filepath.Join(l.dir, obsLogName) }
 
 // Append writes one observation as a JSONL line, rotating first when the
 // active segment is full. The line is flushed to the OS before returning;
-// fsync is batched per Options.SyncEvery.
+// fsync is batched per syncEvery.
 func (l *ObsLog) Append(o Observation) error {
 	line, err := json.Marshal(o)
 	if err != nil {
@@ -120,7 +118,7 @@ func (l *ObsLog) Append(o Observation) error {
 	}
 	l.size += int64(len(line)) + 1
 	l.pending++
-	if !l.opts.NoSync && l.pending >= l.opts.SyncEvery {
+	if !l.opts.NoSync && l.pending >= syncEvery {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("obslog: sync: %w", err)
 		}

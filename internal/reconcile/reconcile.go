@@ -59,17 +59,20 @@ type Config struct {
 	// ExclusionTTL bounds how long a stalled cluster stays masked from
 	// new selections before it may be tried again (default 10m).
 	ExclusionTTL time.Duration
-	// MaxPending bounds the ingest queue between cycles (default 65536);
-	// events past it are counted dropped.
-	MaxPending int
-	// MaxRetired bounds how many terminal sessions stay queryable via
-	// GET /v1/select/{id} (default 512, FIFO eviction).
-	MaxRetired int
 	// Now supplies time (default time.Now); tests inject fake clocks.
 	Now func() time.Time
 	// Logger receives cycle outcomes (default discard).
 	Logger *slog.Logger
 }
+
+const (
+	// maxPending bounds the ingest queue between cycles; events past it
+	// are counted dropped.
+	maxPending = 65536
+	// maxRetired bounds how many terminal sessions stay queryable via
+	// GET /v1/select/{id} (FIFO eviction).
+	maxRetired = 512
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -80,12 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ExclusionTTL <= 0 {
 		c.ExclusionTTL = 10 * time.Minute
-	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 65536
-	}
-	if c.MaxRetired <= 0 {
-		c.MaxRetired = 512
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -275,14 +272,14 @@ func (r *Reconciler) Track(out *broker.Outcome, req broker.Request) {
 }
 
 // Ingest queues platform events for the next cycle and returns how many
-// were accepted; overflow beyond MaxPending is dropped and counted.
+// were accepted; overflow beyond maxPending is dropped and counted.
 func (r *Reconciler) Ingest(events []Event) int {
 	if len(events) == 0 {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	room := r.cfg.MaxPending - len(r.pending)
+	room := maxPending - len(r.pending)
 	if room < 0 {
 		room = 0
 	}
@@ -436,15 +433,15 @@ func (r *Reconciler) lookupLocked(id string) *session {
 }
 
 // endLocked moves a session to a terminal status and queues it for FIFO
-// eviction once MaxRetired terminal sessions accumulate.
+// eviction once maxRetired terminal sessions accumulate.
 func (r *Reconciler) endLocked(s *session, st Status) {
 	s.status = st
 	// A terminal session is never rebound again, and the request is the
-	// bulk of it: without this the MaxRetired history pins that many DAGs.
+	// bulk of it: without this the maxRetired history pins that many DAGs.
 	s.req = broker.Request{}
 	r.met.ended.With(string(st)).Inc()
 	r.retired = append(r.retired, s.origin)
-	for len(r.retired) > r.cfg.MaxRetired {
+	for len(r.retired) > maxRetired {
 		o := r.retired[0]
 		r.retired = r.retired[1:]
 		if old, ok := r.sessions[o]; ok {

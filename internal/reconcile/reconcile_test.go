@@ -329,7 +329,7 @@ func TestChurnIsDeterministicAndValid(t *testing.T) {
 	}
 }
 
-// A retired session stays queryable (up to MaxRetired of them do) but must
+// A retired session stays queryable (up to maxRetired of them do) but must
 // not keep its request alive: the DAG is the bulk of a session, and a
 // terminal session is never rebound. The finalizer fires only once nothing
 // reaches the DAG any more.

@@ -115,3 +115,52 @@ func BenchmarkPlanTurnAround(b *testing.B) {
 		})
 	}
 }
+
+// largeRCs are BenchmarkScheduleLargeRC's collections, all at or above
+// indexMinHosts: uniform networks whose hosts share one clock, draw a
+// continuous clock each (§V.4's heterogeneity model, so every host is its
+// own speed class), or share 16 or 128 clock classes among 512 hosts; and
+// cluster networks of a generated 60-cluster platform, whole and cut to its
+// 300 fastest hosts.
+func largeRCs() []struct {
+	name string
+	rc   *platform.ResourceCollection
+} {
+	p := platform.MustGenerate(platform.GenSpec{Clusters: 60, Year: 2006}, xrand.New(3))
+	return []struct {
+		name string
+		rc   *platform.ResourceCollection
+	}{
+		{"homogeneous300", platform.HomogeneousRC(300, 2.8, 1000)},
+		{"heterogeneous300", platform.HeterogeneousRC(300, 2.8, 0.6, 1000, xrand.New(4))},
+		{"uniform512k16", fewClassRC(512, 16)},
+		{"uniform512k128", fewClassRC(512, 128)},
+		{"universe60", platform.UniverseRC(p)},
+		{"top300", platform.TopHostsRC(p, 300)},
+	}
+}
+
+// BenchmarkScheduleLargeRC times MCP and Greedy, the two heuristics whose
+// host selection can run on the bucketed index, through Plan.TurnAround on
+// a 400-task DAG over largeRCs.
+func BenchmarkScheduleLargeRC(b *testing.B) {
+	d := dag.MustGenerate(dag.GenSpec{
+		Size: 400, CCR: 0.2, Parallelism: 0.5, Density: 0.5, Regularity: 0.5, MeanCost: 40,
+	}, xrand.New(5))
+	for _, c := range largeRCs() {
+		for _, h := range []Heuristic{MCP{}, Greedy{}} {
+			b.Run(c.name+"/"+h.Name(), func(b *testing.B) {
+				p := Compile(h, d)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ta, err := p.TurnAround(c.rc, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSinkTA = ta
+				}
+			})
+		}
+	}
+}

@@ -42,8 +42,9 @@ var fuzzPlatform = sync.OnceValue(func() *platform.Platform {
 // FuzzDenseTable is the differential check of TestDenseTableMatchesInterfacePath
 // over generated inputs. The seed draws a DAG of 2–81 tasks, with free edges
 // and (when mix&1) overflowing ones mixed in, and a collection of 1–256
-// hosts (from 128 on, the grouped path's sizes) that (when mix&2) lists one
-// host twice. When mix&4 the platform's host clocks are redrawn first:
+// hosts (from 128 on, the grouped path's sizes where the sample holds
+// enough hosts per cluster) that (when mix&2) lists one host twice. When
+// mix&4 the platform's host clocks are redrawn first:
 // either per host from 300 distinct values, so the speed-class table
 // declines, or per cluster from three, so clusters share a class. mix>>3
 // picks the heuristic. The table paths and the hidden-table interface path
@@ -194,7 +195,9 @@ func TestSpeedTableUse(t *testing.T) {
 // gate, a one-cluster RC, a repeated host (a free pair off the diagonal), an
 // RC with more hosts than the DAG has edges, and a platform with too many
 // link speeds (both tables declined). Collections of 128 hosts and more
-// then take the grouped path at the real gate and are held to the same
+// then take the grouped path at the real host-count gate, with the
+// hosts-per-bucket gate open (a sample of 150 hosts from 40 clusters has
+// too few hosts per cluster for the default), and are held to the same
 // per-host schedules.
 func TestDenseTableMatchesInterfacePath(t *testing.T) {
 	old := indexMinHosts
@@ -367,6 +370,9 @@ func TestDenseTableMatchesInterfacePath(t *testing.T) {
 	// whose group bandwidth table must give the per-host schedule. A
 	// collection listing a host twice is scanned instead.
 	indexMinHosts = old
+	oldPer := minHostsPerBucket
+	defer func() { minHostsPerBucket = oldPer }()
+	minHostsPerBucket = 0
 	twice := sample(160, 102)
 	twice[150] = twice[3]
 	for _, rr := range []struct {

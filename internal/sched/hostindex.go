@@ -2,22 +2,27 @@ package sched
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"rsgen/internal/platform"
 )
 
-// This file implements the bucketed host-selection index behind the
-// uniform-network fast paths of minFinishHost/minStartHost and FCA's
-// idle-host test. The key observation: under a uniform network every host
-// that holds no parent of the task has the same data-ready time (readyFn's
-// best1), so the earliest-start host among them is fully determined by the
-// per-host free times — argmin queries a segment tree answers in O(log m)
-// instead of the O(m) scan. Hosts with the same clock rate form a speed
-// class; within a class, minimizing finish time equals minimizing start
-// time, so one candidate per class (plus the parent-holding hosts, which
-// are evaluated exactly) provably contains the scan's winner under the
-// scan's exact tie-breaking order.
+// This file implements the bucketed host-selection index behind
+// indexedHost, the one search minFinishHost and minStartHost take where it
+// beats their scan, and behind FCA's idle-host test. The key observation:
+// every host that holds no parent of the task has the same data-ready time
+// within a bucket — all hosts under a uniform network (readyFn's best1),
+// one cluster under a cluster network — so the earliest-start host of a
+// bucket is fully determined by its per-host free times: argmin queries a
+// segment tree answers in O(log m) instead of the O(m) scan. Buckets are
+// clock-uniform (speed classes, or clock-uniform clusters), and within one,
+// minimizing finish time equals minimizing start time, so one candidate per
+// bucket (plus the parent-holding hosts, which are evaluated exactly)
+// provably contains the scan's winner under the scan's exact tie-breaking
+// order. Greedy, which ignores speed, searches a uniform network's identity
+// index: one bucket of all hosts. Each bucket costs a query or two, so an
+// index with few hosts per bucket is declined (minHostsPerBucket) and the
+// hosts are scanned.
 //
 // The modeled Ops counts are charged by the original formulas regardless:
 // this index changes wall-clock time only, never the reproduced numbers.
@@ -50,8 +55,14 @@ func (t *minTree) build(n int, leafVal func(p int) float64) {
 	for p := n; p < size; p++ {
 		t.val[size+p] = inf
 	}
+	// Leaves are free times or +Inf, never NaN or −0, so one compare (as in
+	// set) is math.Min without its special cases.
 	for i := size - 1; i >= 1; i-- {
-		t.val[i] = math.Min(t.val[2*i], t.val[2*i+1])
+		v := t.val[2*i]
+		if r := t.val[2*i+1]; r < v {
+			v = r
+		}
+		t.val[i] = v
 	}
 }
 
@@ -129,20 +140,23 @@ func (t *minTree) amin(node, nLo, nHi, lo, hi int) (float64, int) {
 	return rv, rp
 }
 
-// hostIndex is a minTree over per-host free times, either in host-index
-// order (identity mode: leaf p ↔ host p) or grouped into speed classes
-// (class mode: leaves ordered by descending clock rate, then ascending host
-// index, so each class is a contiguous leaf range and the leftmost leaf of
-// any predicate is the fastest-then-lowest-index host satisfying it).
+// hostIndex is a minTree over per-host free times, its leaves split into
+// contiguous buckets (classEnd). In identity mode leaf p is host p and the
+// whole tree is one bucket. In bucket mode leaves are ordered by a per-host
+// key, then by ascending host index, so each key is one bucket and the
+// leftmost leaf of any predicate within a bucket is its lowest-index host
+// satisfying it.
 type hostIndex struct {
-	built bool
-	m     int
-	tree  minTree
+	built    bool
+	m        int
+	tree     minTree
+	classEnd []int32 // one-past-last leaf of each bucket, ascending
 
-	// Class mode only; identity mode leaves these nil.
-	perm     []int32 // leaf → host
-	pos      []int32 // host → leaf
-	classEnd []int32 // one-past-last leaf of each class, ascending
+	// Bucket mode only; identity mode leaves these nil.
+	perm []int32 // leaf → host
+	pos  []int32 // host → leaf
+
+	key []float64 // bucket-mode build scratch: per-host sort key
 
 	// Masking scratch: saved leaf values for unmask.
 	savedVal  []float64
@@ -152,78 +166,58 @@ type hostIndex struct {
 // buildIdentity initializes identity mode over free.
 func (x *hostIndex) buildIdentity(free []float64) {
 	x.m = len(free)
-	x.perm, x.pos, x.classEnd = nil, nil, nil
+	x.perm, x.pos = nil, nil
+	x.classEnd = append(x.classEnd[:0], int32(len(free)))
 	x.tree.build(len(free), func(p int) float64 { return free[p] })
 	x.savedVal = x.savedVal[:0]
 	x.savedLeaf = x.savedLeaf[:0]
 	x.built = true
 }
 
-// buildClasses initializes class mode over free, grouping hosts by exact
-// ClockGHz, fastest class first.
+// buildClasses initializes bucket mode over free with one bucket per speed
+// class: hosts grouped by exact ClockGHz, fastest class first.
 func (x *hostIndex) buildClasses(hosts []platform.Host, free []float64) {
-	m := len(hosts)
-	x.m = m
-	if cap(x.perm) < m {
-		x.perm = make([]int32, m)
-		x.pos = make([]int32, m)
-	} else {
-		x.perm = x.perm[:m]
-		x.pos = x.pos[:m]
+	x.key = growF64(x.key, len(hosts))
+	for h, host := range hosts {
+		x.key[h] = -host.ClockGHz
 	}
-	for i := range x.perm {
-		x.perm[i] = int32(i)
-	}
-	sort.Slice(x.perm, func(a, b int) bool {
-		ha, hb := hosts[x.perm[a]], hosts[x.perm[b]]
-		if ha.ClockGHz != hb.ClockGHz {
-			return ha.ClockGHz > hb.ClockGHz
-		}
-		return x.perm[a] < x.perm[b]
-	})
-	x.classEnd = x.classEnd[:0]
-	for p := 1; p < m; p++ {
-		if hosts[x.perm[p]].ClockGHz != hosts[x.perm[p-1]].ClockGHz {
-			x.classEnd = append(x.classEnd, int32(p))
-		}
-	}
-	x.classEnd = append(x.classEnd, int32(m))
-	for p, h := range x.perm {
-		x.pos[h] = int32(p)
-	}
-	x.tree.build(m, func(p int) float64 { return free[x.perm[p]] })
-	x.savedVal = x.savedVal[:0]
-	x.savedLeaf = x.savedLeaf[:0]
-	x.built = true
+	x.buildBuckets(free)
 }
 
-// buildGroups initializes class mode with explicit group keys: leaves are
-// ordered by ascending key, then ascending host index, so each key forms a
-// contiguous leaf range (recorded in classEnd) whose leftmost leaf is the
-// lowest host index of that group.
+// buildGroups initializes bucket mode over free with one bucket per group
+// key, in ascending key order.
 func (x *hostIndex) buildGroups(keys []int32, free []float64) {
-	m := len(keys)
-	x.m = m
-	if cap(x.perm) < m {
-		x.perm = make([]int32, m)
-		x.pos = make([]int32, m)
-	} else {
-		x.perm = x.perm[:m]
-		x.pos = x.pos[:m]
+	x.key = growF64(x.key, len(keys))
+	for h, k := range keys {
+		x.key[h] = float64(k)
 	}
+	x.buildBuckets(free)
+}
+
+// buildBuckets initializes bucket mode over free from the per-host keys in
+// x.key (exact: negated clocks and converted int32 keys compare as their
+// sources do).
+func (x *hostIndex) buildBuckets(free []float64) {
+	key := x.key
+	m := len(key)
+	x.m = m
+	x.perm = growI32(x.perm, m)
+	x.pos = growI32(x.pos, m)
 	for i := range x.perm {
 		x.perm[i] = int32(i)
 	}
-	sort.Slice(x.perm, func(a, b int) bool {
-		ka, kb := keys[x.perm[a]], keys[x.perm[b]]
-		if ka != kb {
-			return ka < kb
+	slices.SortFunc(x.perm, func(a, b int32) int {
+		switch ka, kb := key[a], key[b]; {
+		case ka < kb:
+			return -1
+		case ka > kb:
+			return 1
 		}
-		return x.perm[a] < x.perm[b]
+		return int(a - b)
 	})
 	x.classEnd = x.classEnd[:0]
 	for p := 1; p < m; p++ {
-		if keys[x.perm[p]] != keys[x.perm[p-1]] {
+		if key[x.perm[p]] != key[x.perm[p-1]] {
 			x.classEnd = append(x.classEnd, int32(p))
 		}
 	}

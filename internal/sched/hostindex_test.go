@@ -10,14 +10,15 @@ import (
 )
 
 // TestIndexedHostSelectionMatchesScan is the exactness proof for the
-// segment-tree host selection: with the gate forced open (index always on)
-// and forced closed (always the historical linear scan), every heuristic
-// must produce bit-identical schedules on uniform networks — homogeneous
-// and heterogeneous clocks, small and large host counts. The golden corpus
-// pins the scan's behavior; this pins the index to the scan.
+// segment-tree host selection: with the gate forced open (index always on,
+// however many buckets it has), forced closed (always the historical linear
+// scan) and left at its defaults, every heuristic must produce bit-identical
+// schedules on uniform and cluster networks — homogeneous, few-class and
+// continuous clocks, small and large host counts. The golden corpus pins
+// the scan's behavior; this pins the index to the scan.
 func TestIndexedHostSelectionMatchesScan(t *testing.T) {
-	old := indexMinHosts
-	defer func() { indexMinHosts = old }()
+	oldMin, oldPer := indexMinHosts, minHostsPerBucket
+	defer func() { indexMinHosts, minHostsPerBucket = oldMin, oldPer }()
 
 	dags := []*dag.DAG{
 		dag.MustGenerate(dag.GenSpec{
@@ -40,6 +41,10 @@ func TestIndexedHostSelectionMatchesScan(t *testing.T) {
 		platform.HomogeneousRC(64, 2.8, 1000),
 		platform.HeterogeneousRC(48, 2.8, 0.5, 1000, xrand.New(83)),
 		platform.HeterogeneousRC(300, 2.8, 0.6, 1000, xrand.New(84)),
+		// Eight clock classes over 256 hosts: the default gate searches
+		// the speed-class index here (the continuous clocks above are
+		// scanned unless forced).
+		fewClassRC(256, 8),
 		// Cluster networks: the grouped (per-cluster) selection path.
 		platform.UniverseRC(p),
 		platform.TopHostsRC(p, 200),
@@ -48,23 +53,104 @@ func TestIndexedHostSelectionMatchesScan(t *testing.T) {
 	for di, d := range dags {
 		for ri, rc := range rcs {
 			for _, h := range heuristics {
-				indexMinHosts = 1 << 30 // always scan
-				scan, err := h.Schedule(d, rc)
-				if err != nil {
-					t.Fatal(err)
+				var hashes [3]uint64
+				for i, gate := range [][2]int{
+					{1 << 30, 0},     // always scan
+					{0, 0},           // always index
+					{oldMin, oldPer}, // the defaults
+				} {
+					indexMinHosts, minHostsPerBucket = gate[0], gate[1]
+					sch, err := h.Schedule(d, rc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hashes[i] = scheduleHash(sch)
 				}
-				indexMinHosts = 0 // always index
-				idx, err := h.Schedule(d, rc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sh, ih := scheduleHash(scan), scheduleHash(idx); sh != ih {
-					t.Errorf("%s dag=%d rc=%d: indexed selection %016x != scan %016x",
-						h.Name(), di, ri, ih, sh)
+				if hashes[1] != hashes[0] || hashes[2] != hashes[0] {
+					t.Errorf("%s dag=%d rc=%d: indexed selection %016x, default %016x != scan %016x",
+						h.Name(), di, ri, hashes[1], hashes[2], hashes[0])
 				}
 			}
 		}
 	}
+}
+
+// FuzzIndexedHostSelection is TestIndexedHostSelectionMatchesScan over
+// drawn inputs: a DAG of 2–81 tasks with (when mix&4) one edge whose
+// transfer time overflows to +Inf, and a collection of 128–640 hosts whose
+// clocks are drawn from k values, on a uniform network or (when mix&1) a
+// cluster network of hosts sampled from a generated platform, one clock per
+// cluster, with (when mix&2) one host listed twice. mix>>3 picks the
+// heuristic. The index forced on for any number of buckets and the scan
+// forced must agree on the schedule hash.
+func FuzzIndexedHostSelection(f *testing.F) {
+	// Every combination of the three mix flags under Greedy, MCP and DLS.
+	for i := range 24 {
+		f.Add(uint64(i+1), uint16(37*i), uint16(1+i*i*5), uint8((2+i/8)<<3|i&7))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, mDraw, kDraw uint16, mix uint8) {
+		rng := xrand.New(seed)
+		m := 128 + int(mDraw)%513
+		k := 1 + int(kDraw)%m
+		clocks := make([]float64, k)
+		for i := range clocks {
+			clocks[i] = 1 + float64(i)/float64(k)
+		}
+		d := dag.MustGenerate(dag.GenSpec{
+			Size: 2 + rng.Intn(80), CCR: rng.Uniform(0, 4), Parallelism: rng.Uniform(0.2, 0.9),
+			Density: rng.Uniform(0.1, 1), Regularity: rng.Uniform(0, 1), MeanCost: rng.Uniform(1, 100),
+		}, rng.Split())
+		if mix&4 != 0 && d.NumEdges() > 0 {
+			d = overflowingEdge(d)
+		}
+		var rc *platform.ResourceCollection
+		if mix&1 != 0 {
+			p := fuzzPlatform()
+			hosts := make([]platform.Host, m)
+			for i, id := range rng.Sample(p.NumHosts(), m) {
+				hosts[i] = p.Hosts[id]
+				hosts[i].ClockGHz = clocks[hosts[i].Cluster%k]
+			}
+			rc = platform.SubsetRC(p, hosts)
+		} else {
+			rc = platform.HomogeneousRC(m, 2.8, rng.Uniform(10, 1000))
+			for i := range rc.Hosts {
+				rc.Hosts[i].ClockGHz = clocks[rng.Intn(k)]
+			}
+		}
+		if mix&2 != 0 {
+			rc.Hosts[rng.Intn(m)] = rc.Hosts[rng.Intn(m)]
+		}
+		hs := append(All(), Baselines()...)
+		h := hs[int(mix>>3)%len(hs)]
+
+		oldMin, oldPer := indexMinHosts, minHostsPerBucket
+		defer func() { indexMinHosts, minHostsPerBucket = oldMin, oldPer }()
+		indexMinHosts = 1 << 30
+		scan, err := h.Schedule(d, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexMinHosts, minHostsPerBucket = 0, 0
+		idx, err := h.Schedule(d, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh, ih := scheduleHash(scan), scheduleHash(idx); sh != ih {
+			t.Fatalf("%s m=%d k=%d n=%d mix=%d: indexed selection %016x != scan %016x",
+				h.Name(), m, k, d.Size(), mix, ih, sh)
+		}
+	})
+}
+
+// fewClassRC is an m-host uniform-network collection whose hosts cycle
+// through k clock rates.
+func fewClassRC(m, k int) *platform.ResourceCollection {
+	rc := platform.HomogeneousRC(m, 2.8, 1000)
+	for i := range rc.Hosts {
+		rc.Hosts[i].ClockGHz = 1 + float64(i%k)/float64(k)
+	}
+	return rc
 }
 
 // TestMinTree exercises the segment-tree primitives directly, including

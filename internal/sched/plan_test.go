@@ -54,7 +54,8 @@ func overflowingEdge(d *dag.DAG) *dag.DAG {
 
 // planRCs covers uniform and cluster networks at the scan sizes moga uses,
 // the largest size below indexMinHosts, and one size at or above it (where
-// the indexed and grouped host searches run).
+// those collections have too few hosts per bucket and are scanned), plus a
+// few-class uniform collection the bucketed host search runs on.
 func planRCs() map[string]*platform.ResourceCollection {
 	p := platform.MustGenerate(platform.GenSpec{Clusters: 200, Year: 2007}, xrand.New(1))
 	out := map[string]*platform.ResourceCollection{}
@@ -66,6 +67,7 @@ func planRCs() map[string]*platform.ResourceCollection {
 		out[fmt.Sprintf("cluster-m%d", m)] = platform.SubsetRC(p, hosts)
 		out[fmt.Sprintf("uniform-m%d", m)] = platform.HeterogeneousRC(m, 2.8, 0.5, 1000, xrand.New(uint64(m)))
 	}
+	out["uniform-m256-k8"] = fewClassRC(256, 8)
 	return out
 }
 

@@ -223,8 +223,8 @@ type state struct {
 	// sp holds the distinct parent-holding hosts of the task currently in
 	// the readyFn: the only hosts whose data-ready time can differ from
 	// best1 under a uniform network, or from their group's under a cluster
-	// network. Only the indexed host searches read it, so on a cluster
-	// network it is filled only at or above indexMinHosts.
+	// network. Only indexedHost reads it, so on a cluster network it is
+	// filled only at or above indexMinHosts.
 	sp []int32
 
 	// Lazily built host-selection indexes (see hostindex.go).
@@ -524,9 +524,9 @@ type readyFn struct {
 
 // readyTimes builds task v's readyFn. The result is invalidated by the next
 // readyTimes call on the same state. As a side effect it leaves the distinct
-// parent-holding hosts in s.sp for the indexed host-selection paths: always
-// under a uniform network, and under a cluster network only at or above
-// indexMinHosts, the only sizes where those paths run.
+// parent-holding hosts in s.sp for indexedHost: always under a uniform
+// network, and under a cluster network only at or above indexMinHosts, the
+// only sizes where that search runs.
 func (s *state) readyTimes(v dag.TaskID) readyFn {
 	r := readyFn{s: s, v: v, bestHost1: -1, bestHost2: -1, fast: s.uniform}
 	if !r.fast && (s.cnet == nil || len(s.rc.Hosts) < indexMinHosts) {
@@ -790,25 +790,17 @@ func (s *state) place(v dag.TaskID, h int, start float64) {
 // implementation's complexity — the dissertation's own Table V-2 shows the
 // knee saturating and dipping at α = 0.9, the signature of a scheduling
 // cost that grows with edge count × hosts — while the actual search runs on
-// the bucketed index for uniform networks: only the parent-holding hosts
-// and one provably optimal candidate per speed class can win, with the
+// the bucketed index where it beats the scan (see indexedHost), with the
 // linear scan's (finish, start, index) tie-breaking reproduced exactly.
 func (s *state) minFinishHost(v dag.TaskID) (int, float64) {
-	cost := s.d.Task(v).Cost
 	m := len(s.rc.Hosts)
-	var bestH int
-	var bestStart float64
-	if s.uniform && m >= indexMinHosts {
-		ready := s.readyTimes(v)
-		bestH, bestStart = s.minFinishFast(&ready, cost)
-	} else if s.cnet != nil && m >= indexMinHosts && s.groupsOK() {
-		ready := s.readyTimes(v)
-		bestH, bestStart = s.minFinishGrouped(&ready, v, cost)
-	} else {
-		bestH, bestStart = s.minFinishScan(v, cost)
-	}
 	s.ops += float64(m) * float64(1+s.d.NumPred(v))
-	return bestH, bestStart
+	if m >= indexMinHosts {
+		if h, st, ok := s.indexedHost(v, true); ok {
+			return h, st
+		}
+	}
+	return s.minFinishScan(v, s.d.Task(v).Cost)
 }
 
 // minFinishScan is minFinishHost's linear scan: a host's start is the later
@@ -872,14 +864,39 @@ const infBits uint64 = 0x7ff0_0000_0000_0000
 // force either path.
 var indexMinHosts = 128
 
-// minFinishFast is the uniform-network bucketed host search. Every host
-// holding no parent data has data-ready time best1, so within one speed
-// class the scan's lexicographic (finish, start, index) minimum is the
-// class's earliestStart candidate. Parent-holding hosts are evaluated
-// exactly. The search starts from the scan's initial (0, +Inf), so a task
-// that can start nowhere before +Inf gets the scan's answer too.
-func (s *state) minFinishFast(ready *readyFn, cost float64) (int, float64) {
-	ci := s.classIndex()
+// minHostsPerBucket is the second half of the gate: the index is searched
+// only while it has at least this many hosts per bucket, since each bucket
+// costs a segment-tree query or two where the scan reads one host. The
+// break-even was measured with a 400-task DAG (CCR 0.2, MCP, 2 vCPU) on
+// 256- and 512-host uniform networks with m/9 speed classes (index 7–9 %
+// slower than the scan) and m/10 (4–5 % faster), and on cluster networks
+// with 7 hosts per cluster (index 16 % slower) and 9 (25 % faster); one
+// constant serves both. HeterogeneousRC draws a clock per host, so its
+// class index has a bucket per host and is scanned. A variable so tests can
+// force the index on any collection.
+var minHostsPerBucket = 10
+
+// indexedHost is the bucketed host search behind minFinishHost (byFinish)
+// and minStartHost, on the index bucketIndex picks; ok is false when there
+// is none and the caller scans. Parent-holding hosts are evaluated exactly.
+// Every other host of a bucket shares one data-ready time — best1 under a
+// uniform network, its group's under a cluster network — and one clock, so
+// the bucket's earliestStart host is its only candidate under the scan's
+// (finish, start, index) or (start, index) order. The search starts from
+// the scan's initial (0, +Inf), so a task that can start nowhere before
+// +Inf gets the scan's answer too.
+func (s *state) indexedHost(v dag.TaskID, byFinish bool) (int, float64, bool) {
+	x := s.bucketIndex(byFinish)
+	if x == nil {
+		return 0, 0, false
+	}
+	// Greedy ranks by (start, index): the finish rule with a zero cost,
+	// whose execution time 0/speedup adds nothing to a start.
+	var cost float64
+	if byFinish {
+		cost = s.d.Task(v).Cost
+	}
+	ready := s.readyTimes(v)
 	bestH, bestStart, bestFin := 0, math.Inf(1), math.Inf(1)
 	consider := func(h int, st float64) {
 		fin := st + s.execTime(cost, h)
@@ -888,70 +905,6 @@ func (s *state) minFinishFast(ready *readyFn, cost float64) (int, float64) {
 			bestH, bestStart, bestFin = h, st, fin
 		}
 	}
-	s.considerParentHosts(ready, consider)
-	lo := 0
-	for _, end := range ci.classEnd {
-		if h, st, ok := s.earliestStart(ci, lo, int(end), ready.best1, ready.stamp); ok {
-			consider(h, st)
-		}
-		lo = int(end)
-	}
-	ci.unmaskAll()
-	return bestH, bestStart
-}
-
-// minFinishGrouped is the cluster-network bucketed host search: every host
-// of a cluster group that holds no parent shares the group data-ready time
-// rd[g], and groups are clock-uniform, so each group contributes one
-// provably optimal candidate exactly as in minFinishFast.
-func (s *state) minFinishGrouped(ready *readyFn, v dag.TaskID, cost float64) (int, float64) {
-	gi := &s.grpIdx
-	bestH, bestStart, bestFin := 0, math.Inf(1), math.Inf(1)
-	consider := func(h int, st float64) {
-		fin := st + s.execTime(cost, h)
-		if fin < bestFin ||
-			(fin == bestFin && (st < bestStart || (st == bestStart && h < bestH))) {
-			bestH, bestStart, bestFin = h, st, fin
-		}
-	}
-	s.considerParentHosts(ready, consider)
-	rd := s.groupReadyTimes(v)
-	lo := 0
-	for g, end := range gi.classEnd {
-		if h, st, ok := s.earliestStart(gi, lo, int(end), rd[g], ready.stamp); ok {
-			consider(h, st)
-		}
-		lo = int(end)
-	}
-	gi.unmaskAll()
-	return bestH, bestStart
-}
-
-// minStartGrouped is minFinishGrouped for the Greedy (minimum start) rule.
-func (s *state) minStartGrouped(ready *readyFn, v dag.TaskID) (int, float64) {
-	gi := &s.grpIdx
-	bestH, bestStart := 0, math.Inf(1)
-	consider := func(h int, st float64) {
-		if st < bestStart || (st == bestStart && h < bestH) {
-			bestH, bestStart = h, st
-		}
-	}
-	s.considerParentHosts(ready, consider)
-	rd := s.groupReadyTimes(v)
-	lo := 0
-	for g, end := range gi.classEnd {
-		if h, st, ok := s.earliestStart(gi, lo, int(end), rd[g], ready.stamp); ok {
-			consider(h, st)
-		}
-		lo = int(end)
-	}
-	gi.unmaskAll()
-	return bestH, bestStart
-}
-
-// considerParentHosts hands every parent-holding host of ready's task, with
-// its exact start time, to consider.
-func (s *state) considerParentHosts(ready *readyFn, consider func(h int, st float64)) {
 	for _, ph := range s.sp {
 		h := int(ph)
 		st := s.free[h]
@@ -960,6 +913,46 @@ func (s *state) considerParentHosts(ready *readyFn, consider func(h int, st floa
 		}
 		consider(h, st)
 	}
+	var rd []float64
+	if !s.uniform {
+		rd = s.groupReadyTimes(v)
+	}
+	thr, lo := ready.best1, 0
+	for g, end := range x.classEnd {
+		if rd != nil {
+			thr = rd[g]
+		}
+		if h, st, ok := s.earliestStart(x, lo, int(end), thr, ready.stamp); ok {
+			consider(h, st)
+		}
+		lo = int(end)
+	}
+	x.unmaskAll()
+	return bestH, bestStart, true
+}
+
+// bucketIndex returns the index indexedHost searches, or nil where the
+// scan is used instead: under a uniform network the speed-class index for
+// the finish rule and the one-bucket identity index for the start rule;
+// under a cluster network the group index (see groupsOK). An index with
+// fewer than minHostsPerBucket hosts per bucket is declined.
+func (s *state) bucketIndex(byFinish bool) *hostIndex {
+	var x *hostIndex
+	switch {
+	case !s.uniform:
+		if s.cnet == nil || !s.groupsOK() {
+			return nil
+		}
+		x = &s.grpIdx
+	case byFinish:
+		x = s.classIndex()
+	default:
+		x = s.identityIndex()
+	}
+	if len(x.classEnd)*minHostsPerBucket > x.m {
+		return nil
+	}
+	return x
 }
 
 // earliestStart returns the host among leaves [lo, hi) of x on which a task
@@ -1008,37 +1001,21 @@ func (s *state) earliestStart(x *hostIndex, lo, hi int, thr float64, stamp int64
 // only availability, not per-parent costs).
 func (s *state) minStartHost(v dag.TaskID) (int, float64) {
 	m := len(s.rc.Hosts)
-	var bestH int
-	var bestStart float64
-	if s.uniform && m >= indexMinHosts {
-		ready := s.readyTimes(v)
-		ii := s.identityIndex()
-		bestH, bestStart = 0, math.Inf(1)
-		consider := func(h int, st float64) {
-			if st < bestStart || (st == bestStart && h < bestH) {
-				bestH, bestStart = h, st
-			}
-		}
-		s.considerParentHosts(&ready, consider)
-		if h, st, ok := s.earliestStart(ii, 0, m, ready.best1, ready.stamp); ok {
-			consider(h, st)
-		}
-		ii.unmaskAll()
-	} else if s.cnet != nil && m >= indexMinHosts && s.groupsOK() {
-		ready := s.readyTimes(v)
-		bestH, bestStart = s.minStartGrouped(&ready, v)
-	} else {
-		bestH, bestStart = 0, math.Inf(1)
-		for h, r := range s.readyAll(v) {
-			st := s.free[h]
-			if r > st {
-				st = r
-			}
-			if st < bestStart {
-				bestH, bestStart = h, st
-			}
+	s.ops += float64(m)
+	if m >= indexMinHosts {
+		if h, st, ok := s.indexedHost(v, false); ok {
+			return h, st
 		}
 	}
-	s.ops += float64(m)
+	bestH, bestStart := 0, math.Inf(1)
+	for h, r := range s.readyAll(v) {
+		st := s.free[h]
+		if r > st {
+			st = r
+		}
+		if st < bestStart {
+			bestH, bestStart = h, st
+		}
+	}
 	return bestH, bestStart
 }

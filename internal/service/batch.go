@@ -214,6 +214,10 @@ type BatchResponse struct {
 // through the same resolveSpec path as single requests, so a batch gets the
 // full benefit of the response cache, shape coalescing, and in-flight dedup,
 // within itself and against concurrent traffic.
+// maxBatchBytes bounds the batch request body: 32 MiB (a batch carries many
+// DAGs, so the single-request MaxBodyBytes would be far too tight).
+const maxBatchBytes = 32 << 20
+
 func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	// One concurrency slot covers the whole batch: the batch is the unit of
 	// admission, and its members are bounded by the eval worker budget
@@ -228,7 +232,7 @@ func (s *Server) handleSpecBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	_, decSpan := obs.StartSpan(r.Context(), "decode")
-	body := s.readBody(w, r, s.cfg.MaxBatchBytes)
+	body := s.readBody(w, r, maxBatchBytes)
 	if body == nil {
 		decSpan.EndErr(errUnreadableBody)
 		return

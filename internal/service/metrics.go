@@ -77,7 +77,6 @@ func newMetrics(reg *obs.Registry, cache *responseCache) *metrics {
 		return []obs.Sample{
 			{Labels: `{stage="rc_build"}`, Value: obs.FormatFloat(s.RCBuild.Seconds())},
 			{Labels: `{stage="schedule"}`, Value: obs.FormatFloat(s.Schedule.Seconds())},
-			{Labels: `{stage="simulate"}`, Value: obs.FormatFloat(s.Simulate.Seconds())},
 		}
 	})
 	// Scheduler state-pool effectiveness: gets ≫ allocs means the pooled

@@ -81,7 +81,6 @@ rsgend_eval_dedup_waits_total •
 # TYPE rsgend_eval_stage_seconds counter
 rsgend_eval_stage_seconds{stage="rc_build"} •
 rsgend_eval_stage_seconds{stage="schedule"} •
-rsgend_eval_stage_seconds{stage="simulate"} •
 # TYPE rsgend_sched_state_gets_total counter
 rsgend_sched_state_gets_total •
 # TYPE rsgend_sched_state_allocs_total counter

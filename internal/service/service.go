@@ -75,10 +75,6 @@ type Config struct {
 	// MaxBatchMembers bounds the member count of one POST /v1/spec/batch
 	// request; 0 defaults to 256.
 	MaxBatchMembers int
-	// MaxBatchBytes bounds the batch request body; 0 defaults to 32 MiB
-	// (a batch carries many DAGs, so the single-request MaxBodyBytes would
-	// be far too tight).
-	MaxBatchBytes int64
 	// Workers bounds the evaluation pool used for alternative
 	// specifications; 0 uses all cores.
 	Workers int
@@ -137,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchMembers == 0 {
 		c.MaxBatchMembers = 256
-	}
-	if c.MaxBatchBytes == 0 {
-		c.MaxBatchBytes = 32 << 20
 	}
 	if c.BaseCtx == nil {
 		c.BaseCtx = context.Background()

@@ -21,6 +21,11 @@ func TestEveryHeuristicProducesValidSchedules(t *testing.T) {
 		platform.HomogeneousRC(1, 1.5, 1000),
 		platform.HomogeneousRC(8, 3.0, 1000),
 		platform.HeterogeneousRC(12, 2.8, 0.3, 622, xrand.New(1)),
+		// At or above the scheduler's 128-host gate, where MCP and Greedy
+		// search a bucketed host index: per cluster on a platform's
+		// cluster network, one bucket for Greedy on a uniform network.
+		platform.UniverseRC(platform.MustGenerate(platform.GenSpec{Clusters: 8, Year: 2006}, xrand.New(2))),
+		platform.HeterogeneousRC(200, 2.8, 0.6, 1000, xrand.New(3)),
 	}
 	for si, spec := range specs {
 		d := dag.MustGenerate(spec, xrand.NewFrom(77, uint64(si)))
