@@ -77,6 +77,8 @@ type DAG struct {
 	alapCache []float64
 	fpOnce    sync.Once
 	fpCache   uint64
+	keyOnce   sync.Once
+	keyCache  uint64
 	normOnce  sync.Once
 	normCache *DAG
 }
@@ -212,37 +214,12 @@ func MustNew(tasks []Task, edges []Edge) *DAG {
 // node to v, so entry nodes are level 0 (§III.1.1).
 func (d *DAG) computeLevels() error {
 	n := len(d.tasks)
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		indeg[v] = int(d.predOff[v+1] - d.predOff[v])
-	}
 	d.level = make([]int, n)
-	queue := make([]TaskID, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, TaskID(v))
-		}
-	}
-	head := 0
-	for head < len(queue) {
-		v := queue[head]
-		head++
-		for _, a := range d.Succ(v) {
-			if l := d.level[v] + 1; l > d.level[a.Task] {
-				d.level[a.Task] = l
-			}
-			indeg[a.Task]--
-			if indeg[a.Task] == 0 {
-				queue = append(queue, a.Task)
-			}
-		}
-	}
-	if head != n {
-		return errors.New("dag: graph contains a cycle")
-	}
 	// The Kahn pop order is a valid topological order; keep it so later
 	// metric computations need not redo the traversal.
-	d.topo = queue
+	if d.topo = d.kahn(d.level); len(d.topo) != n {
+		return errors.New("dag: graph contains a cycle")
+	}
 	d.height = 0
 	for v := 0; v < n; v++ {
 		if d.level[v]+1 > d.height {
@@ -254,6 +231,33 @@ func (d *DAG) computeLevels() error {
 		d.lsize[d.level[v]]++
 	}
 	return nil
+}
+
+// kahn returns the tasks in Kahn's pop order — entries in ID order first,
+// then each task as its last predecessor is popped — which is shorter than
+// the task count when the graph has a cycle. With level non-nil it also
+// records each task's level there, as the longest path its pops relax.
+func (d *DAG) kahn(level []int) []TaskID {
+	n := len(d.tasks)
+	indeg := make([]int32, n)
+	queue := make([]TaskID, 0, n)
+	for v := 0; v < n; v++ {
+		if indeg[v] = d.predOff[v+1] - d.predOff[v]; indeg[v] == 0 {
+			queue = append(queue, TaskID(v))
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, a := range d.Succ(v) {
+			if level != nil && level[v]+1 > level[a.Task] {
+				level[a.Task] = level[v] + 1
+			}
+			if indeg[a.Task]--; indeg[a.Task] == 0 {
+				queue = append(queue, a.Task)
+			}
+		}
+	}
+	return queue
 }
 
 // Size returns n, the number of tasks.

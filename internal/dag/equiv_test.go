@@ -160,6 +160,29 @@ func checkNormalize(t *testing.T, name string, d *DAG) {
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("%s: normal fingerprint %016x, want %016x", name, got.Fingerprint(), want.Fingerprint())
 	}
+	// Normalize assembles its result without build: every derived field
+	// must be what build makes of the same tasks and edges.
+	rebuilt, err := build(append([]Task(nil), got.tasks...), append([]Edge(nil), got.edges...))
+	if err != nil {
+		t.Fatalf("%s: normal form does not build: %v", name, err)
+	}
+	for _, f := range []struct {
+		field     string
+		got, want any
+	}{
+		{"succOff", got.succOff, rebuilt.succOff},
+		{"predOff", got.predOff, rebuilt.predOff},
+		{"succAdj", got.succAdj, rebuilt.succAdj},
+		{"predAdj", got.predAdj, rebuilt.predAdj},
+		{"level", got.level, rebuilt.level},
+		{"height", got.Height(), rebuilt.Height()},
+		{"level sizes", got.LevelSizes(), rebuilt.LevelSizes()},
+		{"TopoOrder", got.TopoOrder(), rebuilt.TopoOrder()},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%s: normal form's %s differs from a rebuild:\n got  %v\n want %v", name, f.field, f.got, f.want)
+		}
+	}
 }
 
 // TestNormalizeMatchesReference: the canonical form, and so every shape

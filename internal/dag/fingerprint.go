@@ -1,6 +1,10 @@
 package dag
 
-import "math"
+import (
+	"encoding/binary"
+	"hash/maphash"
+	"math"
+)
 
 // FNV-1a 64-bit parameters.
 const (
@@ -36,8 +40,11 @@ func fnvString(h uint64, s string) uint64 {
 // weights: task count, every task's name and cost, and every edge's
 // endpoints and cost, in definition order. Two DAGs built from the same
 // tasks and edges always hash equal, across processes and platforms, so the
-// fingerprint can key memoization caches (internal/eval) and golden tests.
-// The result is cached; a DAG is immutable after New.
+// fingerprint is the DAG's persisted identity: lease records, the
+// observation log and golden tests carry it. FNV-1a is unkeyed, so anyone
+// can build a second DAG with a chosen fingerprint; an in-process cache that
+// serves a hit on key equality alone keys on Key instead. The result is
+// cached; a DAG is immutable after New.
 func (d *DAG) Fingerprint() uint64 {
 	d.fpOnce.Do(func() {
 		h := uint64(fnvOffset)
@@ -55,4 +62,46 @@ func (d *DAG) Fingerprint() uint64 {
 		d.fpCache = h
 	})
 	return d.fpCache
+}
+
+// keySeed seeds Key: one per process, drawn at random.
+var keySeed = maphash.MakeSeed()
+
+// Key returns an in-process cache key for the DAG: a hash/maphash hash of
+// exactly what Fingerprint hashes, in the same order, under a seed drawn
+// once per process. Equal DAGs have equal keys; a collision cannot be
+// crafted from outside the process, since the seed is secret, and the hash
+// reads eight bytes at a time where FNV reads one. Keys are not stable
+// across processes: persist Fingerprint. The result is cached.
+func (d *DAG) Key() uint64 {
+	d.keyOnce.Do(func() { d.keyCache = d.keyWith(keySeed) })
+	return d.keyCache
+}
+
+func (d *DAG) keyWith(seed maphash.Seed) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	var chunk [1024]byte
+	b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(len(d.tasks)))
+	for _, t := range d.tasks {
+		if len(b) > len(chunk)-64 {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(t.Name)))
+		b = append(b, t.Name...)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Cost))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(d.edges)))
+	for _, e := range d.edges {
+		if len(b) > len(chunk)-64 {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.From))
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.To))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Cost))
+	}
+	h.Write(b)
+	return h.Sum64()
 }

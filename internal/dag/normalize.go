@@ -23,41 +23,62 @@ import (
 // it never wrongly merges. Equal normal forms always imply isomorphic
 // inputs, because each normal form is itself a relabeling of its input.
 //
+// The normal form is assembled, not rebuilt: a relabelling of a valid DAG is
+// valid, its CSR comes straight from the runs below, its levels, height and
+// level sizes are the input's, and only its topological order — Kahn's pop
+// order, which follows the numbering — is walked afresh.
+//
 // The result is cached; a DAG is immutable after New.
 func (d *DAG) Normalize() *DAG {
 	d.normOnce.Do(func() {
-		n := len(d.tasks)
+		n, m := len(d.tasks), len(d.edges)
 		order := d.canonicalOrder()
+		nd := &DAG{
+			tasks:   make([]Task, n),
+			succOff: make([]int32, n+1),
+			predOff: make([]int32, n+1),
+			succAdj: make([]Adj, m),
+			predAdj: make([]Adj, m),
+			level:   make([]int, n),
+			height:  d.height,
+			lsize:   d.lsize,
+		}
 		perm := make([]TaskID, n) // old ID → new ID
-		tasks := make([]Task, n)
-		// next[v] is the free slot of new task v's run of edges; runs are
-		// laid out in new-From order, sized by out-degree.
-		next := make([]int32, n)
-		var m int32
 		for newID, oldID := range order {
 			perm[oldID] = TaskID(newID)
-			tasks[newID] = Task{ID: TaskID(newID), Cost: d.tasks[oldID].Cost}
-			next[newID] = m
-			m += int32(d.NumSucc(oldID))
+			nd.tasks[newID] = Task{ID: TaskID(newID), Cost: d.tasks[oldID].Cost}
+			nd.level[newID] = d.level[oldID]
+			nd.succOff[newID+1] = nd.succOff[newID] + int32(d.NumSucc(oldID))
+			nd.predOff[newID+1] = nd.predOff[newID] + int32(d.NumPred(oldID))
 		}
 		// Walking targets in new-To order and dropping each incoming edge
 		// into its source's run leaves every run ordered by To: the edges
-		// come out sorted by (From, To) with no comparison made. Endpoint
-		// pairs are unique, so that order is the only one.
-		edges := make([]Edge, len(d.edges))
+		// come out sorted by (From, To) with no comparison made, and each
+		// run is its source's successor row. Endpoint pairs are unique, so
+		// that order is the only one. Walking sources in new-From order
+		// fills the predecessor rows the same way.
+		edges := make([]Edge, m)
+		next := append([]int32(nil), nd.succOff[:n]...)
 		for newTo, oldTo := range order {
 			for _, a := range d.Pred(oldTo) {
 				from := perm[a.Task]
 				edges[next[from]] = Edge{From: from, To: TaskID(newTo), Cost: a.Cost}
+				nd.succAdj[next[from]] = Adj{Task: TaskID(newTo), Cost: a.Cost}
 				next[from]++
 			}
 		}
-		// A relabeling of a valid DAG is a valid DAG: IDs stay dense, no
-		// edge changes endpoints' identity, acyclicity is preserved.
-		nd, err := build(tasks, edges)
-		if err != nil {
-			panic(err)
+		copy(next, nd.predOff[:n])
+		for newFrom, oldFrom := range order {
+			for _, a := range d.Succ(oldFrom) {
+				to := perm[a.Task]
+				nd.predAdj[next[to]] = Adj{Task: TaskID(newFrom), Cost: a.Cost}
+				next[to]++
+			}
 		}
+		if m > 0 {
+			nd.edges = edges // nil otherwise, as build leaves it
+		}
+		nd.topo = nd.kahn(nil)
 		d.normCache = nd
 	})
 	return d.normCache
@@ -80,7 +101,7 @@ func (d *DAG) NormalFingerprint() uint64 { return d.Normalize().Fingerprint() }
 func (d *DAG) canonicalOrder() []TaskID {
 	n := len(d.tasks)
 	h := make([]uint64, n)
-	nh := make([]uint64, n)
+	g := make([]uint64, n) // the first step of every fold of h[v], taken once per round
 	for v := 0; v < n; v++ {
 		x := uint64(fnvOffset)
 		x = fnvUint64(x, uint64(d.level[v]))
@@ -101,44 +122,59 @@ func (d *DAG) canonicalOrder() []TaskID {
 	// quickly. Stop when a round stops splitting classes.
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
+		for v := range h {
+			g[v] = fnvUint64(fnvOffset, h[v])
+		}
 		for v := 0; v < n; v++ {
 			var sumP, xorP, sumS, xorS uint64
 			for _, a := range d.Pred(TaskID(v)) {
-				t := fnvUint64(fnvUint64(fnvOffset, h[a.Task]), math.Float64bits(a.Cost))
+				t := fnvUint64(g[a.Task], math.Float64bits(a.Cost))
 				sumP += t
 				xorP ^= t
 			}
 			for _, a := range d.Succ(TaskID(v)) {
-				t := fnvUint64(fnvUint64(fnvOffset, h[a.Task]), math.Float64bits(a.Cost))
+				t := fnvUint64(g[a.Task], math.Float64bits(a.Cost))
 				sumS += t
 				xorS ^= t
 			}
-			x := fnvUint64(fnvOffset, h[v])
-			x = fnvUint64(x, sumP)
+			x := fnvUint64(g[v], sumP)
 			x = fnvUint64(x, xorP)
 			x = fnvUint64(x, sumS)
-			x = fnvUint64(x, xorS)
-			nh[v] = x
+			h[v] = fnvUint64(x, xorS)
 		}
-		h, nh = nh, h
 		cur := distinct(h)
 		if cur == prev || cur == n {
 			break
 		}
 		prev = cur
 	}
-	order := make([]TaskID, n)
-	for v := range order {
-		order[v] = TaskID(v)
+	// A counting sort by level keeps input order within each level; one
+	// sort of (hash, task) pairs per level then finishes the order.
+	type keyed struct {
+		h uint64
+		v TaskID
 	}
-	slices.SortFunc(order, func(a, b TaskID) int {
-		if c := cmp.Compare(d.level[a], d.level[b]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(h[a], h[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b) // input order
-	})
+	pairs := make([]keyed, n)
+	start := make([]int, d.height+1)
+	for l, size := range d.lsize {
+		start[l+1] = start[l] + size
+	}
+	next := append([]int(nil), start[:d.height]...)
+	for v := range h {
+		pairs[next[d.level[v]]] = keyed{h[v], TaskID(v)}
+		next[d.level[v]]++
+	}
+	for l := range d.lsize {
+		slices.SortFunc(pairs[start[l]:start[l+1]], func(a, b keyed) int {
+			if c := cmp.Compare(a.h, b.h); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.v, b.v) // input order
+		})
+	}
+	order := make([]TaskID, n)
+	for i, p := range pairs {
+		order[i] = p.v
+	}
 	return order
 }

@@ -2,6 +2,8 @@ package dag
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 	"unicode"
 	"unicode/utf16"
@@ -206,26 +208,28 @@ type num struct {
 	exp     int    // power of ten to apply to mant: the written exponent less the fraction's length
 }
 
-// number consumes a number token.
+// number consumes a number token. The digits are gathered in locals by two
+// written-out loops: a closure shared by both, or the fields of n, would keep
+// them in memory, and this is the innermost loop of every decode.
 func (s *Scanner) number() (n num, err error) {
 	d, i := s.data, s.pos
-	digits := func() bool {
-		start := i
-		for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
-			if n.digits++; n.digits <= 19 {
-				n.mant = n.mant*10 + uint64(d[i]-'0')
-			}
-		}
-		return i > start
-	}
 	if i < len(d) && d[i] == '-' {
 		n.neg = true
 		i++
 	}
-	if i < len(d) && d[i] == '0' {
-		n.digits = 1
+	var digits int
+	var mant uint64
+	switch {
+	case i < len(d) && d[i] == '0':
+		digits = 1
 		i++
-	} else if !digits() {
+	case i < len(d) && '1' <= d[i] && d[i] <= '9':
+		for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+			if digits++; digits <= 19 {
+				mant = mant*10 + uint64(d[i]-'0')
+			}
+		}
+	default:
 		s.pos = i
 		return n, s.syntax("in numeric literal")
 	}
@@ -234,12 +238,18 @@ func (s *Scanner) number() (n num, err error) {
 		i++
 		n.integer = false
 		start := i
-		if !digits() {
+		for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+			if digits++; digits <= 19 {
+				mant = mant*10 + uint64(d[i]-'0')
+			}
+		}
+		if i == start {
 			s.pos = i
 			return n, s.syntax("after decimal point in numeric literal")
 		}
 		n.exp = start - i
 	}
+	n.digits, n.mant = digits, mant
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		i++
 		n.integer = false
@@ -314,24 +324,72 @@ func skipDigits(d []byte, i int) int {
 }
 
 // float64 returns the number's value when it can be had exactly from the
-// scanned digits: an integer below 2^53 scaled by a power of ten up to 10^22
-// are both exact in float64, so one multiplication or division rounds
-// correctly (the fast path strconv.ParseFloat takes too). ok is false when
-// the token needs the full algorithm.
+// scanned digits; ok is false when the token needs strconv.ParseFloat. Two
+// paths serve it, both correctly rounded:
+//
+//   - an integer below 2^53 scaled by a power of ten up to 10^22: both are
+//     exact in float64, so one multiplication or division rounds correctly
+//     (the fast path strconv.ParseFloat takes too);
+//   - any other mantissa of at most 19 digits divided by 10^0…10^19: see
+//     quotient.
 func (n num) float64() (f float64, ok bool) {
-	if n.digits > 19 || n.mant >= 1<<53 || n.exp < -22 || n.exp > 22 {
+	if n.digits > 19 {
 		return 0, false
 	}
-	f = float64(n.mant)
+	switch {
+	case n.mant < 1<<53 && -22 <= n.exp && n.exp <= 22:
+		f = float64(n.mant)
+		if n.exp < 0 {
+			f /= pow10[-n.exp]
+		} else {
+			f *= pow10[n.exp]
+		}
+	case -19 <= n.exp && n.exp <= 0:
+		f = quotient(n.mant, uint64(pow10[-n.exp]))
+	default:
+		return 0, false
+	}
 	if n.neg {
 		f = -f
 	}
-	if n.exp < 0 {
-		return f / pow10[-n.exp], true
-	}
-	return f * pow10[n.exp], true
+	return f, true
 }
 
+// quotient returns m/p rounded to the nearest float64, ties to even, for
+// p ≥ 1. Both operands are shifted until their top bit is set; the 128-bit
+// division then yields a 64-bit quotient whose top bit is set, the
+// remainder is the sticky bit below it, and the quotient's low 11 bits
+// decide the rounding of the 53 kept. m/p lies within [10^-19, 2^64), far
+// from float64's subnormals and overflow, so the exponent needs no checks.
+func quotient(m, p uint64) float64 {
+	if m == 0 {
+		return 0
+	}
+	sm, sp := bits.LeadingZeros64(m), bits.LeadingZeros64(p)
+	m, p = m<<sm, p<<sp
+	// m/p as q·2^e, q in [2^63, 2^64), plus rem/p units of the last place.
+	e := sp - sm - 64
+	var q, rem uint64
+	if m < p {
+		q, rem = bits.Div64(m, 0, p)
+	} else {
+		q, rem = bits.Div64(m>>1, m<<63, p)
+		e++
+	}
+	mant, low := q>>11, q&(1<<11-1)
+	e += 11
+	if low > 1<<10 || low == 1<<10 && (rem != 0 || mant&1 == 1) {
+		if mant++; mant == 1<<53 {
+			mant >>= 1
+			e++
+		}
+	}
+	// mant is in [2^52, 2^53): its top bit is the implicit one.
+	return math.Float64frombits(uint64(e+52+1023)<<52 | mant&(1<<52-1))
+}
+
+// pow10 holds the powers of ten float64 represents exactly (to 10^22);
+// those up to 10^19 also convert exactly to uint64.
 var pow10 = [...]float64{
 	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,

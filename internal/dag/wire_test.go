@@ -361,10 +361,13 @@ func TestDecodeCorpusMatchesOracle(t *testing.T) {
 // FuzzDecodeDifferential: arbitrary bytes through the Scanner and through the
 // encoding/json oracle must agree on the verdict and, when accepted, on
 // tasks, edges and fingerprint; only the two tightened classes are excused.
+// One seed's edges array reaches the split gate, so mutations of it run the
+// two-goroutine decode (splitEdges) on two Ps.
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, doc := range corpusDocs(f) {
 		f.Add(doc)
 	}
+	f.Add(splitDoc(f))
 	for _, tc := range wireCases {
 		if len(tc.doc) < 1<<12 {
 			f.Add([]byte(tc.doc))
@@ -423,4 +426,92 @@ func TestCostMatchesStrconv(t *testing.T) {
 			t.Errorf("%s: decoded %v (%016x), strconv says %v (%016x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
+	// The band the 128-bit division serves: mantissas in [2^53, 10^19) with
+	// 1–19 fraction digits, its two edges, exact halfway ties between two
+	// float64s and the tokens one unit either side of them, negatives too.
+	// Costs below zero fail validation, so these are read by the scanner
+	// alone.
+	var band []string
+	for _, m := range []uint64{1 << 53, 1<<53 + 1, 1e19 - 1, 1e19 - 2} {
+		for k := 1; k <= 19; k++ {
+			band = append(band, fracToken(m, k, false), fracToken(m, k, true))
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		m := 1<<53 + rng.Uint64()%(1e19-1<<53)
+		band = append(band, fracToken(m, 1+rng.Intn(19), i%2 == 1))
+	}
+	for i := 0; i < 4000; i++ {
+		// (2M+1)/2^(j+1) with M in [2^52, 2^53) lies halfway between two
+		// float64s and is written exactly with j+1 fraction digits:
+		// (2M+1)·5^(j+1) of them, in at most 19 digits for j ≤ 2. For
+		// j = 3, M is drawn so that the 19 digits are at least 2^63: an odd
+		// mantissa whose lowest bit the division must keep.
+		j, lo, hi := i%4, uint64(1<<52), uint64(1<<53)
+		if j == 3 {
+			lo, hi = 1<<63/625/2+1, (uint64(1e19)/625-1)/2
+		}
+		tie := (2*(lo+rng.Uint64()%(hi-lo)) + 1) * uint64(math.Pow(5, float64(j+1)))
+		for _, m := range []uint64{tie - 1, tie, tie + 1} {
+			band = append(band, fracToken(m, j+1, i%2 == 1))
+		}
+	}
+	// Integers of 17–19 digits take the division too (by 10^0): ties
+	// (2M+1)·2^(e-53) between float64s in [2^e, 2^(e+1)), and their
+	// neighbours, up to 10^19.
+	for i := 0; i < 2000; i++ {
+		e := 53 + i%11
+		tie := (2*(1<<52+rng.Uint64()%(1<<52)) + 1) << (e - 53)
+		for tie >= 1e19-1 {
+			tie = (2*(1<<52+rng.Uint64()%(1<<52)) + 1) << (e - 53)
+		}
+		for _, m := range []uint64{tie - 1, tie, tie + 1} {
+			band = append(band, strconv.FormatUint(m, 10), "-"+strconv.FormatUint(m, 10))
+		}
+	}
+	for _, tok := range band {
+		checkCostToken(t, tok)
+	}
+}
+
+// fracToken writes m with its last k digits as the fraction: "0.0…m" when m
+// has no more than k digits.
+func fracToken(m uint64, k int, neg bool) string {
+	digits := strconv.FormatUint(m, 10)
+	if len(digits) <= k {
+		digits = strings.Repeat("0", k-len(digits)+1) + digits
+	}
+	tok := digits[:len(digits)-k] + "." + digits[len(digits)-k:]
+	if neg {
+		tok = "-" + tok
+	}
+	return tok
+}
+
+// checkCostToken reads tok with the scanner's cost reader and requires the
+// bits strconv.ParseFloat gives it.
+func checkCostToken(t *testing.T, tok string) {
+	t.Helper()
+	want, werr := strconv.ParseFloat(tok, 64)
+	s := NewScanner([]byte(tok))
+	got, err := s.cost("tasks", 0)
+	if (err == nil) != (werr == nil) || s.Offset() != len(tok) {
+		t.Fatalf("%s: scanner error %v at offset %d, strconv error %v", tok, err, s.Offset(), werr)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("%s: scanned %v (%016x), strconv says %v (%016x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// FuzzCostDigits: any mantissa with a fraction of 1–19 digits, either sign,
+// reads to the bits strconv.ParseFloat gives it.
+func FuzzCostDigits(f *testing.F) {
+	f.Add(uint64(1<<53), uint8(1), false)
+	f.Add(uint64(1e19-1), uint8(19), true)
+	f.Add(uint64(28056743393915056), uint8(15), false)
+	f.Add(uint64(45035996273704965), uint8(1), false) // 2^52 + 1/2: a tie
+	f.Add(uint64(1<<64-1), uint8(7), false)           // 20 digits: strconv's path
+	f.Fuzz(func(t *testing.T, mant uint64, frac uint8, neg bool) {
+		checkCostToken(t, fracToken(mant, 1+int(frac)%19, neg))
+	})
 }

@@ -7,9 +7,12 @@ import (
 	"rsgen/internal/sched"
 )
 
-// Key identifies a memoizable evaluation point: the combined fingerprint of
-// the DAG instances plus every knob that affects the result. Points with an
-// explicit RC have no stable identity and are never cached.
+// Key identifies a memoizable evaluation point: the combined dag.Key of the
+// DAG instances plus every knob that affects the result. A hit is served on
+// key equality alone, and the serving path's alternatives sweeps put client
+// DAGs into DefaultCache, so the DAGs enter through their seeded Key, which
+// no client can aim at another DAG's entry, not their Fingerprint. Points
+// with an explicit RC have no stable identity and are never cached.
 type Key struct {
 	Dags          uint64
 	Size          int
@@ -31,7 +34,7 @@ func keyOf(p Point) (Key, bool) {
 	h := uint64(fnvOffset)
 	h = mix64(h, uint64(len(p.Dags)))
 	for _, d := range p.Dags {
-		h = mix64(h, d.Fingerprint())
+		h = mix64(h, d.Key())
 	}
 	return Key{
 		Dags:          h,

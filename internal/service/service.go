@@ -8,8 +8,9 @@
 //     trained spec.Generator (see spec.SaveGenerator/LoadGenerator), so
 //     cold start costs a JSON decode, not a training run.
 //   - Determinism at any concurrency: responses are cached in a bounded
-//     LRU keyed by dag.Fingerprint() plus every option that affects the
-//     output (the same key discipline as internal/eval), and concurrent
+//     LRU keyed by dag.Key() — a seeded in-process hash of what
+//     dag.Fingerprint() hashes — plus every option that affects the output
+//     (the same key discipline as internal/eval), and concurrent
 //     identical requests are deduplicated through a single-flight group, so
 //     the same request returns byte-identical bodies whether it is computed,
 //     deduplicated, or replayed from cache.
@@ -623,13 +624,15 @@ func (s *Server) validateOptions(o SpecOptions) error {
 	return nil
 }
 
-// cacheKey identifies a request by the DAG fingerprint plus every option
-// that affects the generated bytes — the internal/eval key discipline
-// applied one layer up: "%016x|" of the fingerprint, then the options key.
+// cacheKey identifies a request by the DAG's Key plus every option that
+// affects the generated bytes — the internal/eval key discipline applied one
+// layer up: "%016x|" of the key, then the options key. A hit is served on
+// key equality alone, so the key is seeded per process: unlike the
+// Fingerprint, it cannot be steered onto another client's entry.
 func cacheKey(d *dag.DAG, okey string) string {
-	var fp [8]byte
-	binary.BigEndian.PutUint64(fp[:], d.Fingerprint())
-	return hex.EncodeToString(fp[:]) + "|" + okey
+	var k [8]byte
+	binary.BigEndian.PutUint64(k[:], d.Key())
+	return hex.EncodeToString(k[:]) + "|" + okey
 }
 
 // optsKey is the option block's contribution to every cache and coalescing
