@@ -44,10 +44,9 @@ bench-check:
 # hence the per-package lines. The DAG decoder's target is differential
 # (hand-written scanner vs the encoding/json oracle) and seeded with a 100 KB
 # document; the short minimize budget keeps the engine from spending the
-# whole pass shrinking mutations of it. Another of its seeds is large enough
-# for the edges array to be decoded by two goroutines. The cost reader's
-# target draws a mantissa and a fraction of 1-19 digits and holds the bits
-# read off the scanned digits to strconv.ParseFloat's. `Scanner.Skip`, which checks the
+# whole pass shrinking mutations of it. The cost reader's target draws a
+# mantissa and a fraction of 1-19 digits and holds the bits read off the
+# scanned digits to strconv.ParseFloat's. `Scanner.Skip`, which checks the
 # syntax of every value the envelope walk passes over, is held to
 # encoding/json's Valid the same way. The vgDL finder's target is
 # differential too (run-table finder vs the per-host oracle), and so are the

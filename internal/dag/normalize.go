@@ -149,7 +149,11 @@ func (d *DAG) canonicalOrder() []TaskID {
 		prev = cur
 	}
 	// A counting sort by level keeps input order within each level; one
-	// sort of (hash, task) pairs per level then finishes the order.
+	// sort of (hash, task) pairs per level then finishes the order. One sort
+	// of (level, hash, task) triples gives the same order, but
+	// BenchmarkNormalize (400 tasks, -cpu 1, 10 interleaved runs) read
+	// 214 µs median with the counting sort and 230 µs with the single sort,
+	// which was slower in 8 runs of 10.
 	type keyed struct {
 		h uint64
 		v TaskID

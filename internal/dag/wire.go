@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // The wire form of a DAG is one JSON object,
@@ -121,12 +119,6 @@ func (s *Scanner) document(sc *scratch) error {
 	if s.Peek() != '{' {
 		return s.mismatch("a dag", "an object")
 	}
-	var h *edgeHelper
-	if len(s.data)-s.pos-1 >= splitMinBytes && runtime.GOMAXPROCS(0) > 1 {
-		if h = s.splitEdges(); h != nil {
-			defer h.close()
-		}
-	}
 	var seenTasks, seenEdges bool
 	for first := true; ; first = false {
 		key, ok, err := s.Member(first)
@@ -145,7 +137,7 @@ func (s *Scanner) document(sc *scratch) error {
 				return wireErrorf("duplicate member %q", key)
 			}
 			seenEdges = true
-			err = s.edges(sc, h)
+			err = s.edges(sc)
 		default:
 			err = s.Skip()
 		}
@@ -175,7 +167,7 @@ func (s *Scanner) tasks(sc *scratch) error {
 	}
 }
 
-func (s *Scanner) edges(sc *scratch, h *edgeHelper) error {
+func (s *Scanner) edges(sc *scratch) error {
 	if null, err := s.null(); null || err != nil {
 		return err
 	}
@@ -187,133 +179,12 @@ func (s *Scanner) edges(sc *scratch, h *edgeHelper) error {
 		if err != nil || !ok {
 			return err
 		}
-		if s.Peek(); h != nil && s.pos >= h.at {
-			// The walk has reached the helper's start or passed it. At that
-			// very offset its state is the helper's, so a helper that
-			// decoded the rest of the array has decoded what the walk
-			// would; anywhere else the guess was wrong, and the walk goes on
-			// alone.
-			if s.pos == h.at && h.wait() {
-				sc.edges = append(sc.edges, h.sc.edges...)
-				s.pos, s.depth = h.end, h.depth
-				return nil
-			}
-			h.stop.Store(true)
-			h = nil
-		}
 		var e Edge
 		if err := s.edge(&e, len(sc.edges)); err != nil {
 			return err
 		}
 		sc.edges = append(sc.edges, e)
 	}
-}
-
-// splitMinBytes is the DAG size, in bytes left in the data after the DAG
-// object's opening brace, from which a second goroutine decodes the later
-// part of the edges array (splitEdges). It is set above the measured
-// break-even: on two cores a 26 KB document decoded no faster split than
-// serial, a 42 KB one 2–22 % faster and a 75 KB one 24 % faster, and the
-// helper's start costs CPU either way. A variable only so tests can move it.
-var splitMinBytes = 48 << 10
-
-// edgeHelper decodes edges from a guessed element start to the end of their
-// array beside the walk, on a Scanner of its own.
-type edgeHelper struct {
-	at    int           // the guessed element start
-	stop  atomic.Bool   // set once the walk no longer needs the result
-	done  chan struct{} // closed when the goroutine returns
-	sc    *scratch      // the decoded edges
-	ok    bool          // the array's rest decoded without error or stop
-	end   int           // the cursor just past the array, when ok
-	depth int           // the nesting depth after the array closed, when ok
-}
-
-// splitEdges starts a helper at splitPoint, or returns nil where there is
-// none. The cursor must be at the DAG object's '{': the helper starts before
-// the walk has read the tasks, which covers the time a goroutine takes to
-// get a core. It decodes at the depth of the edges array's elements, which
-// sits directly in the DAG object.
-func (s *Scanner) splitEdges() *edgeHelper {
-	at := splitPoint(s.data, s.pos+1)
-	if at < 0 {
-		return nil
-	}
-	h := &edgeHelper{at: at, done: make(chan struct{}), sc: scratchPool.Get().(*scratch)}
-	go h.run(Scanner{data: s.data, pos: at, depth: s.depth + 2})
-	return h
-}
-
-// splitPoint guesses where an edges element starts in the later half of
-// d[from:]: the first '{' past its midpoint whose preceding non-blank bytes
-// are '}' and ','. The guess may be wrong — the '{' may lie in a string or a
-// nested value, in the tasks array or past the DAG — and the walk adopts the
-// helper's result only on arriving at that offset as an edges element start
-// itself, so a wrong guess costs the helper's work and changes nothing. It
-// returns -1 where no '{' qualifies.
-func splitPoint(d []byte, from int) int {
-	for at := from + (len(d)-from)/2; ; at++ {
-		i := bytes.IndexByte(d[at:], '{')
-		if i < 0 {
-			return -1
-		}
-		at += i
-		j := at - 1
-		for j > from && isBlank(d[j]) {
-			j--
-		}
-		if d[j] != ',' {
-			continue
-		}
-		for j--; j > from && isBlank(d[j]); j-- {
-		}
-		if d[j] == '}' {
-			return at
-		}
-	}
-}
-
-func isBlank(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
-
-// run decodes elements from the cursor to the array's closing bracket. Its
-// error wording is never read: the walk decodes a failing element itself.
-func (h *edgeHelper) run(t Scanner) {
-	defer close(h.done)
-	for first := true; ; first = false {
-		if !first {
-			ok, err := t.Element(false)
-			if err != nil {
-				return
-			}
-			if !ok {
-				break
-			}
-		}
-		if h.stop.Load() {
-			return
-		}
-		var e Edge
-		if t.edge(&e, -1) != nil {
-			return
-		}
-		h.sc.edges = append(h.sc.edges, e)
-	}
-	h.ok, h.end, h.depth = true, t.pos, t.depth
-}
-
-// wait waits for the helper and reports whether it decoded the rest of the
-// array.
-func (h *edgeHelper) wait() bool {
-	<-h.done
-	return h.ok
-}
-
-// close stops the helper at its next element and waits for it: the data it
-// reads may be reused once close has returned.
-func (h *edgeHelper) close() {
-	h.stop.Store(true)
-	<-h.done
-	h.sc.release()
 }
 
 // One bit per member of a task or edge object, for spotting a repeat; an

@@ -361,13 +361,10 @@ func TestDecodeCorpusMatchesOracle(t *testing.T) {
 // FuzzDecodeDifferential: arbitrary bytes through the Scanner and through the
 // encoding/json oracle must agree on the verdict and, when accepted, on
 // tasks, edges and fingerprint; only the two tightened classes are excused.
-// One seed's edges array reaches the split gate, so mutations of it run the
-// two-goroutine decode (splitEdges) on two Ps.
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, doc := range corpusDocs(f) {
 		f.Add(doc)
 	}
-	f.Add(splitDoc(f))
 	for _, tc := range wireCases {
 		if len(tc.doc) < 1<<12 {
 			f.Add([]byte(tc.doc))
