@@ -676,12 +676,8 @@ func (b *Broker) ladder(ctx context.Context, req Request) ([]*spec.Specification
 	}
 	ladder := []*spec.Specification{base}
 	if len(req.AlternativeClocks) > 0 {
-		tol := req.AlternativeTolerance
-		if tol == 0 {
-			tol = 0.02
-		}
 		sweep := knee.SweepConfig{Ctx: ctx, Workers: b.cfg.Workers}
-		alts, err := b.cfg.Generator.Alternatives(req.Dag, base, req.AlternativeClocks, sweep, tol)
+		alts, err := b.cfg.Generator.Alternatives(req.Dag, base, req.AlternativeClocks, sweep, req.AlternativeTolerance)
 		if err != nil {
 			return nil, err
 		}

@@ -1,18 +1,21 @@
 package eval
 
 import (
+	"container/list"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"rsgen/internal/sched"
 )
 
-// Key identifies a memoizable evaluation point: the combined dag.Key of the
-// DAG instances plus every knob that affects the result. A hit is served on
-// key equality alone, and the serving path's alternatives sweeps put client
-// DAGs into DefaultCache, so the DAGs enter through their seeded Key, which
-// no client can aim at another DAG's entry, not their Fingerprint. Points
-// with an explicit RC have no stable identity and are never cached.
+// Key identifies a memoizable evaluation point: Dags folds the dag.Key of
+// each DAG instance, in order, and the other fields are every knob that
+// affects the result. A hit is served on key equality alone. The serving
+// path's alternatives sweeps put client DAGs into DefaultCache, which is why
+// the DAGs enter through their per-process seeded Key, which no client can
+// aim at another DAG's entry, and not through their Fingerprint. Points with
+// an explicit RC have no stable identity and are never cached.
 type Key struct {
 	Dags          uint64
 	Size          int
@@ -62,129 +65,95 @@ func mix64(h, v uint64) uint64 {
 }
 
 // DefaultCacheEntries bounds DefaultCache. One entry is a Key + Result
-// (~120 B), so the default cap costs at most a few MB.
+// (~120 B) plus its recency link, so the default cap costs a few MB.
 const DefaultCacheEntries = 1 << 16
 
 // DefaultCache is the process-wide memoization cache shared by every
 // evaluation path that does not bring its own. Sharing is what lets the
 // validation search hit the sweep's sizes and the threshold family re-read
 // its curves for free.
-var DefaultCache = NewCache(DefaultCacheEntries)
+var DefaultCache = NewLRU[Key, Result](DefaultCacheEntries)
 
-// Cache memoizes evaluation results. It is safe for concurrent use. A hit
-// returns the exact Result a previous Evaluate produced, so caching never
-// changes observable output — only wall-clock time.
+// LRU is a bounded memo with exact least-recently-used eviction, safe for
+// concurrent use. It backs both memos of the repository: DefaultCache, whose
+// hits are exactly what Evaluate returned, and the service's response cache,
+// whose hits are the exact bytes written to the first client — so a hit
+// never changes observable output, only wall-clock time. Stored values are
+// shared with every reader and must not be mutated.
 //
-// The cache is striped into shards keyed by a hash of the Key, so parallel
-// evaluation workers (internal/eval's pool fans out across GOMAXPROCS) do
-// not serialize on a single lock. Small caches use a single shard so the
-// capacity bound stays exact; large caches split the capacity evenly and
-// enforce it per shard, which preserves the global bound to within the
-// arbitrary-eviction semantics already documented on Put.
-type Cache struct {
-	shards []cacheShard
-	mask   uint64
+// One mutex guards it: Get refreshes recency, so it writes too. A lookup is
+// short next to the evaluation it saves, and the experiment suite takes the
+// same wall time and CPU under one lock as under 64 stripes (DESIGN.md
+// "Evaluation memo").
+type LRU[K comparable, V any] struct {
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // front = most recently used
+	items map[K]*list.Element
 
-	// flight tracks cacheable points currently being evaluated so
-	// concurrent identical requests wait for the leader's result instead
-	// of recomputing it — the service-layer single-flight discipline
-	// pushed down to the evaluation engine, where concurrent sweeps from
-	// different requests overlap on shared points.
-	flight Flight[Key, Result]
+	evictions atomic.Uint64 // entries dropped by the capacity bound
 }
 
-type cacheShard struct {
-	mu  sync.RWMutex
-	max int
-	m   map[Key]Result
-	_   [24]byte // soften false sharing between adjacent shards
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-// minEntriesPerShard is the smallest per-shard capacity worth striping for;
-// below it lock contention is cheaper than a sloppy capacity bound.
-const minEntriesPerShard = 1 << 10
-
-// NewCache returns a cache bounded to max entries (max <= 0 uses
-// DefaultCacheEntries). At capacity an arbitrary entry is evicted per
-// insert.
-func NewCache(max int) *Cache {
-	if max <= 0 {
-		max = DefaultCacheEntries
+// NewLRU returns an empty LRU holding at most max entries (at least one).
+func NewLRU[K comparable, V any](max int) *LRU[K, V] {
+	if max < 1 {
+		max = 1
 	}
-	n := 1
-	for n < 64 && max/(n*2) >= minEntriesPerShard {
-		n *= 2
-	}
-	c := &Cache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		per := max / n
-		if i < max%n {
-			per++
-		}
-		c.shards[i] = cacheShard{max: per, m: make(map[Key]Result)}
-	}
-	return c
+	return &LRU[K, V]{max: max, ll: list.New(), items: make(map[K]*list.Element)}
 }
 
-// shardOf hashes every field of the key down to a shard.
-func (c *Cache) shardOf(key Key) *cacheShard {
-	h := mix64(uint64(fnvOffset), key.Dags)
-	h = mix64(h, uint64(key.Size))
-	if key.Heuristic != nil {
-		name := key.Heuristic.Name()
-		for i := 0; i < len(name); i++ {
-			h = (h ^ uint64(name[i])) * fnvPrime
-		}
+// Get returns the value stored under key and refreshes its recency.
+func (c *LRU[K, V]) Get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
 	}
-	h = mix64(h, key.ClockGHz)
-	h = mix64(h, key.Heterogeneity)
-	h = mix64(h, key.BandwidthMbps)
-	h = mix64(h, key.SCR)
-	h = mix64(h, key.Seed)
-	return &c.shards[h&c.mask]
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// Get returns the memoized result for key, if present.
-func (c *Cache) Get(key Key) (Result, bool) {
-	s := c.shardOf(key)
-	s.mu.RLock()
-	r, ok := s.m[key]
-	s.mu.RUnlock()
-	return r, ok
+// Put stores val under key as the most recently used entry, replacing the
+// value of an existing key and otherwise evicting the least recently used
+// entry at capacity.
+func (c *LRU[K, V]) Put(key K, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		el.Value.(*lruEntry[K, V]).val = val
+		return
+	}
+	for c.ll.Len() >= c.max {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
+		c.evictions.Add(1)
+	}
+	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 }
 
-// Put stores a result, evicting an arbitrary entry if the cache is full.
-func (c *Cache) Put(key Key, r Result) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if _, exists := s.m[key]; !exists && len(s.m) >= s.max {
-		for k := range s.m {
-			delete(s.m, k)
-			break
-		}
-	}
-	s.m[key] = r
-	s.mu.Unlock()
+// Evictions returns the cumulative number of capacity evictions.
+func (c *LRU[K, V]) Evictions() uint64 { return c.evictions.Load() }
+
+// Len returns the number of stored entries.
+func (c *LRU[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }
 
-// Len returns the number of memoized results.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// Clear drops every memoized result.
-func (c *Cache) Clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = make(map[Key]Result)
-		s.mu.Unlock()
-	}
+// Clear drops every entry; the eviction count is kept.
+func (c *LRU[K, V]) Clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	clear(c.items)
 }

@@ -20,12 +20,14 @@
 //   - Shared plans: one EvaluateAll call compiles each distinct (DAG,
 //     heuristic) pair once into a sched.Plan its points share, and a plan
 //     schedules exactly as a fresh one would.
-//   - Memoization: a cache keyed by (DAG fingerprints, RC size,
-//     heterogeneity, heuristic, clock, bandwidth, SCR, seed) lets repeated
-//     evaluations — the knee sweep's revisited sizes, the threshold
-//     family's re-reads, the validation search's overlap with the sweep —
-//     return the stored Result instead of re-simulating. A cached Result
-//     is exactly what Evaluate returned, so caching never changes output.
+//   - Memoization: a bounded LRU (DefaultCache) keyed by (dag.Key of each
+//     DAG, RC size, heterogeneity, heuristic, clock, bandwidth, SCR, seed)
+//     lets repeated evaluations — the knee sweep's revisited sizes, the
+//     threshold family's re-reads, the validation search's overlap with
+//     the sweep — return the stored Result instead of re-simulating. A
+//     cached Result is exactly what Evaluate returned, so caching never
+//     changes output. Concurrent evaluations of one uncached point are not
+//     deduplicated: each computes the same Result.
 //
 // Cancellation is cooperative: the context is checked between task-graph
 // schedules, so a stuck full-scale grid aborts at the next DAG boundary.

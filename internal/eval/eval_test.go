@@ -134,7 +134,7 @@ func TestPoolPerPointTimeout(t *testing.T) {
 }
 
 func TestCacheHitReturnsIdenticalResult(t *testing.T) {
-	cache := NewCache(0)
+	cache := NewLRU[Key, Result](DefaultCacheEntries)
 	pool := &Pool{Workers: 1, Cache: cache}
 	points := testPoints(t, []int{4, 8, 4}) // size 4 repeats
 	before := Snapshot()
@@ -205,17 +205,66 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
+// TestCacheEviction pins the LRU's exact semantics, which both memos rely
+// on: Get refreshes recency, Put of an existing key replaces its value and
+// refreshes it, Put of a new key at capacity evicts the least recently used
+// entry and counts it, and Clear empties the cache.
 func TestCacheEviction(t *testing.T) {
-	c := NewCache(2)
-	c.Put(Key{Size: 1}, Result{Size: 1})
-	c.Put(Key{Size: 2}, Result{Size: 2})
-	c.Put(Key{Size: 3}, Result{Size: 3})
-	if c.Len() != 2 {
-		t.Errorf("cache over capacity: %d entries, cap 2", c.Len())
+	c := NewLRU[string, string](2)
+	c.Put("a", "A")
+	c.Put("b", "B")
+	if _, ok := c.Get("a"); !ok { // refresh a: b is now least recent
+		t.Fatal("a missing")
 	}
+	c.Put("c", "C") // evicts b
+	if _, ok := c.Get("b"); ok {
+		t.Error("b not evicted")
+	}
+	if v, ok := c.Get("a"); !ok || v != "A" {
+		t.Errorf("a = %q, %v; want A", v, ok)
+	}
+	if v, ok := c.Get("c"); !ok || v != "C" {
+		t.Errorf("c = %q, %v; want C", v, ok)
+	}
+	if c.Len() != 2 || c.Evictions() != 1 {
+		t.Errorf("len %d, evictions %d; want 2, 1", c.Len(), c.Evictions())
+	}
+
+	// Recency is now a < c. Replacing a keeps the size, counts no eviction
+	// and makes a the most recent, so the next new key evicts c.
+	c.Put("a", "A2")
+	if c.Len() != 2 || c.Evictions() != 1 {
+		t.Errorf("replace: len %d, evictions %d; want 2, 1", c.Len(), c.Evictions())
+	}
+	c.Put("d", "D")
+	if _, ok := c.Get("c"); ok {
+		t.Error("c not evicted after a was replaced")
+	}
+	if v, ok := c.Get("a"); !ok || v != "A2" {
+		t.Errorf("a = %q, %v; want the replacement A2", v, ok)
+	}
+	if c.Len() != 2 || c.Evictions() != 2 {
+		t.Errorf("len %d, evictions %d; want 2, 2", c.Len(), c.Evictions())
+	}
+
 	c.Clear()
 	if c.Len() != 0 {
 		t.Errorf("cache not cleared: %d entries", c.Len())
+	}
+	if _, ok := c.Get("d"); ok {
+		t.Error("d survived Clear")
+	}
+	c.Put("e", "E")
+	if v, ok := c.Get("e"); !ok || v != "E" || c.Len() != 1 {
+		t.Errorf("after Clear: e = %q, %v, len %d", v, ok, c.Len())
+	}
+
+	// The capacity floor is one entry.
+	one := NewLRU[Key, Result](0)
+	one.Put(Key{Size: 1}, Result{Size: 1})
+	one.Put(Key{Size: 2}, Result{Size: 2})
+	if r, ok := one.Get(Key{Size: 2}); one.Len() != 1 || !ok || r.Size != 2 {
+		t.Errorf("capacity-0 cache: len %d, newest %+v %v", one.Len(), r, ok)
 	}
 }
 
@@ -238,13 +287,10 @@ func TestHeterogeneousRCIndependentOfOrder(t *testing.T) {
 }
 
 func TestCacheShardedConcurrent(t *testing.T) {
-	// A default-capacity cache is striped into multiple shards; hammer it
-	// from many goroutines (run under -race in `make check`) and confirm
-	// every written entry reads back exactly and the capacity bound holds.
-	c := NewCache(0)
-	if len(c.shards) < 2 {
-		t.Fatalf("default cache not striped: %d shard(s)", len(c.shards))
-	}
+	// Hammer a default-capacity cache from many goroutines (run under
+	// -race in `make check`) and confirm every written entry reads back
+	// exactly and the capacity bound holds.
+	c := NewLRU[Key, Result](DefaultCacheEntries)
 	var wg sync.WaitGroup
 	const writers, perWriter = 8, 500
 	for w := 0; w < writers; w++ {

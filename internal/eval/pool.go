@@ -29,7 +29,7 @@ type Pool struct {
 	Timeout time.Duration
 	// Cache memoizes results; nil means no memoization. Set Cache =
 	// DefaultCache for the shared process-wide cache.
-	Cache *Cache
+	Cache *LRU[Key, Result]
 }
 
 func (pl *Pool) ctx() context.Context {
@@ -50,12 +50,11 @@ func (pl *Pool) workers(n int) int {
 	return w
 }
 
-// Evaluate computes a single point through the pool's cache and deadline
-// (no fan-out).
-func (pl *Pool) Evaluate(p Point) (Result, error) {
-	return pl.evalOne(pl.ctx(), p, nil)
-}
-
+// evalOne evaluates one point under the pool's deadline, through its cache
+// when the point is cacheable: Get, else evaluate and Put. Two workers that
+// meet on one uncached point both compute it and store the same Result;
+// in-flight dedup lives at the response layer (internal/service), where
+// concurrent identical requests actually occur.
 func (pl *Pool) evalOne(ctx context.Context, p Point, plans map[planKey]*sched.Plan) (Result, error) {
 	if pl.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -73,29 +72,6 @@ func (pl *Pool) evalOne(ctx context.Context, p Point, plans map[planKey]*sched.P
 		recordHit()
 		return r, nil
 	}
-	// In-flight dedup: one leader evaluates, concurrent identical points
-	// wait for its result. Determinism is free — a shared Result is exactly
-	// what the follower would have computed (the Workers=1-vs-8 identity
-	// contract), so dedup only changes wall-clock time, like the cache.
-	f, leader := pl.Cache.flight.Join(key)
-	if leader {
-		recordMiss()
-		r, err := evaluate(ctx, p, plans)
-		if err == nil {
-			pl.Cache.Put(key, r)
-		}
-		pl.Cache.flight.Finish(key, f, r, err)
-		return r, err
-	}
-	recordDedup()
-	if err := f.Wait(ctx); err != nil {
-		return Result{}, err
-	}
-	if r, err := f.Result(); err == nil {
-		return r, nil
-	}
-	// The leader failed; evaluate independently so this caller reports its
-	// own error (the leader's context may have differed).
 	recordMiss()
 	r, err := evaluate(ctx, p, plans)
 	if err == nil {

@@ -12,7 +12,6 @@ var counters struct {
 	points      atomic.Uint64
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
-	dedupWaits  atomic.Uint64
 	rcBuildNS   atomic.Int64
 	scheduleNS  atomic.Int64
 }
@@ -20,7 +19,6 @@ var counters struct {
 func recordPoint()                   { counters.points.Add(1) }
 func recordHit()                     { counters.cacheHits.Add(1) }
 func recordMiss()                    { counters.cacheMisses.Add(1) }
-func recordDedup()                   { counters.dedupWaits.Add(1) }
 func recordRCBuild(d time.Duration)  { counters.rcBuildNS.Add(int64(d)) }
 func recordSchedule(d time.Duration) { counters.scheduleNS.Add(int64(d)) }
 
@@ -32,11 +30,8 @@ type Stats struct {
 	Points      uint64
 	CacheHits   uint64
 	CacheMisses uint64
-	// DedupWaits counts evaluations that waited for an identical in-flight
-	// point instead of recomputing it.
-	DedupWaits uint64
-	RCBuild    time.Duration
-	Schedule   time.Duration
+	RCBuild     time.Duration
+	Schedule    time.Duration
 }
 
 // Snapshot reads the current counter values.
@@ -45,7 +40,6 @@ func Snapshot() Stats {
 		Points:      counters.points.Load(),
 		CacheHits:   counters.cacheHits.Load(),
 		CacheMisses: counters.cacheMisses.Load(),
-		DedupWaits:  counters.dedupWaits.Load(),
 		RCBuild:     time.Duration(counters.rcBuildNS.Load()),
 		Schedule:    time.Duration(counters.scheduleNS.Load()),
 	}
@@ -56,7 +50,6 @@ func ResetStats() {
 	counters.points.Store(0)
 	counters.cacheHits.Store(0)
 	counters.cacheMisses.Store(0)
-	counters.dedupWaits.Store(0)
 	counters.rcBuildNS.Store(0)
 	counters.scheduleNS.Store(0)
 }
@@ -67,7 +60,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		Points:      s.Points - prev.Points,
 		CacheHits:   s.CacheHits - prev.CacheHits,
 		CacheMisses: s.CacheMisses - prev.CacheMisses,
-		DedupWaits:  s.DedupWaits - prev.DedupWaits,
 		RCBuild:     s.RCBuild - prev.RCBuild,
 		Schedule:    s.Schedule - prev.Schedule,
 	}

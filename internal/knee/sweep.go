@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"rsgen/internal/dag"
@@ -132,11 +133,11 @@ func EvalSize(dags []*dag.DAG, cfg SweepConfig, size int) (Point, error) {
 	if size < 1 {
 		return Point{}, fmt.Errorf("knee: RC size %d < 1", size)
 	}
-	r, err := cfg.pool().Evaluate(cfg.point(dags, size))
+	rs, err := cfg.pool().EvaluateAll([]eval.Point{cfg.point(dags, size)})
 	if err != nil {
 		return Point{}, err
 	}
-	return fromResult(r), nil
+	return fromResult(rs[0]), nil
 }
 
 // Sweep evaluates turn-around over a geometric grid of RC sizes from 1 to
@@ -259,16 +260,8 @@ func SearchCandidates(predicted int) []int {
 	for v := range set {
 		out = append(out, v)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // SearchOptimalSize runs the Table V-3 heuristic: evaluate every candidate

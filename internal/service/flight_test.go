@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"rsgen/internal/eval"
 )
 
 // TestFlightLeaderCancellationFallsBack parks a leader until its compute
@@ -63,7 +61,7 @@ func TestFlightLeaderCancellationFallsBack(t *testing.T) {
 // caller arriving after the leader finished never observes the dead call —
 // it starts a new flight (or, at the HTTP layer, hits the cache).
 func TestFlightLateFollower(t *testing.T) {
-	var g eval.Flight[string, []byte]
+	var g flight
 	c1, leader := g.Join("k")
 	if !leader {
 		t.Fatal("first join not leader")

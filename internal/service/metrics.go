@@ -47,7 +47,7 @@ type metrics struct {
 	adviseLatency *obs.Histogram
 }
 
-func newMetrics(reg *obs.Registry, cache *responseCache) *metrics {
+func newMetrics(reg *obs.Registry, cache *eval.LRU[string, []byte]) *metrics {
 	m := &metrics{}
 	m.requests = reg.CounterVec("rsgend_requests_total", "path", "code")
 	m.latency = reg.SummaryVec("rsgend_request_seconds", "path")
@@ -71,7 +71,6 @@ func newMetrics(reg *obs.Registry, cache *responseCache) *metrics {
 	reg.CounterFunc("rsgend_eval_points_total", func() uint64 { return eval.Snapshot().Points })
 	reg.CounterFunc("rsgend_eval_cache_hits_total", func() uint64 { return eval.Snapshot().CacheHits })
 	reg.CounterFunc("rsgend_eval_cache_misses_total", func() uint64 { return eval.Snapshot().CacheMisses })
-	reg.CounterFunc("rsgend_eval_dedup_waits_total", func() uint64 { return eval.Snapshot().DedupWaits })
 	reg.Func("rsgend_eval_stage_seconds", "counter", func() []obs.Sample {
 		s := eval.Snapshot()
 		return []obs.Sample{

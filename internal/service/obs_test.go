@@ -76,8 +76,6 @@ rsgend_eval_points_total •
 rsgend_eval_cache_hits_total •
 # TYPE rsgend_eval_cache_misses_total counter
 rsgend_eval_cache_misses_total •
-# TYPE rsgend_eval_dedup_waits_total counter
-rsgend_eval_dedup_waits_total •
 # TYPE rsgend_eval_stage_seconds counter
 rsgend_eval_stage_seconds{stage="rc_build"} •
 rsgend_eval_stage_seconds{stage="schedule"} •

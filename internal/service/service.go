@@ -152,8 +152,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
-	cache    *responseCache
-	flight   eval.Flight[string, []byte]
+	cache    *eval.LRU[string, []byte]
+	flight   flight
 	metrics  *metrics
 	reg      *obs.Registry
 	ring     *obs.Ring
@@ -190,7 +190,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	cache := newResponseCache(cfg.CacheEntries)
+	cache := eval.NewLRU[string, []byte](cfg.CacheEntries)
 	reg := obs.NewRegistry()
 	m := newMetrics(reg, cache)
 	s := &Server{
@@ -564,8 +564,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions, ok
 	}
 	// The leader failed — possibly for a reason particular to its own run
 	// (deadline hit under load). Fall back to an independent evaluation so
-	// one poisoned leader cannot fail the whole group, mirroring
-	// internal/eval's dedup discipline.
+	// one poisoned leader cannot fail the whole group.
 	s.metrics.flightFallbacks.Inc()
 	body, err = s.computeResponse(rctx, nd, o)
 	if err != nil {
@@ -689,14 +688,10 @@ func (s *Server) computeResponse(rctx context.Context, d *dag.DAG, o SpecOptions
 		Sword:         sp.SwordXML,
 	}
 	if len(o.AlternativeClocks) > 0 {
-		tol := o.AlternativeTolerance
-		if tol == 0 {
-			tol = 0.02
-		}
 		_, altSpan := obs.StartSpan(ctx, "alternatives")
 		altSpan.SetDetail("clocks=%d", len(o.AlternativeClocks))
 		sweep := knee.SweepConfig{Ctx: ctx, Workers: s.cfg.Workers}
-		alts, err := g.Alternatives(d, sp, o.AlternativeClocks, sweep, tol)
+		alts, err := g.Alternatives(d, sp, o.AlternativeClocks, sweep, o.AlternativeTolerance)
 		altSpan.EndErr(err)
 		if err != nil {
 			return nil, err

@@ -332,28 +332,6 @@ func TestConcurrencyLimit(t *testing.T) {
 	<-done
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := newResponseCache(2)
-	c.Put("a", []byte("A"))
-	c.Put("b", []byte("B"))
-	if _, ok := c.Get("a"); !ok { // refresh a
-		t.Fatal("a missing")
-	}
-	c.Put("c", []byte("C")) // should evict b (LRU)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b not evicted")
-	}
-	if v, ok := c.Get("a"); !ok || string(v) != "A" {
-		t.Error("a lost")
-	}
-	if v, ok := c.Get("c"); !ok || string(v) != "C" {
-		t.Error("c lost")
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
-	}
-}
-
 func TestArtifactRoundTripThroughService(t *testing.T) {
 	gen, err := testGenerator()
 	if err != nil {

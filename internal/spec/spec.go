@@ -269,16 +269,28 @@ func (s *Specification) Summary() string {
 // does: past the threshold the growing scheduling time means slower hosts
 // can never catch up, which is exactly the phenomenon Fig. VII-7 reports.
 func EquivalentSize(dags []*dag.DAG, cfg knee.SweepConfig, baseSize int, baseClock, altClock, tol float64) (int, bool, error) {
-	baseCfg := cfg
-	baseCfg.ClockGHz = baseClock
-	base, err := knee.EvalSize(dags, baseCfg, baseSize)
+	target, err := targetTurnAround(dags, cfg, baseSize, baseClock, tol)
 	if err != nil {
 		return 0, false, err
 	}
-	target := base.TurnAround * (1 + tol)
+	return equivalentSize(dags, cfg, baseSize, altClock, target)
+}
 
-	altCfg := cfg
-	altCfg.ClockGHz = altClock
+// targetTurnAround is the turn-around an equivalent RC must reach: what
+// baseSize hosts at baseClock achieve, relaxed by tol.
+func targetTurnAround(dags []*dag.DAG, cfg knee.SweepConfig, baseSize int, baseClock, tol float64) (float64, error) {
+	cfg.ClockGHz = baseClock
+	base, err := knee.EvalSize(dags, cfg, baseSize)
+	if err != nil {
+		return 0, err
+	}
+	return base.TurnAround * (1 + tol), nil
+}
+
+// equivalentSize scans RC sizes at altClock upward from baseSize for the
+// first whose turn-around reaches target.
+func equivalentSize(dags []*dag.DAG, cfg knee.SweepConfig, baseSize int, altClock, target float64) (int, bool, error) {
+	cfg.ClockGHz = altClock
 	maxWidth := 0
 	for _, d := range dags {
 		if w := d.Width(); w > maxWidth {
@@ -292,7 +304,7 @@ func EquivalentSize(dags []*dag.DAG, cfg knee.SweepConfig, baseSize int, baseClo
 	runningMin := math.Inf(1)
 	rising := 0
 	for size := baseSize; size <= limit; size = nextSize(size) {
-		p, err := knee.EvalSize(dags, altCfg, size)
+		p, err := knee.EvalSize(dags, cfg, size)
 		if err != nil {
 			return 0, false, err
 		}
@@ -335,16 +347,28 @@ type Alternative struct {
 // Alternatives produces the ordered fallback list of §VII: when the base
 // specification (RCSize hosts at ClockGHz) cannot be fulfilled, each
 // successively slower clock class is offered with the (measured)
-// equivalent RC size. Clock classes whose curve can never match the base
-// turn-around within tol are omitted.
+// equivalent RC size. tol is the acceptable turn-around slack of an
+// alternative (0 defaults to 0.02); clock classes whose curve can never
+// match the base turn-around within tol are omitted. The base point is
+// evaluated once per call, whatever the number of clock classes.
 func (g *Generator) Alternatives(d *dag.DAG, base *Specification, clockClasses []float64, cfg knee.SweepConfig, tol float64) ([]Alternative, error) {
+	if tol == 0 {
+		tol = 0.02
+	}
 	var out []Alternative
 	dags := []*dag.DAG{d}
+	target := math.NaN() // evaluated at the first slower clock class
 	for _, clock := range clockClasses {
 		if clock >= base.MaxClockGHz {
 			continue
 		}
-		size, ok, err := EquivalentSize(dags, cfg, base.RCSize, base.MaxClockGHz, clock, tol)
+		if math.IsNaN(target) {
+			var err error
+			if target, err = targetTurnAround(dags, cfg, base.RCSize, base.MaxClockGHz, tol); err != nil {
+				return nil, err
+			}
+		}
+		size, ok, err := equivalentSize(dags, cfg, base.RCSize, clock, target)
 		if err != nil {
 			return nil, err
 		}

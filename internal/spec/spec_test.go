@@ -7,6 +7,7 @@ import (
 
 	"rsgen/internal/classad"
 	"rsgen/internal/dag"
+	"rsgen/internal/eval"
 	"rsgen/internal/heurpred"
 	"rsgen/internal/knee"
 	"rsgen/internal/platform"
@@ -284,5 +285,30 @@ func TestAlternatives(t *testing.T) {
 		if _, err := vgdl.Parse(a.Spec.VgDL); err != nil {
 			t.Errorf("alternative vgDL invalid: %v", err)
 		}
+	}
+}
+
+// TestAlternativesEvaluateBaseOnce: without the memo every evaluation is a
+// full schedule, so the points Alternatives spends over two slower clock
+// classes must be the sum of what each class costs alone, less the one base
+// point the two share.
+func TestAlternativesEvaluateBaseOnce(t *testing.T) {
+	g := trainModels(t)
+	d := testDAG(t)
+	base, err := g.Generate(d, Options{ClockGHz: 3.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := knee.SweepConfig{NoCache: true, Workers: 1}
+	points := func(clocks ...float64) uint64 {
+		before := eval.Snapshot()
+		if _, err := g.Alternatives(d, base, clocks, cfg, 0); err != nil {
+			t.Fatal(err)
+		}
+		return eval.Snapshot().Sub(before).Points
+	}
+	a, b := points(3.0), points(2.4)
+	if both := points(3.0, 2.4); both != a+b-1 {
+		t.Errorf("clocks {3.0, 2.4} evaluated %d points, want %d + %d - 1 (one shared base point)", both, a, b)
 	}
 }
