@@ -332,6 +332,32 @@ func TestConcurrencyLimit(t *testing.T) {
 	<-done
 }
 
+// TestCacheLRUEviction checks the server's response cache as New builds it:
+// CacheEntries bounds it, and a Get refreshes recency so the least recently
+// used response is the one evicted.
+func TestCacheLRUEviction(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.CacheEntries = 2 })
+	c := s.cache
+	c.Put("a", []byte("A"))
+	c.Put("b", []byte("B"))
+	if _, ok := c.Get("a"); !ok { // refresh a
+		t.Fatal("a missing")
+	}
+	c.Put("c", []byte("C")) // should evict b (LRU)
+	if _, ok := c.Get("b"); ok {
+		t.Error("b not evicted")
+	}
+	if v, ok := c.Get("a"); !ok || string(v) != "A" {
+		t.Error("a lost")
+	}
+	if v, ok := c.Get("c"); !ok || string(v) != "C" {
+		t.Error("c lost")
+	}
+	if c.Len() != 2 || c.Evictions() != 1 {
+		t.Errorf("len %d, evictions %d; want 2, 1", c.Len(), c.Evictions())
+	}
+}
+
 func TestArtifactRoundTripThroughService(t *testing.T) {
 	gen, err := testGenerator()
 	if err != nil {
