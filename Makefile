@@ -49,7 +49,9 @@ bench-check:
 # scanned digits to strconv.ParseFloat's. `Scanner.Skip`, which checks the
 # syntax of every value the envelope walk passes over, is held to
 # encoding/json's Valid the same way. The vgDL finder's target is
-# differential too (run-table finder vs the per-host oracle), and so are the
+# differential too (run-table finder vs the per-host oracle), as is the
+# ClassAd matcher's (one evaluation per run vs every host's machine ad, with
+# job ads that read Name falling back to the ads), and so are the
 # platform's widest-path target (the union-find table vs a Dijkstra row per
 # cluster, on drawn topologies with links deleted and odd speeds) and the
 # scheduler's dense-table target (link- and speed-class tables and the
@@ -67,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzFindDifferential$$' -fuzztime $(FUZZTIME) ./internal/vgdl
 	$(GO) test -run xxx -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run xxx -fuzz 'FuzzParseExpr$$' -fuzztime $(FUZZTIME) ./internal/classad
+	$(GO) test -run xxx -fuzz 'FuzzMatchDifferential$$' -fuzztime $(FUZZTIME) ./internal/classad
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/sword
 	$(GO) test -run xxx -fuzz 'FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/dag
 	$(GO) test -run xxx -fuzz 'FuzzCostDigits$$' -fuzztime $(FUZZTIME) ./internal/dag

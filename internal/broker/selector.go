@@ -31,15 +31,16 @@ type Selector interface {
 // "moga"; Broker.Backends reports the effective list.
 var BackendNames = []string{"vgdl", "classad", "sword"}
 
-// newSelectors builds the backends over one platform. The ClassAd machine
-// ads and the SWORD directory are materialized once per registration — both
-// are O(hosts) to build and immutable afterwards, so concurrent selections
-// share them and only the per-call exclusion mask differs. When mogaCfg is
-// non-nil the multi-objective backend is registered too.
+// newSelectors builds the backends over one platform. The SWORD directory is
+// materialized once per registration — it draws a per-node load for every
+// host, so it is O(hosts) to build, and immutable afterwards, so concurrent
+// selections share it and only the per-call exclusion mask differs. The
+// other backends keep nothing per host. When mogaCfg is non-nil the
+// multi-objective backend is registered too.
 func newSelectors(p *platform.Platform, swordSeed uint64, mogaCfg *moga.Config) map[string]Selector {
 	sels := map[string]Selector{
 		"vgdl":    &vgdlSelector{p: p},
-		"classad": newClassAdSelector(p),
+		"classad": &classAdSelector{p: p},
 		"sword":   &swordSelector{p: p, dir: sword.NewDirectory(p, xrand.New(swordSeed))},
 	}
 	if mogaCfg != nil {
@@ -66,16 +67,11 @@ func (s *vgdlSelector) Select(sp *spec.Specification, excluded map[platform.Host
 	return f.Find(parsed)
 }
 
-// classAdSelector matches the specification's job ClassAd against
-// pre-advertised machine ads. MachineAds preserves host order, so the ad
-// index is the host ID and exclusion is an index mask.
+// classAdSelector matches the specification's job ClassAd against the
+// platform's workstation ads, evaluated once per run (classad.MatchHosts),
+// so it keeps no ads between calls. Host IDs index the exclusion mask.
 type classAdSelector struct {
-	p   *platform.Platform
-	ads []*classad.Ad
-}
-
-func newClassAdSelector(p *platform.Platform) *classAdSelector {
-	return &classAdSelector{p: p, ads: classad.MachineAds(p)}
+	p *platform.Platform
 }
 
 func (s *classAdSelector) Name() string { return "classad" }
@@ -85,7 +81,7 @@ func (s *classAdSelector) Select(sp *spec.Specification, excluded map[platform.H
 	if err != nil {
 		return nil, fmt.Errorf("classad: %w", err)
 	}
-	idx := classad.MatchBestIndices(ad, s.ads, sp.RCSize, func(i int) bool {
+	idx := classad.MatchHosts(ad, s.p, sp.RCSize, func(i int) bool {
 		return excluded[platform.HostID(i)]
 	})
 	if len(idx) < sp.RCSize {

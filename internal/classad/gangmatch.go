@@ -156,33 +156,50 @@ func normalizeLabel(l string) string {
 
 // MachineAd builds a workstation advertisement (Fig. II-3) for one platform
 // host: static attributes from the host plus the conventional dynamic ones
-// (Activity/State idle, low load).
+// (Activity/State idle, low load). Every attribute but Name is a function of
+// the host's clock and memory, and none refers to another ad: MatchHosts
+// rests on both.
 func MachineAd(h platform.Host, name string) *Ad {
 	ad := NewAd()
 	ad.SetStr("Type", "Machine")
 	ad.SetStr("Name", name)
 	ad.SetStr("Arch", "INTEL")
 	ad.SetStr("OpSys", "LINUX")
-	ad.SetNum("Memory", float64(h.MemoryMB))
-	ad.SetNum("Clock", h.ClockGHz*1000) // MHz, matching vgDL's convention
-	// KFlops per Condor convention: a rough clock-proportional estimate.
-	ad.SetNum("KFlops", h.ClockGHz*400_000)
-	ad.SetNum("Mips", h.ClockGHz*1000)
+	setHostAttrs(ad, h)
 	ad.SetStr("State", "Unclaimed")
 	ad.SetStr("Activity", "Idle")
 	ad.SetNum("LoadAvg", 0.05)
 	ad.SetNum("KeyboardIdle", 3600)
 	ad.SetNum("Disk", 100_000_000)
-	req, _ := ParseExpr("LoadAvg <= 0.3 && KeyboardIdle > 15*60")
-	ad.Set("Requirements", req)
+	ad.Set("Requirements", machineRequirements)
 	return ad
 }
 
-// MachineAds advertises every host of a platform.
+// machineRequirements is every machine ad's Requirements; expressions are
+// immutable, so the ads share one. The source is a constant that parses.
+var machineRequirements, _ = ParseExpr("LoadAvg <= 0.3 && KeyboardIdle > 15*60")
+
+// setHostAttrs sets the attributes MachineAd derives from the host's clock
+// and memory.
+func setHostAttrs(ad *Ad, h platform.Host) {
+	ad.SetNum("Memory", float64(h.MemoryMB))
+	ad.SetNum("Clock", h.ClockGHz*1000) // MHz, matching vgDL's convention
+	// KFlops per Condor convention: a rough clock-proportional estimate.
+	ad.SetNum("KFlops", h.ClockGHz*400_000)
+	ad.SetNum("Mips", h.ClockGHz*1000)
+}
+
+// hostName is the Name MachineAds advertises host i under.
+func hostName(i int, h platform.Host) string {
+	return fmt.Sprintf("host%05d.cluster%04d", i, h.Cluster)
+}
+
+// MachineAds advertises every host of a platform. MatchHosts gives the
+// matching result without building them; this is its reference.
 func MachineAds(p *platform.Platform) []*Ad {
 	out := make([]*Ad, p.NumHosts())
 	for i, h := range p.Hosts {
-		out[i] = MachineAd(h, fmt.Sprintf("host%05d.cluster%04d", i, h.Cluster))
+		out[i] = MachineAd(h, hostName(i, h))
 	}
 	return out
 }

@@ -61,9 +61,9 @@ type DAG struct {
 	succAdj []Adj
 	predAdj []Adj
 
-	level  []int // level(v): longest entry→v path length in edges
-	height int   // number of levels
-	lsize  []int // tasks per level
+	level  []int32 // level(v): longest entry→v path length in edges
+	height int     // number of levels
+	lsize  []int   // tasks per level
 
 	topo []TaskID // topological order, recorded during level computation
 
@@ -81,18 +81,24 @@ type DAG struct {
 	keyCache  uint64
 	normOnce  sync.Once
 	normCache *DAG
+	canonOnce sync.Once
+	canon     []TaskID // canonical order: new ID → old ID
+	nkeyOnce  sync.Once
+	nkeyCache uint64
 }
 
 // New builds a DAG from tasks and edges, validating shape: task IDs must be
 // dense 0..n-1 in order, edge endpoints in range, no self-loops, no duplicate
 // edges, and the graph must be acyclic. The slices are copied.
 func New(tasks []Task, edges []Edge) (*DAG, error) {
-	return build(append([]Task(nil), tasks...), append([]Edge(nil), edges...))
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	return build(append([]Task(nil), tasks...), append([]Edge(nil), edges...), sc)
 }
 
-// build is New for slices the caller hands over: the decoder's and
-// Normalize's, which nothing else references.
-func build(tasks []Task, edges []Edge) (*DAG, error) {
+// build is New for slices the caller hands over, which nothing else
+// references; sc is its working memory.
+func build(tasks []Task, edges []Edge, sc *scratch) (*DAG, error) {
 	n := len(tasks)
 	if n == 0 {
 		return nil, errors.New("dag: empty task set")
@@ -130,11 +136,11 @@ func build(tasks []Task, edges []Edge) (*DAG, error) {
 		edges = nil // as New's copy of an empty slice always was; it shows in MarshalJSON
 	}
 	d := &DAG{tasks: tasks, edges: edges}
-	d.buildCSR()
-	if d.hasDuplicateEdge() {
+	d.buildCSR(sc)
+	if d.hasDuplicateEdge(sc) {
 		return nil, firstDuplicateEdge(edges)
 	}
-	if err := d.computeLevels(); err != nil {
+	if err := d.computeLevels(sc); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -143,8 +149,9 @@ func build(tasks []Task, edges []Edge) (*DAG, error) {
 // hasDuplicateEdge reports whether two edges share both endpoints, by
 // stamping each successor row's targets with the row's number: a target
 // already carrying the stamp has been seen in this row.
-func (d *DAG) hasDuplicateEdge() bool {
-	stamp := make([]int32, len(d.tasks))
+func (d *DAG) hasDuplicateEdge(sc *scratch) bool {
+	stamp := grow(&sc.stamp, len(d.tasks))
+	clear(stamp)
 	for v := range d.tasks {
 		for _, a := range d.Succ(TaskID(v)) {
 			if stamp[a.Task] == int32(v)+1 {
@@ -176,7 +183,7 @@ func firstDuplicateEdge(edges []Edge) error {
 // row, then edges are written in input order, so each task's neighbor order
 // matches the historical append order exactly (schedulers depend on it for
 // byte-identical output).
-func (d *DAG) buildCSR() {
+func (d *DAG) buildCSR(sc *scratch) {
 	n := len(d.tasks)
 	d.succOff = make([]int32, n+1)
 	d.predOff = make([]int32, n+1)
@@ -190,8 +197,10 @@ func (d *DAG) buildCSR() {
 	}
 	d.succAdj = make([]Adj, len(d.edges))
 	d.predAdj = make([]Adj, len(d.edges))
-	sNext := append([]int32(nil), d.succOff[:n]...)
-	pNext := append([]int32(nil), d.predOff[:n]...)
+	sNext := grow(&sc.cursor, n)
+	pNext := grow(&sc.cursor2, n)
+	copy(sNext, d.succOff)
+	copy(pNext, d.predOff)
 	for _, e := range d.edges {
 		d.succAdj[sNext[e.From]] = Adj{Task: e.To, Cost: e.Cost}
 		sNext[e.From]++
@@ -212,18 +221,18 @@ func MustNew(tasks []Task, edges []Edge) *DAG {
 // computeLevels runs Kahn's algorithm to both detect cycles and assign
 // levels: level(v) = length (in edges) of the longest path from any entry
 // node to v, so entry nodes are level 0 (§III.1.1).
-func (d *DAG) computeLevels() error {
+func (d *DAG) computeLevels(sc *scratch) error {
 	n := len(d.tasks)
-	d.level = make([]int, n)
+	d.level = make([]int32, n)
 	// The Kahn pop order is a valid topological order; keep it so later
 	// metric computations need not redo the traversal.
-	if d.topo = d.kahn(d.level); len(d.topo) != n {
+	if d.topo = d.kahn(d.level, sc); len(d.topo) != n {
 		return errors.New("dag: graph contains a cycle")
 	}
 	d.height = 0
 	for v := 0; v < n; v++ {
-		if d.level[v]+1 > d.height {
-			d.height = d.level[v] + 1
+		if int(d.level[v])+1 > d.height {
+			d.height = int(d.level[v]) + 1
 		}
 	}
 	d.lsize = make([]int, d.height)
@@ -237,9 +246,9 @@ func (d *DAG) computeLevels() error {
 // then each task as its last predecessor is popped — which is shorter than
 // the task count when the graph has a cycle. With level non-nil it also
 // records each task's level there, as the longest path its pops relax.
-func (d *DAG) kahn(level []int) []TaskID {
+func (d *DAG) kahn(level []int32, sc *scratch) []TaskID {
 	n := len(d.tasks)
-	indeg := make([]int32, n)
+	indeg := grow(&sc.cursor, n)
 	queue := make([]TaskID, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] = d.predOff[v+1] - d.predOff[v]; indeg[v] == 0 {
@@ -295,7 +304,7 @@ func (d *DAG) NumSucc(id TaskID) int { return int(d.succOff[id+1] - d.succOff[id
 func (d *DAG) NumPred(id TaskID) int { return int(d.predOff[id+1] - d.predOff[id]) }
 
 // Level returns level(id): the longest entry-to-id path length in edges.
-func (d *DAG) Level(id TaskID) int { return d.level[id] }
+func (d *DAG) Level(id TaskID) int { return int(d.level[id]) }
 
 // Height returns h, the number of levels (longest path in nodes).
 func (d *DAG) Height() int { return d.height }

@@ -162,7 +162,7 @@ func checkNormalize(t *testing.T, name string, d *DAG) {
 	}
 	// Normalize assembles its result without build: every derived field
 	// must be what build makes of the same tasks and edges.
-	rebuilt, err := build(append([]Task(nil), got.tasks...), append([]Edge(nil), got.edges...))
+	rebuilt, err := New(got.tasks, got.edges)
 	if err != nil {
 		t.Fatalf("%s: normal form does not build: %v", name, err)
 	}

@@ -2,9 +2,7 @@ package dag
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"hash/maphash"
-	"io"
 	"math"
 )
 
@@ -41,12 +39,15 @@ func fnvUint64(h, v uint64) uint64 {
 // alone keys on Key instead. The result is cached; a DAG is immutable after
 // New.
 func (d *DAG) Fingerprint() uint64 {
-	d.fpOnce.Do(func() {
-		h := fnv.New64a()
-		d.writeContent(h)
-		d.fpCache = h.Sum64()
-	})
+	d.fpOnce.Do(func() { d.fpCache = contentFNV(d.tasks, d.edges) })
 	return d.fpCache
+}
+
+// contentFNV is the FNV-1a hash of writeContent(tasks, edges).
+func contentFNV(tasks []Task, edges []Edge) uint64 {
+	w := contentWriter{fnv: fnvOffset}
+	writeContent(&w, tasks, edges)
+	return w.fnv
 }
 
 // keySeed seeds Key: one per process, drawn at random.
@@ -63,39 +64,74 @@ func (d *DAG) Key() uint64 {
 	return d.keyCache
 }
 
-func (d *DAG) keyWith(seed maphash.Seed) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	d.writeContent(&h)
-	return h.Sum64()
+func (d *DAG) keyWith(seed maphash.Seed) uint64 { return contentKey(seed, d.tasks, d.edges) }
+
+// contentKey is the seeded hash of writeContent(tasks, edges): Key for a
+// DAG's own slices, NormalKey for its relabelled ones.
+func contentKey(seed maphash.Seed, tasks []Task, edges []Edge) uint64 {
+	w := contentWriter{keyed: true}
+	w.mh.SetSeed(seed)
+	writeContent(&w, tasks, edges)
+	return w.mh.Sum64()
 }
 
-// writeContent writes the DAG's content to w, the one serialization both
-// Fingerprint and Key hash, so the two agree on equality by construction:
-// the task count, each task's name length, name and cost bits, the edge
-// count, and each edge's endpoints and cost bits, in definition order, each
-// number as eight little-endian bytes. It writes in chunks of about 1 KB.
-func (d *DAG) writeContent(w io.Writer) {
-	var chunk [1024]byte
-	b := binary.LittleEndian.AppendUint64(chunk[:0], uint64(len(d.tasks)))
-	for _, t := range d.tasks {
-		if len(b) > len(chunk)-64 {
-			w.Write(b)
-			b = b[:0]
+// contentWriter gathers writeContent's bytes in a fixed chunk and hands each
+// full chunk to one hash: FNV-1a into fnv, or the seeded maphash when keyed.
+// Both hashes depend only on the byte sequence, not on where the chunks
+// break. It is a concrete type, not an io.Writer, so a caller's writer and
+// its chunk stay on the caller's stack: hashing allocates nothing.
+type contentWriter struct {
+	keyed bool
+	mh    maphash.Hash
+	fnv   uint64
+	chunk [1024]byte
+}
+
+// write hashes b, a prefix of the chunk, and returns the chunk emptied.
+func (w *contentWriter) write(b []byte) []byte {
+	if w.keyed {
+		w.mh.Write(b)
+	} else {
+		h := w.fnv
+		for _, c := range b {
+			h = fnvByte(h, c)
 		}
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(t.Name)))
-		b = append(b, t.Name...)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Cost))
+		w.fnv = h
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(d.edges)))
-	for _, e := range d.edges {
-		if len(b) > len(chunk)-64 {
-			w.Write(b)
-			b = b[:0]
+	return w.chunk[:0]
+}
+
+// writeContent writes a DAG's content to w, the one serialization
+// Fingerprint, Key and NormalKey hash, so they agree on equality by
+// construction: the task count, each task's name length, name and cost
+// bits, the edge count, and each edge's endpoints and cost bits, in
+// definition order, each number as eight little-endian bytes. The bytes
+// never outgrow the chunk: a name longer than the room left goes through
+// in pieces.
+func writeContent(w *contentWriter, tasks []Task, edges []Edge) {
+	le := binary.LittleEndian
+	b := le.AppendUint64(w.chunk[:0], uint64(len(tasks)))
+	for _, t := range tasks {
+		if len(b) > len(w.chunk)-64 {
+			b = w.write(b)
 		}
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.From))
-		b = binary.LittleEndian.AppendUint64(b, uint64(e.To))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Cost))
+		b = le.AppendUint64(b, uint64(len(t.Name)))
+		name := t.Name
+		for room := len(w.chunk) - len(b) - 8; len(name) > room; room = len(w.chunk) - 8 {
+			b = w.write(append(b, name[:room]...))
+			name = name[room:]
+		}
+		b = append(b, name...)
+		b = le.AppendUint64(b, math.Float64bits(t.Cost))
 	}
-	w.Write(b)
+	b = le.AppendUint64(b, uint64(len(edges)))
+	for _, e := range edges {
+		if len(b) > len(w.chunk)-64 {
+			b = w.write(b)
+		}
+		b = le.AppendUint64(b, uint64(e.From))
+		b = le.AppendUint64(b, uint64(e.To))
+		b = le.AppendUint64(b, math.Float64bits(e.Cost))
+	}
+	w.write(b)
 }

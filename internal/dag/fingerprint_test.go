@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"hash/maphash"
 	"math"
 	"strings"
@@ -107,5 +109,61 @@ func TestKey(t *testing.T) {
 	renamed := []Task{{ID: 0, Name: strings.Repeat("x", 2999) + "y", Cost: 1}}
 	if MustNew(long, nil).Key() == MustNew(renamed, nil).Key() {
 		t.Error("a change at the end of a long name kept the key")
+	}
+}
+
+// TestContentHashAllocationFree: hashing a DAG's content allocates nothing,
+// for the seeded key and for the FNV fingerprint, even when a task name is
+// longer than the writer's chunk.
+func TestContentHashAllocationFree(t *testing.T) {
+	d := MustGenerate(GenSpec{Size: 400, CCR: 0.3, Parallelism: 0.5, Density: 0.2, Regularity: 0.5, MeanCost: 40}, xrand.New(11))
+	tasks := append([]Task(nil), d.Tasks()...)
+	tasks[7].Name = strings.Repeat("n", 3000)
+	d = MustNew(tasks, d.Edges())
+	if n := testing.AllocsPerRun(20, func() { d.keyWith(keySeed) }); n != 0 {
+		t.Errorf("keyWith allocates %v objects per call", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { contentFNV(d.tasks, d.edges) }); n != 0 {
+		t.Errorf("the FNV content hash allocates %v objects per call", n)
+	}
+	if d.Fingerprint() != contentFNV(d.tasks, d.edges) || d.Key() != d.keyWith(keySeed) {
+		t.Error("the cached hashes differ from the content hashes")
+	}
+}
+
+// TestContentHashChunking holds both content hashes to a reference that
+// serializes the whole content into one buffer first, for names of every
+// length around the chunk's edges: where the chunk breaks must not show.
+func TestContentHashChunking(t *testing.T) {
+	d := MustGenerate(GenSpec{Size: 90, CCR: 0.3, Parallelism: 0.5, Density: 0.4, Regularity: 0.5, MeanCost: 40}, xrand.New(5))
+	for _, n := range []int{1, 7, 900, 955, 960, 999, 1000, 1007, 1008, 1016, 1017, 1024, 2040, 3000} {
+		tasks := append([]Task(nil), d.Tasks()...)
+		for i := range tasks {
+			tasks[i].Name = strings.Repeat("ab", (n*(i+1)%2048+1)/2)[:n*(i+1)%2048]
+		}
+		tasks[len(tasks)/3].Name = strings.Repeat("x", n)
+		var ref []byte
+		le := binary.LittleEndian
+		ref = le.AppendUint64(ref, uint64(len(tasks)))
+		for _, task := range tasks {
+			ref = le.AppendUint64(ref, uint64(len(task.Name)))
+			ref = append(ref, task.Name...)
+			ref = le.AppendUint64(ref, math.Float64bits(task.Cost))
+		}
+		ref = le.AppendUint64(ref, uint64(d.NumEdges()))
+		for _, e := range d.Edges() {
+			ref = le.AppendUint64(ref, uint64(e.From))
+			ref = le.AppendUint64(ref, uint64(e.To))
+			ref = le.AppendUint64(ref, math.Float64bits(e.Cost))
+		}
+		h := fnv.New64a()
+		h.Write(ref)
+		got := MustNew(tasks, d.Edges())
+		if got.Fingerprint() != h.Sum64() {
+			t.Errorf("name length %d: fingerprint %016x, reference %016x", n, got.Fingerprint(), h.Sum64())
+		}
+		if got.Key() != maphash.Bytes(keySeed, ref) {
+			t.Errorf("name length %d: key %016x, reference %016x", n, got.Key(), maphash.Bytes(keySeed, ref))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"rsgen/internal/xrand"
@@ -242,4 +243,64 @@ func TestNormalizeCharacteristicsBitIdentical(t *testing.T) {
 			t.Errorf("seed %d: normal-form characteristics differ:\n%+v\nvs\n%+v", seed, a, b)
 		}
 	}
+}
+
+// TestNormalKeyBuildsNoNormalForm: NormalKey is Normalize().Key() — on the
+// DAG, on relabelled isomorphs, and on the degenerate shapes — and
+// computing it leaves the normal form unbuilt, so a shape-cache hit pays
+// for no second DAG.
+func TestNormalKeyBuildsNoNormalForm(t *testing.T) {
+	rng := xrand.New(31)
+	base := MustGenerate(GenSpec{Size: 80, CCR: 0.4, Parallelism: 0.6, Density: 0.4, Regularity: 0.5, MeanCost: 30}, rng)
+	cases := []*DAG{
+		base,
+		relabel(t, base, rng.Perm(base.Size()), rng),
+		relabel(t, base, rng.Perm(base.Size()), rng),
+		MustNew([]Task{{ID: 0, Name: "only", Cost: 2}}, nil),
+		MustNew([]Task{{ID: 0, Cost: 1}, {ID: 1, Cost: 1}, {ID: 2, Cost: 1}}, nil),
+	}
+	for i, d := range cases {
+		k := d.NormalKey()
+		if d.normCache != nil {
+			t.Fatalf("case %d: NormalKey built the normal form", i)
+		}
+		if want := d.Normalize().Key(); k != want {
+			t.Errorf("case %d: NormalKey %016x != Normalize().Key() %016x", i, k, want)
+		}
+	}
+	if cases[0].NormalKey() != cases[1].NormalKey() || cases[0].NormalKey() != cases[2].NormalKey() {
+		t.Error("relabelled isomorphs have different normal keys")
+	}
+	if cases[3].NormalKey() == cases[4].NormalKey() {
+		t.Error("distinct shapes share a normal key")
+	}
+}
+
+// TestNormalKeyConcurrent: goroutines sharing one DAG and the scratch pool
+// agree on its normal key and normal form, whichever of NormalKey and
+// Normalize runs first. Run it under -race.
+func TestNormalKeyConcurrent(t *testing.T) {
+	rng := xrand.New(41)
+	dags := make([]*DAG, 4)
+	want := make([]uint64, len(dags))
+	for i := range dags {
+		d := MustGenerate(GenSpec{Size: 60 + 20*i, CCR: 0.5, Parallelism: 0.5, Density: 0.5, Regularity: 0.5, MeanCost: 40}, rng)
+		want[i] = MustNew(d.Tasks(), d.Edges()).Normalize().Key()
+		dags[i] = d
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range dags {
+				i := (g + k) % len(dags)
+				d := dags[i]
+				if g%2 == 0 && d.Normalize().Key() != want[i] || d.NormalKey() != want[i] {
+					t.Errorf("goroutine %d, DAG %d: normal key differs", g, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -24,27 +24,53 @@ import (
 // member of the wire form given twice in one object, and anything but
 // whitespace after the document.
 
-// scratch holds the slices a decode appends to before their final size is
-// known; pooling them lets the DAG get exactly-sized copies and leaves no
-// append-growth garbage behind.
+// scratch is the working memory of one decode, build, canonical order or
+// relabelling: the slices a decode appends to before their final size is
+// known, and the per-task cursors, stamps and hashes of the passes after it.
+// Pooling it lets a DAG get exactly-sized copies and leaves no working
+// garbage behind. Nothing in it may outlive the call that took it from the
+// pool: a *DAG and every slice it holds are always freshly allocated, since
+// caches and in-flight requests keep them.
 type scratch struct {
-	tasks []Task
-	edges []Edge
+	tasks   []Task
+	edges   []Edge
+	h, g    []uint64
+	sorted  []uint64
+	pairs   []hashedTask
+	start   []int
+	next    []int
+	perm    []TaskID
+	cursor  []int32
+	cursor2 []int32
+	stamp   []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// maxPooledScratch bounds, in elements, the scratch a decode may leave in the
+// maxPooledScratch bounds, in elements, the scratch a call may leave in the
 // pool, so one huge document does not pin its arrays.
 const maxPooledScratch = 1 << 15
 
 func (sc *scratch) release() {
-	if cap(sc.tasks) > maxPooledScratch || cap(sc.edges) > maxPooledScratch {
+	// Every per-task array is as long as h (the canonical order's) or cursor
+	// (every other pass's).
+	if max(cap(sc.tasks), cap(sc.edges), cap(sc.h), cap(sc.cursor)) > maxPooledScratch {
 		return
 	}
 	clear(sc.tasks) // drop the name strings
 	sc.tasks, sc.edges = sc.tasks[:0], sc.edges[:0]
 	scratchPool.Put(sc)
+}
+
+// grow returns *s resized to n elements, reallocating (and keeping the new
+// array in *s) only when its capacity is short. The elements' values are
+// whatever the last user left: callers write before they read.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // Decode reads a JSON-encoded DAG from r and validates it.
@@ -96,7 +122,7 @@ func (s *Scanner) DAG() (*DAG, error) {
 		}
 		return nil, err
 	}
-	return build(append([]Task(nil), sc.tasks...), append([]Edge(nil), sc.edges...))
+	return build(append([]Task(nil), sc.tasks...), append([]Edge(nil), sc.edges...), sc)
 }
 
 func wireErrorf(format string, args ...any) error {

@@ -179,7 +179,7 @@ func runFigVII345(cfg Config) ([]*Table, error) {
 	if ad, err := classad.Parse(s.ClassAd); err != nil {
 		t2.AddRow("Condor", "generated ClassAd failed to parse: "+err.Error())
 	} else {
-		matched := classad.MatchBest(ad, classad.MachineAds(p), s.RCSize)
+		matched := classad.MatchHosts(ad, p, s.RCSize, nil)
 		t2.AddRow("Condor", fmt.Sprintf("%d machines matched (requested %d)", len(matched), s.RCSize))
 	}
 

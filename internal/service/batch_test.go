@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -69,6 +70,45 @@ func TestShapeCoalescedByteIdentity(t *testing.T) {
 	a.ServeHTTP(mw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if !strings.Contains(mw.Body.String(), `rsgend_coalesce_hits_total{kind="cache"} 1`) {
 		t.Errorf("metrics missing the shape-cache coalesce hit:\n%s", mw.Body.String())
+	}
+}
+
+// TestShapeHitBuildsNoNormalForm: a request whose shape is cached is
+// answered from the DAG's normal key alone. The normal form — a second DAG,
+// 48 bytes per edge in its edge and adjacency arrays alone — is built only
+// on a shape miss, so on a dense DAG the shape hit allocates less than half
+// of that even when it finds the scratch pool empty.
+func TestShapeHitBuildsNoNormalForm(t *testing.T) {
+	s := newTestServer(t, nil)
+	rng := xrand.New(17)
+	d := dag.MustGenerate(dag.GenSpec{Size: 120, CCR: 0.5, Parallelism: 0.5, Density: 1, Regularity: 0.5, MeanCost: 40}, rng)
+	isomorph := func() *dag.DAG {
+		perm := rng.Perm(d.Size())
+		tasks := make([]dag.Task, d.Size())
+		for old, id := range perm {
+			tasks[id] = dag.Task{ID: dag.TaskID(id), Name: fmt.Sprintf("t%d", old), Cost: d.Task(dag.TaskID(old)).Cost}
+		}
+		edges := make([]dag.Edge, 0, d.NumEdges())
+		for _, e := range d.Edges() {
+			edges = append(edges, dag.Edge{From: dag.TaskID(perm[e.From]), To: dag.TaskID(perm[e.To]), Cost: e.Cost})
+		}
+		return dag.MustNew(tasks, edges)
+	}
+	okey := optsKey(SpecOptions{})
+	if _, src, err := s.resolveSpec(context.Background(), d, SpecOptions{}, okey); err != nil || src != srcComputed {
+		t.Fatalf("first request: source %q, err %v", src, err)
+	}
+	iso := isomorph()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, src, err := s.resolveSpec(context.Background(), iso, SpecOptions{}, okey)
+	runtime.ReadMemStats(&after)
+	if err != nil || src != srcShapeHit {
+		t.Fatalf("isomorph: source %q, err %v; want a shape hit", src, err)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(24*iso.NumEdges()); got > bound {
+		t.Errorf("a shape hit allocated %d bytes for %d tasks and %d edges, want ≤ %d: it built the normal form",
+			got, iso.Size(), iso.NumEdges(), bound)
 	}
 }
 

@@ -486,10 +486,11 @@ func xCacheValue(source string) string {
 // byte-exact dedup only.
 func coalescible(o SpecOptions) bool { return len(o.AlternativeClocks) == 0 }
 
-// shapeKey keys the canonical form; the prefix keeps the shape keyspace
-// disjoint from byte-exact keys (a normal form is itself a valid DAG whose
-// exact key must stay distinct).
-func shapeKey(nd *dag.DAG, okey string) string { return "shape|" + cacheKey(nd, okey) }
+// shapeKey keys the canonical form by d.NormalKey(), which is the normal
+// form's Key without building it, so a shape hit normalizes nothing; the
+// prefix keeps the shape keyspace disjoint from byte-exact keys (a normal
+// form is itself a valid DAG whose exact key must stay distinct).
+func shapeKey(d *dag.DAG, okey string) string { return keyString("shape|", d.NormalKey(), okey) }
 
 // resolveSpec turns one validated (DAG, options) pair into response bytes,
 // through — in order — the byte-exact cache, the shape cache, and the
@@ -515,8 +516,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions, ok
 
 	key, nd := exact, d
 	if coalescible(o) {
-		nd = d.Normalize()
-		key = shapeKey(nd, okey)
+		key = shapeKey(d, okey)
 		if body, ok := s.cache.Get(key); ok {
 			cacheSpan.SetDetail("hit=false shape=true")
 			cacheSpan.End()
@@ -526,6 +526,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions, ok
 			s.cache.Put(exact, body)
 			return body, srcShapeHit, nil
 		}
+		nd = d.Normalize()
 	}
 	cacheSpan.SetDetail("hit=false")
 	cacheSpan.End()
@@ -628,10 +629,16 @@ func (s *Server) validateOptions(o SpecOptions) error {
 // layer up: "%016x|" of the key, then the options key. A hit is served on
 // key equality alone, so the key is seeded per process: unlike the
 // Fingerprint, it cannot be steered onto another client's entry.
-func cacheKey(d *dag.DAG, okey string) string {
+func cacheKey(d *dag.DAG, okey string) string { return keyString("", d.Key(), okey) }
+
+// keyString renders prefix, the key's 16 hex digits, "|" and the options
+// key as one string, in one allocation.
+func keyString(prefix string, key uint64, okey string) string {
 	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], d.Key())
-	return hex.EncodeToString(k[:]) + "|" + okey
+	binary.BigEndian.PutUint64(k[:], key)
+	var buf [160]byte
+	b := hex.AppendEncode(append(buf[:0], prefix...), k[:])
+	return string(append(append(b, '|'), okey...))
 }
 
 // optsKey is the option block's contribution to every cache and coalescing

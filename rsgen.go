@@ -310,21 +310,13 @@ func MatchClassAd(p *Platform, adSrc string, limit int) (*ResourceCollection, er
 	if err != nil {
 		return nil, err
 	}
-	machines := classad.MachineAds(p)
-	matched := classad.MatchBest(ad, machines, limit)
+	matched := classad.MatchHosts(ad, p, limit, nil)
 	if len(matched) == 0 {
 		return nil, fmt.Errorf("rsgen: classad matched no machines")
 	}
-	// Machine ads carry the host name "hostNNNNN.clusterNNNN"; recover
-	// the host index from ad order instead: MachineAds preserves host
-	// order, so match by identity.
-	index := make(map[*classad.Ad]int, len(machines))
-	for i, m := range machines {
-		index[m] = i
-	}
-	hosts := make([]Host, 0, len(matched))
-	for _, m := range matched {
-		hosts = append(hosts, p.Hosts[index[m]])
+	hosts := make([]Host, len(matched))
+	for i, h := range matched {
+		hosts[i] = p.Hosts[h]
 	}
 	return platform.SubsetRC(p, hosts), nil
 }
